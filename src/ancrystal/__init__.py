@@ -8,7 +8,6 @@ from .errors import (
     InfeasibleError,
     ModelError,
     ParameterError,
-    RhombusAbsentError,
 )
 from .support import Multinode, NodeRef, SupportingGraph, build_supporting_graph
 from .weights import (

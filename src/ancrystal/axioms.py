@@ -16,11 +16,13 @@ from .errors import GraphFormatError
 
 @dataclass(frozen=True)
 class Verdict:
-    ok: bool
+    ok: Optional[bool]  # None: not run, because a check it needs failed
     check: str
     message: str = ""
 
     def __str__(self):
+        if self.ok is None:
+            return f"{self.check}: skipped ({self.message})"
         status = "pass" if self.ok else "fail"
         tail = f": {self.message}" if self.message else ""
         return f"{self.check}: {status}{tail}"
@@ -244,12 +246,6 @@ def critical_vertex(g: ColoredDigraph, v, i: int, j: int):
     return line[labels.count(0)]
 
 
-def lines_and_critical(g: ColoredDigraph, v, i: int, j: int):
-    """(t_i(v), h_i(v), critical vertex of the i-line through v w.r.t. j)."""
-    t, h = g.position(v, i)
-    return t, h, critical_vertex(g, v, i, j)
-
-
 def check_A3(g: ColoredDigraph) -> Verdict:
     name = "A3"
     for i in range(1, g.n + 1):
@@ -436,23 +432,33 @@ def check_unique_source_sink(g: ColoredDigraph) -> Verdict:
     return _ok(name)
 
 
+# Checks that follow single successors and predecessors, which mean something
+# only once A1 holds.
+NEEDS_A1 = ("A2", "A3", "A4", "A5", "equal-criticals")
+
+
 def verify_graph(g: ColoredDigraph, strict_a4: bool = False, fail_fast: bool = True) -> List[Verdict]:
     """Run the whole battery in dependency order; later checks assume earlier
-    ones, so with fail_fast the list ends at the first failure."""
+    ones, so with fail_fast the list ends at the first failure.  Without it,
+    the checks in NEEDS_A1 are reported as skipped once A1 has failed."""
     verdicts = []
     checks = [
-        check_nonempty_connected,
-        check_A1,
-        check_graded,
-        check_no_parallel_edges,
-        check_A2,
-        check_A3,
-        lambda gr: check_A4(gr, strict=strict_a4),
-        check_A5,
-        check_equal_criticals,
-        check_unique_source_sink,
+        ("connected", check_nonempty_connected),
+        ("A1", check_A1),
+        ("graded", check_graded),
+        ("no-parallel-edges", check_no_parallel_edges),
+        ("A2", check_A2),
+        ("A3", check_A3),
+        ("A4", lambda gr: check_A4(gr, strict=strict_a4)),
+        ("A5", check_A5),
+        ("equal-criticals", check_equal_criticals),
+        ("unique-source-sink", check_unique_source_sink),
     ]
-    for chk in checks:
+    a1_ok = True
+    for name, chk in checks:
+        if not a1_ok and name in NEEDS_A1:
+            verdicts.append(Verdict(None, name, "needs A1"))
+            continue
         try:
             v = chk(g)
         except GraphFormatError as exc:
@@ -460,6 +466,8 @@ def verify_graph(g: ColoredDigraph, strict_a4: bool = False, fail_fast: bool = T
         verdicts.append(v)
         if fail_fast and not v.ok:
             break
+        if name == "A1":
+            a1_ok = v.ok
     return verdicts
 
 

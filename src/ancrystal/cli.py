@@ -51,7 +51,6 @@ def _add_model_args(p, require_c=True):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ancrystal", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="generate a crystal and export it")
@@ -116,13 +115,29 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _read_text(path, error):
+    """Contents of a UTF-8 input file; a file that is not UTF-8 raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parse_json(path, text, error):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: malformed JSON ({exc})") from None
+
+
 def _load_graph(args):
     if args.infile is not None:
-        with open(args.infile) as fh:
-            text = fh.read()
+        text = _read_text(args.infile, GraphFormatError)
         stripped = text.lstrip()
         if stripped.startswith("{"):
-            return axioms.from_crystal_json(json.loads(text))
+            data = _parse_json(args.infile, text, GraphFormatError)
+            return axioms.from_crystal_json(data)
         return axioms.from_edge_list_text(text)
     if args.n is None or args.c is None:
         raise ParameterError("verify needs either --in or --n/--c")
@@ -199,12 +214,16 @@ def cmd_gt(args) -> int:
     if args.count:
         if args.n is None or args.c is None:
             raise ParameterError("gt --count needs --n and --c")
-        print(count_bounded_patterns(args.n, sigma_bound(args.c)))
+        c = tuple(args.c)
+        if args.n < 1 or len(c) != args.n or any(x < 0 for x in c):
+            raise ParameterError(
+                f"gt --count needs n >= 1 and n nonnegative bounds, got --n {args.n} --c {c}"
+            )
+        print(count_bounded_patterns(args.n, sigma_bound(c)))
         return EXIT_OK
     if args.direction is None or args.infile is None:
         raise ParameterError("gt needs --count, or --direction with --in")
-    with open(args.infile) as fh:
-        data = json.load(fh)
+    data = _parse_json(args.infile, _read_text(args.infile, ParameterError), ParameterError)
     if args.direction == "to-pattern":
         f = WeightFunction.from_json(data)
         text = json.dumps(to_gt(f).to_json(), indent=2) + "\n"

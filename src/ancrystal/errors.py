@@ -9,10 +9,6 @@ class ParameterError(ModelError, ValueError):
     """Invalid numeric parameters (colors, bounds, tuples of wrong shape)."""
 
 
-class RhombusAbsentError(ModelError, LookupError):
-    """Requested rhombus has a corner outside the extended supporting graph."""
-
-
 class InfeasibleError(ModelError, ValueError):
     """A node-weighting or pattern fails the feasibility/validity conditions."""
 

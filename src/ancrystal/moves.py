@@ -39,18 +39,15 @@ def level_slacks(f: WeightFunction, i: int) -> LevelSlacks:
     is max(0, A(j) - max_{p<j} A(p)) and the residual lower slack at j is
     max(0, A(j) - max_{q>j} A(q)).
     """
-    n = f.graph.n
-    ext = f.extended_value
+    colors = range(1, f.graph.n + 1)
+    slot = f.graph.slot  # NodeRef is a tuple, so a plain (k, i, j) key finds it
+    x = f.values + f.bounds.c + f.bounds.d
     eps = {}
     delta = {}
     for j in range(1, i + 2):
-        eps[j] = sum(
-            ext(NodeRef(k, i - 1, j - 1)) - ext(NodeRef(k, i, j)) for k in range(1, n + 1)
-        )
+        eps[j] = sum(x[slot[k, i - 1, j - 1]] - x[slot[k, i, j]] for k in colors)
     for j in range(0, i + 1):
-        delta[j] = sum(
-            ext(NodeRef(k, i, j)) - ext(NodeRef(k, i + 1, j + 1)) for k in range(1, n + 1)
-        )
+        delta[j] = sum(x[slot[k, i, j]] - x[slot[k, i + 1, j + 1]] for k in colors)
     prefix = [0]
     for j in range(1, i + 2):
         prefix.append(prefix[j - 1] + eps[j] - delta[j - 1])

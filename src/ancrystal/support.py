@@ -1,22 +1,19 @@
-"""Supporting graph of the model: base subgraphs, multinodes, and the lazy extension.
+"""Supporting graph of the model: base subgraphs, multinodes, and the extension.
 
 The graph for ``n`` colors is the disjoint union of base subgraphs ``G^1 .. G^n``;
 ``G^k`` is a rhombic grid of shape ``(k-1) x (n-k)`` whose nodes are addressed as
 ``v_i^k(j)``.  The extended graph adds a fringe of extra nodes around every base
-subgraph; those are never stored, membership and classification are computed from
-the index predicates on demand.
+subgraph, which carry the bound ``c_k`` on the left of ``G^k`` and ``d_k`` on its
+right.  ``build_supporting_graph`` precomputes the whole extension once as the
+``slot`` table, so a value on the extended graph is a single lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
-from .errors import ParameterError, RhombusAbsentError
-
-IN_GRAPH = "in_graph"
-LEFT_EXTRA = "left_extra"
-RIGHT_EXTRA = "right_extra"
+from .errors import ParameterError
 
 
 class NodeRef(NamedTuple):
@@ -29,15 +26,6 @@ class NodeRef(NamedTuple):
     @property
     def canonical_key(self):
         return (self.i, self.j, self.k)
-
-
-class Neighbors(NamedTuple):
-    """The four potential incident edges of a node, reported as the far endpoint."""
-
-    nw: Optional[NodeRef]  # tail of the incoming NW-edge
-    sw: Optional[NodeRef]  # tail of the incoming SW-edge
-    ne: Optional[NodeRef]  # head of the outgoing NE-edge
-    se: Optional[NodeRef]  # head of the outgoing SE-edge
 
 
 @dataclass(frozen=True)
@@ -56,41 +44,23 @@ class SupportingGraph:
     Nodes are held in canonical order (sorted by (i, j, k)); ``index`` maps a
     NodeRef to its position in that order, which is also the layout of the dense
     weight vectors used as crystal-vertex keys.
+
+    ``slot`` maps every node of the extended graph to its position in the vector
+    ``values + c + d`` of a weight function: a node of G to its own index, an
+    extra node left of G^k to ``c_k`` and one right of G^k to ``d_k``.  Its keys
+    are exactly the extended nodes.
     """
 
     n: int
     nodes: tuple
     index: dict = field(compare=False, repr=False)
     multinodes: dict = field(compare=False, repr=False)
-
-    # -- membership predicates -------------------------------------------------
+    slot: dict = field(compare=False, repr=False)
 
     def is_node(self, v: NodeRef) -> bool:
         """True iff v is a node of G (not merely of the extension)."""
         k, i, j = v
         return 1 <= k <= self.n and 1 <= j <= self.n - k + 1 and 0 <= i - j <= k - 1
-
-    def is_extended_node(self, v: NodeRef) -> bool:
-        """True iff v is a node of the extended graph."""
-        k, i, j = v
-        if not 1 <= k <= self.n:
-            return False
-        if (i, j) == (0, 0):
-            return True
-        if (i, j) == (self.n + 1, 0):
-            return False
-        return 0 <= i <= self.n + 1 and 0 <= j <= self.n + 1 and j <= i + 1
-
-    def classify(self, v: NodeRef) -> str:
-        """Classify an extended node as in-graph, left-extra, or right-extra."""
-        if not self.is_extended_node(v):
-            raise ParameterError(f"{v} is not a node of the extended graph")
-        if self.is_node(v):
-            return IN_GRAPH
-        k, i, j = v
-        if j == 0 or i - j > k - 1:
-            return LEFT_EXTRA
-        return RIGHT_EXTRA
 
     # -- structure accessors ---------------------------------------------------
 
@@ -123,48 +93,10 @@ class SupportingGraph:
             if self.is_node(se):
                 yield (u, se)
 
-    def neighbors(self, v: NodeRef) -> Neighbors:
-        """Four-directional incident edges of an extended node.
-
-        Each entry is the far endpoint (tail for NW/SW, head for NE/SE), or None
-        when that endpoint falls outside the extended graph.
-        """
-        if not self.is_extended_node(v):
-            raise ParameterError(f"{v} is not a node of the extended graph")
-        k, i, j = v
-
-        def ext(i2, j2):
-            u = NodeRef(k, i2, j2)
-            return u if self.is_extended_node(u) else None
-
-        return Neighbors(
-            nw=ext(i - 1, j - 1),
-            sw=ext(i + 1, j),
-            ne=ext(i - 1, j),
-            se=ext(i + 1, j + 1),
-        )
-
-    def rhombus(self, right: NodeRef) -> tuple:
-        """Little rhombus with the given right node; returns (left, upper, lower).
-
-        Raises RhombusAbsentError when any corner is outside the extended graph.
-        """
-        k, i, j = right
-        corners = (
-            NodeRef(k, i, j - 1),      # left
-            NodeRef(k, i - 1, j - 1),  # upper
-            NodeRef(k, i + 1, j),      # lower
-        )
-        if not self.is_extended_node(right) or not all(
-            self.is_extended_node(u) for u in corners
-        ):
-            raise RhombusAbsentError(f"no rhombus with right node {right}")
-        return corners
-
 
 def build_supporting_graph(n: int) -> SupportingGraph:
     """Construct the supporting graph for ``n`` colors (n >= 1)."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParameterError(f"number of colors must be a positive integer, got {n!r}")
     nodes = []
     for k in range(1, n + 1):
@@ -178,4 +110,20 @@ def build_supporting_graph(n: int) -> SupportingGraph:
         for j in range(1, i + 1):
             members = tuple(NodeRef(k, i, j) for k in range(i - j + 1, n - j + 2))
             multinodes[(i, j)] = Multinode(i, j, members)
-    return SupportingGraph(n=n, nodes=tuple(nodes), index=index, multinodes=multinodes)
+    size = len(nodes)
+    slot = {}
+    for k in range(1, n + 1):
+        for i in range(n + 2):
+            for j in range(min(i + 1, n + 1) + 1):
+                if (i, j) == (n + 1, 0):
+                    continue
+                v = NodeRef(k, i, j)
+                if v in index:
+                    slot[v] = index[v]
+                elif j == 0 or i - j > k - 1:
+                    slot[v] = size + k - 1  # left of G^k: c_k
+                else:
+                    slot[v] = size + n + k - 1  # right of G^k: d_k
+    return SupportingGraph(
+        n=n, nodes=tuple(nodes), index=index, multinodes=multinodes, slot=slot
+    )

@@ -6,13 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InfeasibleError, ParameterError
-from .support import (
-    IN_GRAPH,
-    LEFT_EXTRA,
-    NodeRef,
-    SupportingGraph,
-    build_supporting_graph,
-)
+from .support import NodeRef, SupportingGraph, build_supporting_graph
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -81,20 +75,16 @@ class WeightFunction:
 
     def extended_value(self, v: NodeRef) -> int:
         """Value on the extended graph: f on G, c_k left of G^k, d_k right of it."""
-        kind = self.graph.classify(v)
-        if kind == IN_GRAPH:
-            return self.values[self.graph.index[v]]
-        if kind == LEFT_EXTRA:
-            return self.bounds.c[v.k - 1]
-        return self.bounds.d[v.k - 1]
+        try:
+            p = self.graph.slot[v]
+        except KeyError:
+            raise ParameterError(f"{v} is not a node of the extended graph") from None
+        return (self.values + self.bounds.c + self.bounds.d)[p]
 
     def replace(self, v: NodeRef, new_value: int) -> "WeightFunction":
         vals = list(self.values)
         vals[self.graph.index[v]] = new_value
         return WeightFunction(self.graph, self.bounds, tuple(vals))
-
-    def as_map(self) -> dict:
-        return {v: self.values[p] for v, p in self.graph.index.items()}
 
     def subgraph_values(self, k: int) -> tuple:
         return tuple(self.value(v) for v in self.graph.base_nodes(k))

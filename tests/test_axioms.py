@@ -160,6 +160,20 @@ def test_fail_fast_stops_at_the_first_failure():
     assert len(full) == 10
 
 
+def test_checks_that_need_a1_are_skipped_after_it_fails():
+    g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (0, 2, 1)), 1)
+    full = [str(v) for v in verify_graph(g, fail_fast=False)]
+    assert full[0] == "connected: pass"
+    assert full[1].startswith("A1: fail:")
+    assert full[4:9] == [
+        f"{name}: skipped (needs A1)"
+        for name in ("A2", "A3", "A4", "A5", "equal-criticals")
+    ]
+    assert not all_pass(verify_graph(g, fail_fast=False))
+    fast = verify_graph(g)
+    assert [v.check for v in fast] == ["connected", "A1"]
+
+
 def test_verdict_string_form():
     g = ColoredDigraph((0,), (), 1)
     v = check_nonempty_connected(g)

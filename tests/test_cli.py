@@ -86,6 +86,36 @@ def test_verify_usage_errors(capsys, tmp_path):
     assert run(capsys, "verify", "--in", str(bad))[0] == EXIT_USAGE
 
 
+def test_verify_reports_skipped_checks_and_fails(capsys, tmp_path):
+    e = tmp_path / "fork.edges"
+    e.write_text("0 1 1\n0 2 1\n")
+    code, stdout, _ = run(capsys, "verify", "--in", str(e))
+    assert code == EXIT_VERDICT
+    lines = stdout.splitlines()
+    assert "A2: skipped (needs A1)" in lines
+    assert not any(line.endswith(": pass") for line in lines[4:9])
+
+
+@pytest.mark.parametrize("command", [["verify"], ["gt", "--direction", "to-pattern"]])
+def test_malformed_json_input_is_a_usage_error(capsys, tmp_path, command):
+    bad = tmp_path / "x.json"
+    bad.write_text("{bad")
+    code, _, err = run(capsys, *command, "--in", str(bad))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "malformed JSON" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["verify"], ["gt", "--direction", "to-pattern"]])
+def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, command):
+    bad = tmp_path / "x.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, *command, "--in", str(bad))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_analyze_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(
@@ -117,6 +147,22 @@ def test_gt_count(capsys):
     assert code == EXIT_OK and stdout.strip() == "15"
     assert run(capsys, "gt", "--count")[0] == EXIT_USAGE
     assert run(capsys, "gt")[0] == EXIT_USAGE
+
+
+def test_gt_count_names_the_bad_bounds(capsys):
+    code, stdout, err = run(capsys, "gt", "--count", "--n", "2", "--c", "1,-1")
+    assert code == EXIT_USAGE and stdout == ""
+    assert "(1, -1)" in err and "(0, 1)" not in err
+    code, _, err = run(capsys, "gt", "--count", "--n", "3", "--c", "1,2")
+    assert code == EXIT_USAGE and "(1, 2)" in err
+    code, _, err = run(capsys, "gt", "--count", "--n", "0", "--c", ",")
+    assert code == EXIT_USAGE and "--n 0" in err
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--seed", "1", "gt", "--count", "--n", "2", "--c", "1,2"])
+    assert e.value.code == 2
 
 
 def test_gt_conversion_round_trip(capsys, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ancrystal import (
     Bounds,
@@ -17,6 +18,7 @@ from ancrystal import (
     sigma_bound,
     subgraph,
 )
+from ancrystal.axioms import all_pass, from_crystal_json, verify_graph
 from conftest import DESK_PARAMS
 
 
@@ -153,3 +155,27 @@ def test_monochromatic_strings_agree_with_stored_lengths(crystals):
             while c in K.succ[w]:
                 w, m = K.succ[w][c], m + 1
             assert K.h[v][c] == m
+
+
+# Every (n, c, d) with n <= 3, lower bounds in [-2, 2] not all zero, and
+# c_k - d_k in [0, 2].  Nonzero d is what makes the right-hand extra nodes carry
+# a value other than 0 in the slacks.
+shifted_bounds = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(shifted_bounds)
+def test_shifted_bounds_property(params):
+    n, d, width = params
+    assume(any(d))
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    K = generate(n, c, d)
+    assert K.num_vertices == count_bounded_patterns(n, sigma_bound(width))
+    assert isomorphic(K, generate(n, width))
+    assert all_pass(verify_graph(from_crystal_json(K.to_json()), strict_a4=True))

@@ -1,7 +1,8 @@
+import itertools
+
 import pytest
 
-from ancrystal import NodeRef, ParameterError, RhombusAbsentError, build_supporting_graph
-from ancrystal.support import IN_GRAPH, LEFT_EXTRA, RIGHT_EXTRA
+from ancrystal import NodeRef, ParameterError, build_supporting_graph
 
 
 def test_rejects_nonpositive_n():
@@ -9,6 +10,12 @@ def test_rejects_nonpositive_n():
         build_supporting_graph(0)
     with pytest.raises(ParameterError):
         build_supporting_graph(-3)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3", None])
+def test_rejects_a_non_integer_n_by_its_value(n):
+    with pytest.raises(ParameterError, match=repr(n)):
+        build_supporting_graph(n)
 
 
 def test_n1_is_a_single_node():
@@ -91,60 +98,57 @@ def test_grid_shape_via_path_steps():
         walk(g.left(k), 0, 0)
 
 
+def extension_block(n, k, i, j):
+    """Where v_i^k(j) takes its extended value: "own" on G, "c" for an extra
+    node left of G^k, "d" for one right of it; None off the extended graph."""
+    if not (1 <= k <= n and 0 <= i <= n + 1 and 0 <= j <= min(i + 1, n + 1)):
+        return None
+    if (i, j) == (n + 1, 0):
+        return None
+    if 1 <= j <= n - k + 1 and 0 <= i - j <= k - 1:
+        return "own"
+    return "c" if j == 0 or i - j > k - 1 else "d"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_slot_table_follows_the_extension_rule(n):
+    g = build_supporting_graph(n)
+    size = len(g.nodes)
+    members = 0
+    for k, i, j in itertools.product(range(-1, n + 3), repeat=3):
+        v = NodeRef(k, i, j)
+        block = extension_block(n, k, i, j)
+        if block is None:
+            assert v not in g.slot
+            continue
+        members += 1
+        expected = {"own": g.index.get(v), "c": size + k - 1, "d": size + n + k - 1}
+        assert g.slot[v] == expected[block], (v, block)
+    assert members == len(g.slot)
+
+
 def test_extended_classification():
     g = build_supporting_graph(2)
-    assert g.classify(NodeRef(1, 1, 1)) == IN_GRAPH
-    assert g.classify(NodeRef(2, 0, 0)) == LEFT_EXTRA
-    assert g.classify(NodeRef(1, 2, 1)) == LEFT_EXTRA  # below G^1, i-j > k-1
-    assert g.classify(NodeRef(2, 2, 2)) == RIGHT_EXTRA
-    assert g.classify(NodeRef(1, 1, 2)) == RIGHT_EXTRA  # j > n-k+1
-    assert not g.is_extended_node(NodeRef(1, 3, 0))
-    with pytest.raises(ParameterError):
-        g.classify(NodeRef(1, 3, 0))
+    size, n = len(g.nodes), 2
+    assert g.slot[NodeRef(1, 1, 1)] == g.index[NodeRef(1, 1, 1)]
+    assert g.slot[NodeRef(2, 0, 0)] == size + 1  # c_2: left of G^2
+    assert g.slot[NodeRef(1, 2, 1)] == size + 0  # c_1: below G^1, i-j > k-1
+    assert g.slot[NodeRef(2, 2, 2)] == size + n + 1  # d_2: right of G^2
+    assert g.slot[NodeRef(1, 1, 2)] == size + n + 0  # d_1: j > n-k+1
+    assert NodeRef(1, 3, 0) not in g.slot
 
 
 def test_every_extended_node_gets_exactly_one_class():
-    g = build_supporting_graph(4)
-    for k in range(1, 5):
-        for i in range(0, 6):
-            for j in range(0, 6):
-                v = NodeRef(k, i, j)
-                if g.is_extended_node(v):
-                    assert g.classify(v) in (IN_GRAPH, LEFT_EXTRA, RIGHT_EXTRA)
-
-
-def test_neighbors_at_the_boundary():
-    g = build_supporting_graph(2)
-    nb = g.neighbors(NodeRef(1, 1, 1))
-    assert nb.se == NodeRef(1, 2, 2)
-    assert nb.nw == NodeRef(1, 0, 0)
-    assert g.neighbors(NodeRef(2, 2, 1)).ne == NodeRef(2, 1, 1)
-
-
-def test_interior_node_has_all_four_neighbors_in_graph():
-    g = build_supporting_graph(5)
-    nb = g.neighbors(NodeRef(3, 3, 2))
-    assert all(x is not None and g.is_node(x) for x in nb)
-
-
-def test_rhombus_corners():
-    g = build_supporting_graph(2)
-    assert g.rhombus(NodeRef(1, 1, 1)) == (
-        NodeRef(1, 1, 0),
-        NodeRef(1, 0, 0),
-        NodeRef(1, 2, 1),
-    )
-    assert g.rhombus(NodeRef(2, 1, 1)) == (
-        NodeRef(2, 1, 0),
-        NodeRef(2, 0, 0),
-        NodeRef(2, 2, 1),
-    )
-
-
-def test_rhombus_absent_when_a_corner_leaves_the_extension():
-    g = build_supporting_graph(2)
-    with pytest.raises(RhombusAbsentError):
-        g.rhombus(NodeRef(1, 2, 0))  # no left neighbor at j = 0
+    n = 4
+    g = build_supporting_graph(n)
+    size = len(g.nodes)
+    for v, p in g.slot.items():
+        own = p == g.index.get(v)
+        left = p == size + v.k - 1
+        right = p == size + n + v.k - 1
+        assert own + left + right == 1, (v, p)
+        assert own == g.is_node(v)
+    assert set(g.index) <= set(g.slot)
 
 
 def test_canonical_order_is_by_level_position_subgraph():

@@ -44,6 +44,19 @@ def test_extended_values_on_extras():
     assert f.extended_value(NodeRef(2, 0, 0)) == 2  # left-extra of G^2
     assert f.extended_value(NodeRef(2, 2, 2)) == 0  # right-extra of G^2
     assert f.extended_value(NodeRef(1, 1, 1)) == 0  # identity on G
+    with pytest.raises(ParameterError):
+        f.extended_value(NodeRef(1, 3, 0))
+
+
+def test_extended_values_read_both_bounds():
+    g = build_supporting_graph(2)
+    b = Bounds((3, 4), (-1, 1))
+    f = principal_function(g, (0, 2), b)
+    assert f.extended_value(NodeRef(1, 0, 0)) == 3  # c_1
+    assert f.extended_value(NodeRef(2, 0, 0)) == 4  # c_2
+    assert f.extended_value(NodeRef(1, 1, 2)) == -1  # d_1
+    assert f.extended_value(NodeRef(2, 2, 2)) == 1  # d_2
+    assert f.extended_value(NodeRef(2, 2, 1)) == 2  # f on G^2
 
 
 def test_constant_zero_is_feasible():
