@@ -153,16 +153,18 @@ def _unique_end(num, adj) -> Optional[int]:
 def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     """Crystal digraph K(c, d): closure of the constant-d function under all
     forward moves, vertices deduplicated by their value tuples."""
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ParameterError(f"vertex cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise ParameterError(f"vertex cap must be positive, got {cap}")
+    g = build_supporting_graph(n)  # validates n before it is used
     c = tuple(int(x) for x in c)
     if d is None:
         d = (0,) * n
     d = tuple(int(x) for x in d)
     if len(c) != n or len(d) != n:
         raise ParameterError(f"bound tuples must have length n={n}")
-    if cap < 1:
-        raise ParameterError(f"vertex cap must be positive, got {cap}")
     b = Bounds(c, d)
-    g = build_supporting_graph(n)
     f0 = principal_function(g, d, b)
     functions: List[WeightFunction] = [f0]
     key_to_id: Dict[tuple, int] = {f0.values: 0}

@@ -3,25 +3,36 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .support import NodeRef
 from .weights import BACKWARD, FORWARD, WeightFunction, switch_node
 
 
-@dataclass(frozen=True)
 class LevelSlacks:
-    """Upper/lower slacks of level i and their residuals after cancelation.
+    """Slacks of level i of f.
 
-    ``eps`` is keyed by j = 1..i+1, ``delta`` by j = 0..i; the residual maps
-    share those key ranges.
+    ``prefix`` holds the prefix sums A(0), ..., A(i+1) of the slack sums, from
+    one pass over the compiled steps ``f.graph.level_steps``.  The dicts ``eps``
+    (keyed by j = 1..i+1), ``delta`` (j = 0..i) and their residuals ``eps_res``
+    and ``delta_res`` come from the closed form over the ``slot`` layout, which
+    is computed on first access and does not read the compiled steps.
     """
 
-    i: int
-    eps: dict
-    delta: dict
-    eps_res: dict
-    delta_res: dict
+    def __init__(self, f: WeightFunction, i: int, prefix: list):
+        self.f = f
+        self.i = i
+        self.prefix = prefix
+
+    @cached_property
+    def _dicts(self) -> tuple:
+        return _closed_form(self.f, self.i)
+
+    eps = property(lambda self: self._dicts[0])
+    delta = property(lambda self: self._dicts[1])
+    eps_res = property(lambda self: self._dicts[2])
+    delta_res = property(lambda self: self._dicts[3])
 
 
 @dataclass(frozen=True)
@@ -34,10 +45,28 @@ class MoveOutcome:
 def level_slacks(f: WeightFunction, i: int) -> LevelSlacks:
     """Slacks of level i summed over the extended multinodes, plus residuals.
 
-    The residuals come from the closed form: with the prefix sums
-    A(0) = 0, A(j) = A(j-1) + eps(j) - delta(j-1), the residual upper slack at j
-    is max(0, A(j) - max_{p<j} A(p)) and the residual lower slack at j is
-    max(0, A(j) - max_{q>j} A(q)).
+    The prefix sums come from the compiled steps, A(0) = 0 and
+    A(j) = A(j-1) + eps(j) - delta(j-1).  The closed form telescopes over them:
+    the residual upper slacks sum to h = max A and the residual lower slacks to
+    t = h - A(i+1).  The forward multinode is the first argmax j of A and the
+    backward one the least j >= 1 with A(j) > max_{q>j} A(q), that is the last
+    argmax of A(1..i+1); either is taken only when 1 <= j <= i.
+    """
+    x = f.values + f.bounds.c + f.bounds.d
+    a = 0
+    prefix = [0]
+    for step in f.graph.level_steps[i - 1]:
+        for plus, minus in step:
+            a += x[plus] - x[minus]
+        prefix.append(a)
+    return LevelSlacks(f, i, prefix)
+
+
+def _closed_form(f: WeightFunction, i: int) -> tuple:
+    """(eps, delta, eps_res, delta_res) of level i, read from the ``slot`` layout.
+
+    The residual upper slack at j is max(0, A(j) - max_{p<j} A(p)) and the
+    residual lower slack at j is max(0, A(j) - max_{q>j} A(q)).
     """
     colors = range(1, f.graph.n + 1)
     slot = f.graph.slot  # NodeRef is a tuple, so a plain (k, i, j) key finds it
@@ -61,7 +90,7 @@ def level_slacks(f: WeightFunction, i: int) -> LevelSlacks:
     for j in range(i, -1, -1):
         delta_res[j] = max(0, prefix[j] - run_max)
         run_max = max(run_max, prefix[j])
-    return LevelSlacks(i=i, eps=eps, delta=delta, eps_res=eps_res, delta_res=delta_res)
+    return eps, delta, eps_res, delta_res
 
 
 def residual_slacks_by_cancelation(eps: dict, delta: dict) -> Tuple[dict, dict]:
@@ -103,20 +132,15 @@ def active_multinode(f: WeightFunction, i: int, direction: str) -> Optional[Tupl
     Forward: the minimum j whose residual slacks sandwich it (all residual lower
     slacks before j and all residual upper slacks after j vanish), accepted iff
     its own residual upper slack is positive.  Backward: the minimum j with
-    positive residual lower slack.
+    positive residual lower slack.  Both are read off ``level_slacks``.
     """
-    ls = level_slacks(f, i)
+    prefix = level_slacks(f, i).prefix
     if direction == FORWARD:
-        for j in range(1, i + 1):
-            if all(ls.delta_res[l] == 0 for l in range(0, j)) and all(
-                ls.eps_res[l] == 0 for l in range(j + 1, i + 2)
-            ):
-                return (i, j) if ls.eps_res[j] > 0 else None
-        return None
-    for j in range(1, i + 1):
-        if ls.delta_res[j] > 0:
-            return (i, j)
-    return None
+        j = prefix.index(max(prefix))
+    else:
+        tail = prefix[:0:-1]  # A(i+1), ..., A(1)
+        j = i + 1 - tail.index(max(tail))
+    return (i, j) if 1 <= j <= i else None
 
 
 def forward_move(f: WeightFunction, i: int) -> Optional[MoveOutcome]:
@@ -140,5 +164,6 @@ def backward_move(f: WeightFunction, i: int) -> Optional[MoveOutcome]:
 
 def string_lengths(f: WeightFunction, i: int) -> Tuple[int, int]:
     """(h_i, t_i): how many consecutive forward / backward i-moves apply at f."""
-    ls = level_slacks(f, i)
-    return sum(ls.eps_res.values()), sum(ls.delta_res.values())
+    prefix = level_slacks(f, i).prefix
+    h = max(prefix)
+    return h, h - prefix[-1]

@@ -5,11 +5,13 @@ The graph for ``n`` colors is the disjoint union of base subgraphs ``G^1 .. G^n`
 ``v_i^k(j)``.  The extended graph adds a fringe of extra nodes around every base
 subgraph, which carry the bound ``c_k`` on the left of ``G^k`` and ``d_k`` on its
 right.  ``build_supporting_graph`` precomputes the whole extension once as the
-``slot`` table, so a value on the extended graph is a single lookup.
+``slot`` table, so a value on the extended graph is a single lookup, and
+compiles the move layer's sums and tests into index tables over that layout.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -49,6 +51,19 @@ class SupportingGraph:
     ``values + c + d`` of a weight function: a node of G to its own index, an
     extra node left of G^k to ``c_k`` and one right of G^k to ``d_k``.  Its keys
     are exactly the extended nodes.
+
+    ``level_steps[i - 1]`` compiles level ``i`` from ``slot``: its entry ``j - 1``
+    (j = 1..i+1) holds the prefix step ``A(j) - A(j-1) = eps(j) - delta(j-1)``
+    of the slack sums as ``(plus, minus)`` pairs of positions in
+    ``x = values + c + d``: the step is the sum of ``x[plus] - x[minus]`` over
+    its pairs (see ``moves.level_slacks``).
+
+    ``switch_pairs[(i, j)]`` compiles the switch condition of V_i(j) as
+    ``(se, sw)``: member ``m`` is compared with its SE neighbor v_{i+1}^k(j+1)
+    unless it is the last member and with its SW neighbor v_{i+1}^k(j) unless
+    it is the first.  ``se`` holds those tests as ``(member, neighbor)`` pairs
+    of canonical indices for m = 0, 1, ... and ``sw`` for m = last, last - 1,
+    ..., 1.
     """
 
     n: int
@@ -56,6 +71,8 @@ class SupportingGraph:
     index: dict = field(compare=False, repr=False)
     multinodes: dict = field(compare=False, repr=False)
     slot: dict = field(compare=False, repr=False)
+    level_steps: tuple = field(compare=False, repr=False)
+    switch_pairs: dict = field(compare=False, repr=False)
 
     def is_node(self, v: NodeRef) -> bool:
         """True iff v is a node of G (not merely of the extension)."""
@@ -70,12 +87,6 @@ class SupportingGraph:
 
     def multinode(self, i: int, j: int) -> Multinode:
         return self.multinodes[(i, j)]
-
-    def left(self, k: int) -> NodeRef:
-        return NodeRef(k, k, 1)
-
-    def right(self, k: int) -> NodeRef:
-        return NodeRef(k, self.n - k + 1, self.n - k + 1)
 
     def top(self, k: int) -> NodeRef:
         return NodeRef(k, 1, 1)
@@ -106,10 +117,14 @@ def build_supporting_graph(n: int) -> SupportingGraph:
     nodes.sort(key=lambda v: v.canonical_key)
     index = {v: p for p, v in enumerate(nodes)}
     multinodes = {}
+    switch_pairs = {}
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             members = tuple(NodeRef(k, i, j) for k in range(i - j + 1, n - j + 2))
             multinodes[(i, j)] = Multinode(i, j, members)
+            se = tuple((index[v], index[v.k, i + 1, j + 1]) for v in members[:-1])
+            sw = tuple((index[v], index[v.k, i + 1, j]) for v in members[:0:-1])
+            switch_pairs[(i, j)] = (se, sw)
     size = len(nodes)
     slot = {}
     for k in range(1, n + 1):
@@ -125,5 +140,27 @@ def build_supporting_graph(n: int) -> SupportingGraph:
                 else:
                     slot[v] = size + n + k - 1  # right of G^k: d_k
     return SupportingGraph(
-        n=n, nodes=tuple(nodes), index=index, multinodes=multinodes, slot=slot
+        n=n, nodes=tuple(nodes), index=index, multinodes=multinodes, slot=slot,
+        level_steps=tuple(_level_steps(n, slot, i) for i in range(1, n + 1)),
+        switch_pairs=switch_pairs,
     )
+
+
+def _level_steps(n: int, slot: dict, i: int) -> tuple:
+    """The prefix steps of level i as ``(plus, minus)`` slot pairs.
+
+    Summed over the colors k, ``eps(j) - delta(j-1)`` adds the values at
+    v_{i-1}^k(j-1) and v_{i+1}^k(j) and subtracts those at v_i^k(j) and
+    v_i^k(j-1).  A slot on both sides cancels; what is left has as many plus as
+    minus terms, paired up in sorted order.
+    """
+    steps = []
+    for j in range(1, i + 2):
+        plus = Counter()
+        minus = Counter()
+        for k in range(1, n + 1):
+            plus.update((slot[k, i - 1, j - 1], slot[k, i + 1, j]))
+            minus.update((slot[k, i, j], slot[k, i, j - 1]))
+        pairs = zip(sorted((plus - minus).elements()), sorted((minus - plus).elements()))
+        steps.append(tuple(pairs))
+    return tuple(steps)

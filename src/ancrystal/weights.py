@@ -73,14 +73,6 @@ class WeightFunction:
     def value(self, v: NodeRef) -> int:
         return self.values[self.graph.index[v]]
 
-    def extended_value(self, v: NodeRef) -> int:
-        """Value on the extended graph: f on G, c_k left of G^k, d_k right of it."""
-        try:
-            p = self.graph.slot[v]
-        except KeyError:
-            raise ParameterError(f"{v} is not a node of the extended graph") from None
-        return (self.values + self.bounds.c + self.bounds.d)[p]
-
     def replace(self, v: NodeRef, new_value: int) -> "WeightFunction":
         vals = list(self.values)
         vals[self.graph.index[v]] = new_value
@@ -111,33 +103,26 @@ class WeightFunction:
         return make_weight_function(g, raw, b)
 
 
-def _switch_tightness(g: SupportingGraph, value, members):
-    """Per-member SE/SW tightness flags needed by the switch condition.
+def _switch_range(values, se, sw) -> tuple:
+    """(lo, hi): the members of a multinode allowed as its switch node are
+    exactly lo..hi, none when lo > hi.
 
-    ``se[m]`` is meaningful for m < last, ``sw[m]`` for m > 0; the referenced
-    neighbor nodes are guaranteed to lie in G for those ranges.
+    Member m is allowed iff every member before it is SE-tight and every member
+    after it is SW-tight, so lo is the last SW break and hi the first SE break.
+    ``se``/``sw`` are the multinode's ``SupportingGraph.switch_pairs``;
+    ``values`` is in canonical node order.
     """
-    se = []
-    sw = []
-    for m, v in enumerate(members):
-        if m < len(members) - 1:
-            se.append(value(v) == value(NodeRef(v.k, v.i + 1, v.j + 1)))
-        else:
-            se.append(True)
-        if m > 0:
-            sw.append(value(NodeRef(v.k, v.i + 1, v.j)) == value(v))
-        else:
-            sw.append(True)
-    return se, sw
-
-
-def _switch_candidates(g: SupportingGraph, value, members):
-    se, sw = _switch_tightness(g, value, members)
-    out = []
-    for m in range(len(members)):
-        if all(se[:m]) and all(sw[m + 1:]):
-            out.append(m)
-    return out
+    lo = 0
+    for p, (a, b) in enumerate(sw):
+        if values[a] != values[b]:
+            lo = len(sw) - p
+            break
+    hi = len(se)
+    for m, (a, b) in enumerate(se):
+        if values[a] != values[b]:
+            hi = m
+            break
+    return lo, hi
 
 
 def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
@@ -145,23 +130,19 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
 
     ``f`` maps every G-node to an integer (a dict or a WeightFunction).
     """
-    if isinstance(f, WeightFunction):
-        value = f.value
-    else:
-        value = lambda v: f[v]
     if b.n != g.n:
         return FeasibilityReport(False, Violation("bounds", 0, 0, 0))
-    for v in g.nodes:
-        x = value(v)
+    values = f.values if isinstance(f, WeightFunction) else tuple(f[v] for v in g.nodes)
+    for v, x in zip(g.nodes, values):
         if not b.d[v.k - 1] <= x <= b.c[v.k - 1]:
             return FeasibilityReport(False, Violation("bounds", v.i, v.j, v.k))
         # outgoing NE and SE edges must not increase f
         for head in (NodeRef(v.k, v.i - 1, v.j), NodeRef(v.k, v.i + 1, v.j + 1)):
-            if g.is_node(head) and x < value(head):
+            if g.is_node(head) and x < values[g.index[head]]:
                 return FeasibilityReport(False, Violation("monotone", v.i, v.j, v.k))
     for (i, j) in sorted(g.multinodes):
-        mn = g.multinodes[(i, j)]
-        if not _switch_candidates(g, value, mn.members):
+        lo, hi = _switch_range(values, *g.switch_pairs[(i, j)])
+        if lo > hi:
             return FeasibilityReport(False, Violation("switch", i, j, None))
     return FeasibilityReport(True)
 
@@ -181,11 +162,10 @@ def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
     """Switch-node of multinode V_i(j): first qualifying member going forward,
     last one going backward."""
     mn = f.graph.multinode(i, j)
-    cands = _switch_candidates(f.graph, f.value, mn.members)
-    if not cands:
+    lo, hi = _switch_range(f.values, *f.graph.switch_pairs[(i, j)])
+    if lo > hi:
         raise InfeasibleError(f"no switch-node in V_{i}({j}); function is not feasible")
-    m = cands[0] if direction == FORWARD else cands[-1]
-    return mn.members[m]
+    return mn.members[lo if direction == FORWARD else hi]
 
 
 def principal_function(g: SupportingGraph, a, b: Bounds) -> WeightFunction:

@@ -1,11 +1,22 @@
 """The benchmark's traced run (perfbench/run.py) wraps program functions by the
 module attribute their callers look up.  A refactor that renames or stops
 calling through one of those attributes must fail here, not only in the
-benchmark, where the layer's metrics would silently go missing."""
+benchmark, where the layer's metrics would silently go missing or read 0."""
 
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Spans a build must open.
+BUILD_SPANS = (
+    "crystal.generate",
+    "support.build_graph",
+    "moves.forward_move",
+    "moves.string_lengths",
+    "moves.active_multinode",
+    "moves.level_slacks",
+    "weights.switch_node",
+)
 
 
 def test_benchmark_wraps_every_traced_name(monkeypatch):
@@ -19,3 +30,22 @@ def test_benchmark_wraps_every_traced_name(monkeypatch):
         assert tracer.missing == set()
     finally:
         tracer.unwrap()
+
+
+def test_a_build_calls_every_traced_generation_layer(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+    from tracer import Tracer
+
+    from ancrystal import cli
+
+    tracer = Tracer()
+    run.wrap_program(tracer)
+    try:
+        rc = cli.main(["build", "--n", "3", "--c", "1,0,1", "--out", str(tmp_path / "K.json")])
+    finally:
+        tracer.unwrap()
+    assert rc == 0
+    totals = tracer.totals()
+    calls = {name: totals.get(name, (0,))[0] for name in BUILD_SPANS}
+    assert all(count > 0 for count in calls.values()), calls

@@ -33,6 +33,24 @@ def test_generate_validates_parameters():
         generate(2, (1, -1))
 
 
+@pytest.mark.parametrize("n", ["2", 2.0, True, None, 0])
+def test_generate_validates_n_before_using_it(n):
+    with pytest.raises(ParameterError, match="number of colors must be a positive integer"):
+        generate(n, (1, 1))
+
+
+@pytest.mark.parametrize("cap", [2.5, 3.0, "7", None])
+def test_generate_rejects_a_non_integer_cap(cap):
+    with pytest.raises(ParameterError, match="vertex cap must be an integer"):
+        generate(2, (1, 1), None, cap)
+
+
+def test_generate_rejects_a_bool_cap():
+    # True would otherwise count as a cap of 1
+    with pytest.raises(ParameterError, match="vertex cap must be an integer, got True"):
+        generate(2, (1, 1), cap=True)
+
+
 def test_anchor_crystal_counts(crystals):
     K = crystals(2, (1, 2))
     assert (K.num_vertices, K.num_edges) == (15, 18)

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ancrystal import (
     NodeRef,
@@ -10,14 +10,17 @@ from ancrystal import (
     backward_move,
     build_supporting_graph,
     forward_move,
+    generate,
     is_feasible,
     level_slacks,
     principal_function,
     residual_slacks_by_cancelation,
     string_lengths,
+    switch_node,
     zero_bounds,
 )
 from ancrystal.weights import BACKWARD, FORWARD
+from conftest import allowed_switch_members
 
 CARTAN = lambda n: [
     [2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(1, n + 1)]
@@ -231,3 +234,61 @@ def test_distant_colors_commute():
         ba = forward_move(b.function, 1)
         assert ab is not None and ba is not None
         assert ab.function == ba.function
+
+
+def sandwich_rule(ls, i, direction):
+    """The active multinode read off the residual slack dicts of level i.
+
+    Forward: the least j whose residual lower slacks before it and residual
+    upper slacks after it all vanish, taken iff its own residual upper slack is
+    positive.  Backward: the least j >= 1 with a positive residual lower slack.
+    """
+    if direction == FORWARD:
+        for j in range(1, i + 1):
+            if all(ls.delta_res[q] == 0 for q in range(0, j)) and all(
+                ls.eps_res[q] == 0 for q in range(j + 1, i + 2)
+            ):
+                return (i, j) if ls.eps_res[j] > 0 else None
+        return None
+    for j in range(1, i + 1):
+        if ls.delta_res[j] > 0:
+            return (i, j)
+    return None
+
+
+# Random K(c, d) with n <= 4, lower bounds in [-2, 2] not all zero and
+# c_k - d_k in [0, 2] (in [0, 1] for n = 4, to keep each crystal small).
+shifted_crystals = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2 if n < 4 else 1), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(shifted_crystals, st.randoms(use_true_random=False))
+def test_compiled_moves_match_the_slack_dicts(params, rng):
+    """The compiled prefix sums agree with the slack dicts, and
+    string_lengths, active_multinode and switch_node, which run on the
+    compiled tables, agree with the residual dicts and the per-member switch
+    rule on vertices of K(c, d) with nonzero d."""
+    n, d, width = params
+    assume(any(d))
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    K = generate(n, c, d)
+    functions = list(K.functions)
+    for f in rng.sample(functions, min(len(functions), 150)):
+        for i in range(1, n + 1):
+            ls = level_slacks(f, i)
+            steps = [ls.eps[j] - ls.delta[j - 1] for j in range(1, i + 2)]
+            assert ls.prefix == [0, *itertools.accumulate(steps)]
+            h, t = sum(ls.eps_res.values()), sum(ls.delta_res.values())
+            assert string_lengths(f, i) == (h, t)
+            for direction in (FORWARD, BACKWARD):
+                assert active_multinode(f, i, direction) == sandwich_rule(ls, i, direction)
+        for mn in f.graph.multinodes.values():
+            allowed = allowed_switch_members(f.value, mn.members)
+            assert switch_node(f, mn.i, mn.j, FORWARD) == mn.members[allowed[0]]
+            assert switch_node(f, mn.i, mn.j, BACKWARD) == mn.members[allowed[-1]]

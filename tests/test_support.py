@@ -63,15 +63,17 @@ def test_edges_stay_inside_one_subgraph_and_step_one_level(n):
 def test_left_right_are_the_ends_of_each_base_subgraph(n):
     g = build_supporting_graph(n)
     for k in range(1, n + 1):
+        left = NodeRef(k, k, 1)
+        right = NodeRef(k, n - k + 1, n - k + 1)
         heads = {v for (_, v) in g.edges() if v.k == k}
         tails = {u for (u, _) in g.edges() if u.k == k}
         nodes = set(g.base_nodes(k))
-        assert g.left(k) in nodes and g.left(k) not in heads
-        assert g.right(k) in nodes and g.right(k) not in tails
+        assert left in nodes and left not in heads
+        assert right in nodes and right not in tails
         # every other node lies strictly between the two ends
         if len(nodes) > 1:
-            assert heads == nodes - {g.left(k)}
-            assert tails == nodes - {g.right(k)}
+            assert heads == nodes - {left}
+            assert tails == nodes - {right}
 
 
 def test_grid_shape_via_path_steps():
@@ -95,7 +97,7 @@ def test_grid_shape_via_path_steps():
                 else:
                     walk(w, ne, se + 1)
 
-        walk(g.left(k), 0, 0)
+        walk(NodeRef(k, k, 1), 0, 0)  # the left end of G^k
 
 
 def extension_block(n, k, i, j):

@@ -17,6 +17,7 @@ from ancrystal import (
     switch_node,
     zero_bounds,
 )
+from conftest import allowed_switch_members
 
 
 def f_n2(alpha1, alpha2, beta1, beta2, c=(1, 2)):
@@ -38,25 +39,29 @@ def test_bounds_validation():
     assert b.n == 2
 
 
+def extended(f, v):
+    """Value of f at an extended node, read through the graph's slot table."""
+    return (f.values + f.bounds.c + f.bounds.d)[f.graph.slot[v]]
+
+
 def test_extended_values_on_extras():
     g = build_supporting_graph(2)
     f = principal_function(g, (0, 0), zero_bounds((1, 2)))
-    assert f.extended_value(NodeRef(2, 0, 0)) == 2  # left-extra of G^2
-    assert f.extended_value(NodeRef(2, 2, 2)) == 0  # right-extra of G^2
-    assert f.extended_value(NodeRef(1, 1, 1)) == 0  # identity on G
-    with pytest.raises(ParameterError):
-        f.extended_value(NodeRef(1, 3, 0))
+    assert extended(f, NodeRef(2, 0, 0)) == 2  # left-extra of G^2
+    assert extended(f, NodeRef(2, 2, 2)) == 0  # right-extra of G^2
+    assert extended(f, NodeRef(1, 1, 1)) == 0  # identity on G
+    assert NodeRef(1, 3, 0) not in g.slot
 
 
 def test_extended_values_read_both_bounds():
     g = build_supporting_graph(2)
     b = Bounds((3, 4), (-1, 1))
     f = principal_function(g, (0, 2), b)
-    assert f.extended_value(NodeRef(1, 0, 0)) == 3  # c_1
-    assert f.extended_value(NodeRef(2, 0, 0)) == 4  # c_2
-    assert f.extended_value(NodeRef(1, 1, 2)) == -1  # d_1
-    assert f.extended_value(NodeRef(2, 2, 2)) == 1  # d_2
-    assert f.extended_value(NodeRef(2, 2, 1)) == 2  # f on G^2
+    assert extended(f, NodeRef(1, 0, 0)) == 3  # c_1
+    assert extended(f, NodeRef(2, 0, 0)) == 4  # c_2
+    assert extended(f, NodeRef(1, 1, 2)) == -1  # d_1
+    assert extended(f, NodeRef(2, 2, 2)) == 1  # d_2
+    assert extended(f, NodeRef(2, 2, 1)) == 2  # f on G^2
 
 
 def test_constant_zero_is_feasible():
@@ -98,20 +103,30 @@ def test_switch_nodes_in_the_first_multinode():
 
 
 def test_switch_members_form_a_contiguous_range():
-    from ancrystal.weights import _switch_candidates
-
     c = (2, 1, 2)
     g = build_supporting_graph(3)
     b = zero_bounds(c)
     nodes = g.nodes
     for vals in itertools.product(*[range(c[v.k - 1] + 1) for v in nodes]):
         f = dict(zip(nodes, vals))
-        if not is_feasible(g, f, b).ok:
+        report = is_feasible(g, f, b)
+        if not report.ok:
+            if report.violation.condition == "switch":
+                # the first multinode in (i, j) order with no allowed member
+                v = report.violation
+                empty = [
+                    key for key in sorted(g.multinodes)
+                    if not allowed_switch_members(lambda u: f[u], g.multinodes[key].members)
+                ]
+                assert empty[0] == (v.i, v.j)
             continue
+        wf = make_weight_function(g, f, b, check=False)
         for mn in g.multinodes.values():
-            cands = _switch_candidates(g, lambda v: f[v], mn.members)
+            cands = allowed_switch_members(lambda v: f[v], mn.members)
             assert cands, mn
             assert cands == list(range(cands[0], cands[-1] + 1))
+            assert switch_node(wf, mn.i, mn.j, FORWARD) == mn.members[cands[0]]
+            assert switch_node(wf, mn.i, mn.j, BACKWARD) == mn.members[cands[-1]]
 
 
 def test_principal_function_bounds_and_lattice_order():
