@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import cached_property
+from typing import List, Optional
 
 from .errors import GraphFormatError
 
@@ -36,6 +37,50 @@ def _fail(check, message):
     return Verdict(False, check, message)
 
 
+@dataclass(frozen=True)
+class Lines:
+    """The maximal paths of one color, over vertex positions in canonical order.
+
+    ``nxt[k]``/``prv[k]`` is the single successor/predecessor of vertex ``k``
+    (None at an end), ``t[k]``/``h[k]`` its distance to the start/end of its
+    line, and ``path[k]`` that line as a list of positions.  Only meaningful
+    once A1 holds.
+    """
+
+    nxt: list
+    prv: list
+    t: list
+    h: list
+    path: list
+
+    @staticmethod
+    def walk(nxt: list, prv: list) -> "Lines":
+        """Lines of the given successors and predecessors, walked from every
+        vertex without a predecessor; a vertex on a cycle keeps path None."""
+        size = len(nxt)
+        t = [0] * size
+        h = [0] * size
+        path = [None] * size
+        for k in range(size):
+            if prv[k] is not None:
+                continue
+            line = []
+            w = k
+            while w is not None and path[w] is None:
+                path[w] = line
+                line.append(w)
+                w = nxt[w]
+            for pos, w in enumerate(line):
+                t[w] = pos
+                h[w] = len(line) - 1 - pos
+        return Lines(nxt, prv, t, h, path)
+
+    def reversed(self) -> "Lines":
+        """The same lines with every edge reversed: successor and predecessor,
+        t and h trade places, and so do edge labels 0 and 1."""
+        return Lines.walk(self.prv, self.nxt)
+
+
 @dataclass
 class ColoredDigraph:
     """Vertices plus per-color edge sets; nothing about it is assumed valid."""
@@ -43,9 +88,9 @@ class ColoredDigraph:
     vertices: tuple
     edges: tuple  # (tail, head, color) triples, possibly with repeats
     n: int
+    index: dict = field(init=False, repr=False)  # vertex -> position in ``vertices``
     out: dict = field(init=False, repr=False)  # color -> tail -> [heads]
     inn: dict = field(init=False, repr=False)  # color -> head -> [tails]
-    _lines: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         try:
@@ -54,56 +99,32 @@ class ColoredDigraph:
             order = sorted(self.vertices, key=str)
         self.vertices = tuple(order)
         self.edges = tuple(self.edges)
+        self.index = {v: k for k, v in enumerate(self.vertices)}
         self.out = {c: {} for c in range(1, self.n + 1)}
         self.inn = {c: {} for c in range(1, self.n + 1)}
-        vset = set(self.vertices)
         for (u, v, c) in self.edges:
-            if c not in self.out or u not in vset or v not in vset:
+            if c not in self.out or u not in self.index or v not in self.index:
                 raise GraphFormatError(f"edge ({u}, {v}, {c}) references unknown vertex or color")
             self.out[c].setdefault(u, []).append(v)
             self.inn[c].setdefault(v, []).append(u)
 
-    # single successor/predecessor accessors; only meaningful once A1 holds
-    def f(self, v, c):
-        heads = self.out[c].get(v)
-        return heads[0] if heads else None
-
-    def f_inv(self, v, c):
-        tails = self.inn[c].get(v)
-        return tails[0] if tails else None
-
-    def line(self, v, c) -> list:
-        """The maximal color-c path through v, as a vertex list."""
-        lines, where = self._line_index(c)
-        return lines[where[v][0]]
-
-    def position(self, v, c) -> Tuple[int, int]:
-        """(t_c(v), h_c(v)): distances to the ends of the c-line through v."""
-        lines, where = self._line_index(c)
-        li, pos = where[v]
-        return pos, len(lines[li]) - 1 - pos
-
-    def _line_index(self, c):
-        if self._lines is None:
-            self._lines = {}
-        if c not in self._lines:
-            lines = []
-            where = {}
-            for v in self.vertices:
-                if v in where or self.inn[c].get(v):
-                    continue
-                path = [v]
-                where[v] = (len(lines), 0)
-                w = self.f(v, c)
-                while w is not None and w not in where:
-                    where[w] = (len(lines), len(path))
-                    path.append(w)
-                    w = self.f(w, c)
-                lines.append(path)
-            if len(where) != len(self.vertices):
-                raise GraphFormatError(f"color {c} contains a cycle; lines are undefined")
-            self._lines[c] = (lines, where)
-        return self._lines[c]
+    @cached_property
+    def lines(self) -> dict:
+        """color -> Lines, built on first use; a color with a cycle raises."""
+        index = self.index
+        size = len(self.vertices)
+        table = {}
+        for c in range(1, self.n + 1):
+            nxt = [None] * size
+            prv = [None] * size
+            for u, heads in self.out[c].items():
+                nxt[index[u]] = index[heads[0]]
+            for v, tails in self.inn[c].items():
+                prv[index[v]] = index[tails[0]]
+            table[c] = Lines.walk(nxt, prv)
+            if None in table[c].path:
+                raise GraphFormatError(f"color {c} contains a directed cycle")
+        return table
 
 
 def from_edge_list_text(text: str, n: Optional[int] = None) -> ColoredDigraph:
@@ -176,60 +197,62 @@ def check_A1(g: ColoredDigraph) -> Verdict:
                 return _fail(name, f"vertex {v} has two outgoing {c}-edges")
             if len(g.inn[c].get(v, ())) > 1:
                 return _fail(name, f"vertex {v} has two incoming {c}-edges")
-        try:
-            g._line_index(c)
-        except GraphFormatError:
-            return _fail(name, f"color {c} contains a directed cycle")
+    try:
+        g.lines
+    except GraphFormatError as exc:
+        return _fail(name, str(exc))
     return _ok(name)
 
 
-def _label(g: ColoredDigraph, u, v, i, j) -> Optional[int]:
-    """Label of the i-edge (u, v) with respect to the neighboring color j.
+def _label(lines: Lines, u: int, v: int) -> Optional[int]:
+    """Label of the edge (u, v) with respect to the color whose ``lines`` these are.
 
-    0 when t_j drops by one and h_j is unchanged, 1 when t_j is unchanged and
-    h_j grows by one; None when neither pattern holds (an A2 violation).
+    0 when t drops by one and h is unchanged, 1 when t is unchanged and h grows
+    by one; None when neither pattern holds (an A2 violation).
     """
-    tu, hu = g.position(u, j)
-    tv, hv = g.position(v, j)
-    if (tv, hv) == (tu - 1, hu):
+    t, h = lines.t, lines.h
+    if t[v] == t[u] - 1 and h[v] == h[u]:
         return 0
-    if (tv, hv) == (tu, hu + 1):
+    if t[v] == t[u] and h[v] == h[u] + 1:
         return 1
     return None
 
 
+def _zeros(lines: Lines, line: list) -> Optional[int]:
+    """How many 0-labels, with respect to the color whose ``lines`` these are,
+    open the path ``line`` when its labels are 0s followed by 1s; None otherwise."""
+    labels = [_label(lines, line[p], line[p + 1]) for p in range(len(line) - 1)]
+    zeros = labels.count(0)
+    if labels != [0] * zeros + [1] * (len(labels) - zeros):
+        return None
+    return zeros
+
+
 def check_A2(g: ColoredDigraph) -> Verdict:
     name = "A2"
+    lines = g.lines
     for i in range(1, g.n + 1):
-        for u in g.vertices:
-            v = g.f(u, i)
+        for u, v in enumerate(lines[i].nxt):
             if v is None:
                 continue
             for j in range(1, g.n + 1):
-                if j == i:
+                lj = lines[j]
+                if abs(i - j) >= 2 and (lj.t[u], lj.h[u]) != (lj.t[v], lj.h[v]):
+                    fault = f"changes the color-{j} line position"
+                elif abs(i - j) == 1 and _label(lj, u, v) is None:
+                    fault = f"has an invalid (t_{j}, h_{j}) change"
+                else:
                     continue
-                if abs(i - j) >= 2:
-                    if g.position(u, j) != g.position(v, j):
-                        return _fail(
-                            name, f"{i}-edge ({u}, {v}) changes the color-{j} line position"
-                        )
-                elif _label(g, u, v, i, j) is None:
-                    return _fail(
-                        name,
-                        f"{i}-edge ({u}, {v}) has an invalid (t_{j}, h_{j}) change",
-                    )
+                return _fail(name, f"{i}-edge ({g.vertices[u]}, {g.vertices[v]}) {fault}")
         # convexity: along any i-line the labels must be 0s followed by 1s
         for j in (i - 1, i + 1):
             if not 1 <= j <= g.n:
                 continue
-            for line in g._line_index(i)[0]:
-                labels = [_label(g, line[p], line[p + 1], i, j) for p in range(len(line) - 1)]
-                if any(
-                    labels[p] == 1 and labels[p + 1] == 0 for p in range(len(labels) - 1)
-                ):
+            for k, line in enumerate(lines[i].path):
+                if line[0] == k and _zeros(lines[j], line) is None:
                     return _fail(
                         name,
-                        f"labels along the {i}-line through {line[0]} are not monotone in color {j}",
+                        f"labels along the {i}-line through {g.vertices[k]} are not monotone in color {j}",
                     )
     return _ok(name)
 
@@ -237,95 +260,72 @@ def check_A2(g: ColoredDigraph) -> Verdict:
 def critical_vertex(g: ColoredDigraph, v, i: int, j: int):
     """Critical vertex of the i-line through v with respect to color j, i.e. the
     vertex where the 0-labeled prefix ends; None when the labels are not split."""
-    line = g.line(v, i)
-    labels = [_label(g, line[p], line[p + 1], i, j) for p in range(len(line) - 1)]
-    if None in labels or any(
-        labels[p] == 1 and labels[p + 1] == 0 for p in range(len(labels) - 1)
-    ):
-        return None
-    return line[labels.count(0)]
+    line = g.lines[i].path[g.index[v]]
+    zeros = _zeros(g.lines[j], line)
+    return None if zeros is None else g.vertices[line[zeros]]
 
 
 def check_A3(g: ColoredDigraph) -> Verdict:
+    """Squares on 0-labeled outgoing edges; the same on the reversed digraph
+    covers 1-labeled incoming edges and backward squares."""
     name = "A3"
-    for i in range(1, g.n + 1):
-        for j in (i + 1,):
-            if j > g.n:
-                continue
-            for u in g.vertices:
+    forward = g.lines
+    backward = {c: lines.reversed() for c, lines in forward.items()}
+    views = (
+        (forward, "0-labeled {}-edge with non-1-labeled {}-edge", "square"),
+        (backward, "1-labeled incoming {}-edge with non-0-labeled {}-edge", "backward square"),
+    )
+    for i in range(1, g.n):
+        j = i + 1
+        for u, name_u in enumerate(g.vertices):
+            for lines, mismatch, square in views:
                 for (a, b) in ((i, j), (j, i)):
-                    v = g.f(u, a)
-                    vp = g.f(u, b)
+                    la, lb = lines[a], lines[b]
+                    v, vp = la.nxt[u], lb.nxt[u]
                     if v is None or vp is None:
                         continue
-                    if _label(g, u, v, a, b) == 0:
-                        if _label(g, u, vp, b, a) != 1:
+                    if _label(lb, u, v) == 0:
+                        if _label(la, u, vp) != 1:
+                            return _fail(name, f"at {name_u}: " + mismatch.format(a, b))
+                        w = lb.nxt[v]
+                        if w is None or w != la.nxt[vp]:
                             return _fail(
-                                name,
-                                f"at {u}: 0-labeled {a}-edge with non-1-labeled {b}-edge",
-                            )
-                        w1 = g.f(v, b)
-                        w2 = g.f(vp, a)
-                        if w1 is None or w1 != w2:
-                            return _fail(name, f"square at {u} for colors {a},{b} does not close")
-                for (a, b) in ((i, j), (j, i)):
-                    v = u
-                    tu = g.f_inv(v, a)
-                    tup = g.f_inv(v, b)
-                    if tu is None or tup is None:
-                        continue
-                    if _label(g, tu, v, a, b) == 1:
-                        if _label(g, tup, v, b, a) != 0:
-                            return _fail(
-                                name,
-                                f"at {v}: 1-labeled incoming {a}-edge with non-0-labeled {b}-edge",
-                            )
-                        w1 = g.f_inv(tu, b)
-                        w2 = g.f_inv(tup, a)
-                        if w1 is None or w1 != w2:
-                            return _fail(
-                                name, f"backward square at {v} for colors {a},{b} does not close"
+                                name, f"{square} at {name_u} for colors {a},{b} does not close"
                             )
     return _ok(name)
 
 
-def _chain(g: ColoredDigraph, v, colors, inverse=False):
-    """Apply F (or F^{-1}) for the given color sequence; None when a step is missing."""
-    step = g.f_inv if inverse else g.f
+def _chain(lines: dict, v, colors):
+    """Follow single successors for the given color sequence; None when a step is missing."""
     for c in colors:
         if v is None:
             return None
-        v = step(v, c)
+        v = lines[c].nxt[v]
     return v
 
 
 def check_A4(g: ColoredDigraph, strict: bool = False) -> Verdict:
     """Degree-4 Verma relation at vertices whose two outgoing neighboring-color
-    edges both carry label 1; the incoming-edge half only in strict mode (it is
-    derivable from the other axioms)."""
+    edges both carry label 1; in strict mode also on the reversed digraph, the
+    inverse relation (it is derivable from the other axioms)."""
     name = "A4"
+    forward = g.lines
+    views = [(forward, "Verma")]
+    if strict:
+        views.append(({c: lines.reversed() for c, lines in forward.items()}, "inverse Verma"))
     for i in range(1, g.n):
         j = i + 1
-        for u in g.vertices:
-            v = g.f(u, i)
-            vp = g.f(u, j)
-            if v is not None and vp is not None:
-                if _label(g, u, v, i, j) == 1 and _label(g, u, vp, j, i) == 1:
-                    w1 = _chain(g, u, (i, j, j, i))
-                    w2 = _chain(g, u, (j, i, i, j))
-                    if w1 is None or w2 is None or w1 != w2:
-                        return _fail(name, f"Verma relation fails at {u} for colors {i},{j}")
-            if not strict:
-                continue
-            tu = g.f_inv(u, i)
-            tup = g.f_inv(u, j)
-            if tu is not None and tup is not None:
-                if _label(g, tu, u, i, j) == 0 and _label(g, tup, u, j, i) == 0:
-                    w1 = _chain(g, u, (i, j, j, i), inverse=True)
-                    w2 = _chain(g, u, (j, i, i, j), inverse=True)
-                    if w1 is None or w2 is None or w1 != w2:
+        for u, name_u in enumerate(g.vertices):
+            for lines, relation in views:
+                li, lj = lines[i], lines[j]
+                v, vp = li.nxt[u], lj.nxt[u]
+                if v is None or vp is None:
+                    continue
+                if _label(lj, u, v) == 1 and _label(li, u, vp) == 1:
+                    w = _chain(lines, u, (i, j, j, i))
+                    if w is None or w != _chain(lines, u, (j, i, i, j)):
                         return _fail(
-                            name, f"inverse Verma relation fails at {u} for colors {i},{j}"
+                            name, f"{relation} relation fails at {name_u} for colors {i},{j}"
                         )
     return _ok(name)
 
@@ -333,21 +333,19 @@ def check_A4(g: ColoredDigraph, strict: bool = False) -> Verdict:
 def check_A5(g: ColoredDigraph) -> Verdict:
     """Full commutation of the operators of colors at distance two or more."""
     name = "A5"
+    lines = g.lines
     for i in range(1, g.n + 1):
         for j in range(i + 2, g.n + 1):
-            for v in g.vertices:
-                for fi in (g.f, g.f_inv):
-                    for fj in (g.f, g.f_inv):
-                        a = fi(v, i)
-                        b = fj(v, j)
+            li, lj = lines[i], lines[j]
+            for v, name_v in enumerate(g.vertices):
+                for fi in (li.nxt, li.prv):
+                    for fj in (lj.nxt, lj.prv):
+                        a, b = fi[v], fj[v]
                         if a is None or b is None:
                             continue
-                        w1 = fj(a, j)
-                        w2 = fi(b, i)
-                        if w1 is None or w1 != w2:
-                            return _fail(
-                                name, f"colors {i},{j} do not commute at vertex {v}"
-                            )
+                        w = fj[a]
+                        if w is None or w != fi[b]:
+                            return _fail(name, f"colors {i},{j} do not commute at vertex {name_v}")
     return _ok(name)
 
 
@@ -357,20 +355,17 @@ def check_equal_criticals(g: ColoredDigraph) -> Verdict:
     name = "equal-criticals"
     for i in range(1, g.n):
         j = i + 1
+        # lines in the order of their first vertex in canonical order
         done = set()
-        for v in g.vertices:
-            line = g.line(v, i)
+        for v, line in zip(g.vertices, g.lines[i].path):
             if line[0] in done:
                 continue
             done.add(line[0])
             r = critical_vertex(g, v, i, j)
             if r is None:
-                return _fail(name, f"no critical vertex on the {i}-line through {line[0]}")
+                return _fail(name, f"no critical vertex on the {i}-line through {g.vertices[line[0]]}")
             if critical_vertex(g, r, j, i) != r:
-                return _fail(
-                    name,
-                    f"vertex {r}: critical for color {i} w.r.t. {j} but not conversely",
-                )
+                return _fail(name, f"vertex {r}: critical for color {i} w.r.t. {j} but not conversely")
     return _ok(name)
 
 

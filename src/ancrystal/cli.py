@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("gt", help="pattern conversion and counting")
-    _add_model_args(p, require_c=False)
+    p.add_argument("--n", type=int, help="number of colors")
+    p.add_argument("--c", type=_int_list, help="upper bounds, comma-separated")
     p.add_argument("--count", action="store_true", help="print the bounded-pattern count")
     p.add_argument(
         "--direction", choices=("to-pattern", "from-pattern"), default=None,

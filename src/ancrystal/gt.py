@@ -7,7 +7,7 @@ from itertools import product
 
 from .errors import InfeasibleError, ParameterError
 from .support import NodeRef, SupportingGraph
-from .weights import Bounds, WeightFunction
+from .weights import Bounds, WeightFunction, make_weight_function, zero_bounds
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,6 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
                 surplus -= cut
             for v, x in zip(members, assigned):
                 vals[v] = x
-    from .weights import make_weight_function, zero_bounds
-
     return make_weight_function(g, vals, zero_bounds(c))
 
 

@@ -147,14 +147,13 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
-def make_weight_function(g: SupportingGraph, f, b: Bounds, check: bool = True) -> WeightFunction:
+def make_weight_function(g: SupportingGraph, f, b: Bounds) -> WeightFunction:
     """Build a WeightFunction from a NodeRef->int map, validating feasibility."""
     vals = tuple(f[v] if not isinstance(f, WeightFunction) else f.value(v) for v in g.nodes)
     wf = WeightFunction(g, b, vals)
-    if check:
-        report = is_feasible(g, wf, b)
-        if not report.ok:
-            raise InfeasibleError(str(report.violation))
+    report = is_feasible(g, wf, b)
+    if not report.ok:
+        raise InfeasibleError(str(report.violation))
     return wf
 
 

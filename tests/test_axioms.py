@@ -6,6 +6,7 @@ from ancrystal.axioms import (
     all_pass,
     check_A1,
     check_A2,
+    check_A3,
     check_A4,
     check_A5,
     check_equal_criticals,
@@ -89,9 +90,22 @@ def test_graded_check_detects_unbalanced_squares():
 
 def test_a2_position_bookkeeping(crystals):
     g = digraph_of(crystals(2, (1, 2)))
-    assert g.position(0, 1) == (0, 1)
-    assert g.position(0, 2) == (0, 2)
+    k = g.index[0]
+    for c, (t, h) in ((1, (0, 1)), (2, (0, 2))):
+        lines = g.lines[c]
+        assert (lines.t[k], lines.h[k]) == (t, h)
+        assert len(lines.path[k]) == t + h + 1 and lines.path[k][t] == k
     assert check_A2(g).ok
+
+
+def test_reversed_lines_swap_ends():
+    # the 1-line 0 -> 1 -> 2 read backwards
+    g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (1, 2, 1)), 1)
+    lines = g.lines[1]
+    assert (lines.nxt, lines.prv, lines.t, lines.h) == ([1, 2, None], [None, 0, 1], [0, 1, 2], [2, 1, 0])
+    back = lines.reversed()
+    assert (back.nxt, back.prv, back.t, back.h) == (lines.prv, lines.nxt, lines.h, lines.t)
+    assert back.path == [[2, 1, 0]] * 3
 
 
 def test_a2_detects_a_distant_color_shift():
@@ -180,3 +194,58 @@ def test_verdict_string_form():
     assert str(v) == "connected: pass"
     bad = check_unique_source_sink(ColoredDigraph((), (), 1))
     assert str(bad).startswith("unique-source-sink: fail:")
+
+
+def _mutant(K, n, old, new):
+    """K's edges with ``old`` replaced by ``new`` (deleted when ``new`` is None)."""
+    edges = [e for e in K.edges() if e != old]
+    assert len(edges) == K.num_edges - 1
+    if new is not None:
+        edges.append(new)
+    return ColoredDigraph(tuple(range(K.num_vertices)), tuple(edges), n)
+
+
+# One single-edge mutant per failure message, with the exact verdict it gets.
+PINNED_VERDICTS = [
+    (3, (1, 1, 1), (0, 3, 3), None,
+     "A2: fail: 1-edge (0, 1) changes the color-3 line position"),
+    (2, (1, 2), (0, 1, 1), None,
+     "A2: fail: 2-edge (0, 2) has an invalid (t_1, h_1) change"),
+    (2, (1, 2), (5, 8, 1), (5, 6, 1),
+     "A2: fail: labels along the 1-line through 5 are not monotone in color 2"),
+    (2, (1, 2), (4, 7, 1), None,
+     "A3: fail: at 2: 0-labeled 1-edge with non-1-labeled 2-edge"),
+    (2, (1, 2), (0, 2, 2), None,
+     "A3: fail: at 8: 1-labeled incoming 2-edge with non-0-labeled 1-edge"),
+    (2, (1, 2), (4, 8, 2), (4, 11, 2),
+     "A3: fail: square at 2 for colors 1,2 does not close"),
+    (2, (1, 2), (6, 9, 1), None,
+     "A4: fail: Verma relation fails at 0 for colors 1,2"),
+    (2, (1, 2), (0, 1, 1), None,
+     "A4: fail: inverse Verma relation fails at 9 for colors 1,2"),
+    (3, (1, 1, 1), (0, 1, 1), None,
+     "A5: fail: colors 1,3 do not commute at vertex 3"),
+    (2, (1, 2), (0, 2, 2), None,
+     "equal-criticals: fail: no critical vertex on the 1-line through 0"),
+    (2, (1, 2), (0, 1, 1), None,
+     "equal-criticals: fail: vertex 0: critical for color 1 w.r.t. 2 but not conversely"),
+]
+
+
+@pytest.mark.parametrize("n,c,old,new,expected", PINNED_VERDICTS)
+def test_single_edge_mutants_get_the_pinned_verdict(n, c, old, new, expected, crystals):
+    g = _mutant(crystals(n, c), n, old, new)
+    verdicts = [str(v) for v in verify_graph(g, strict_a4=True, fail_fast=False)]
+    assert expected in verdicts
+
+
+def test_backward_square_verdict():
+    # p -2-> u -2-> v', u -1-> v -2-> w, v' -1-> q -1-> r: the 0-labeled
+    # 1-edge and the 1-labeled 2-edge out of u = 1 do not close a square.
+    forward = ((0, 1, 2), (1, 3, 2), (1, 2, 1), (2, 4, 2), (3, 5, 1), (5, 6, 1))
+    g = ColoredDigraph(tuple(range(7)), forward, 2)
+    assert str(check_A3(g)) == "A3: fail: square at 1 for colors 1,2 does not close"
+    # reversing every edge swaps the labels, so the square fails backward at 1
+    backward = tuple((w, u, col) for (u, w, col) in forward)
+    g = ColoredDigraph(tuple(range(7)), backward, 2)
+    assert str(check_A3(g)) == "A3: fail: backward square at 1 for colors 1,2 does not close"

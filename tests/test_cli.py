@@ -165,6 +165,15 @@ def test_seed_flag_is_gone(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--d", "1,0"], ["--cap", "1"]])
+def test_gt_rejects_the_generation_flags(flag, capsys):
+    # gt never generates, so --d and --cap would be silently ignored; argparse
+    # now reads --d as an abbreviation of --direction, which rejects "1,0"
+    with pytest.raises(SystemExit) as e:
+        main(["gt", "--count", "--n", "2", "--c", "1,2"] + flag)
+    assert e.value.code == 2
+
+
 def test_gt_conversion_round_trip(capsys, tmp_path):
     g = build_supporting_graph(2)
     f = principal_function(g, (1, 1), zero_bounds((1, 2)))

@@ -148,7 +148,7 @@ def all_feasible_functions(n, c):
         if is_feasible(g, f, b).ok:
             from ancrystal import make_weight_function
 
-            yield make_weight_function(g, f, b, check=False)
+            yield make_weight_function(g, f, b)
 
 
 @pytest.mark.parametrize("n,c", [(2, (2, 2)), (3, (1, 1, 1))])

@@ -120,7 +120,7 @@ def test_switch_members_form_a_contiguous_range():
                 ]
                 assert empty[0] == (v.i, v.j)
             continue
-        wf = make_weight_function(g, f, b, check=False)
+        wf = make_weight_function(g, f, b)
         for mn in g.multinodes.values():
             cands = allowed_switch_members(lambda v: f[v], mn.members)
             assert cands, mn
