@@ -9,7 +9,7 @@ import json
 import sys
 
 from . import axioms
-from .crystal import generate
+from .crystal import generate, json_text
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -110,7 +110,7 @@ def cmd_build(args) -> int:
     if args.format == "dot":
         text = K.to_dot()
     else:
-        text = json.dumps(K.to_json(), indent=2) + "\n"
+        text = json_text(K.to_json())
     if args.out is not None:
         _write(args.out, text)
     return EXIT_OK
@@ -162,7 +162,7 @@ def cmd_analyze(args) -> int:
     eta = {}
     for r in records:
         if r.side == UPPER:
-            eta[r.parameter] = branching_multiplicity(K.bounds.c, r.parameter)
+            eta[r.parameter] = branching_multiplicity(K.bounds.width, r.parameter)
     rows = [
         {
             "side": r.side,

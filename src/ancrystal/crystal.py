@@ -107,8 +107,8 @@ class CrystalGraph:
         lines = ["digraph crystal {"]
         for v in self.vertex_ids():
             f = self.functions[v]
-            if f.is_principal():
-                a = tuple(f.subgraph_values(k)[0] for k in range(1, self.n + 1))
+            a = f.constants()
+            if None not in a:
                 label = "p" + "".join(str(x) for x in a)
             else:
                 label = hashlib.sha1(repr(f.values).encode()).hexdigest()[:8]
@@ -120,28 +120,71 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
+def _json_ints(xs, pad: str) -> str:
+    """An int list as ``json.dumps(..., indent=2)`` prints it at indent ``pad``."""
+    if not xs:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
+
+
+def _json_block(items) -> str:
+    """A list of pre-rendered objects at indent 2, as ``json.dumps`` prints it."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def json_text(data: dict) -> str:
+    """``json.dumps(data, indent=2) + "\n"`` for a ``CrystalGraph.to_json()``
+    dict, written from its fixed shape: with ``indent`` set, CPython's json
+    encoder falls back to pure Python, which costs several times this."""
+    pad = " " * 6
+    vertices = [
+        f'    {{\n      "id": {v["id"]},\n'
+        f'      "weights": {_json_ints(v["weights"], pad)},\n'
+        f'      "h": {_json_ints(v["h"], pad)},\n'
+        f'      "t": {_json_ints(v["t"], pad)}\n    }}'
+        for v in data["vertices"]
+    ]
+    edges = [
+        f'    {{\n      "from": {e["from"]},\n      "to": {e["to"]},\n'
+        f'      "color": {e["color"]}\n    }}'
+        for e in data["edges"]
+    ]
+    parts = [
+        f'{{\n  "n": {data["n"]},\n'
+        f'  "c": {_json_ints(data["c"], "  ")},\n'
+        f'  "d": {_json_ints(data["d"], "  ")},\n'
+        f'  "vertices": {_json_block(vertices)},\n'
+        f'  "edges": {_json_block(edges)}'
+    ]
+    if "colors" in data:
+        parts.append(f',\n  "colors": {_json_ints(data["colors"], "  ")}')
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
 def _measured_strings(num, succ, pred, colors):
-    """Per-vertex head/tail string lengths read off the graph itself."""
-    h = []
-    t = []
-    for v in range(num):
-        hv = {}
-        tv = {}
-        for c in colors:
-            m = 0
-            w = v
-            while c in succ[w]:
-                w = succ[w][c]
-                m += 1
-            hv[c] = m
-            m = 0
-            w = v
-            while c in pred[w]:
-                w = pred[w][c]
-                m += 1
-            tv[c] = m
-        h.append(hv)
-        t.append(tv)
+    """Per-vertex head/tail string lengths read off the graph itself.
+
+    Each c-line is walked once from its start, the vertex with no
+    c-predecessor; a vertex at position p of a line of length L gets
+    t = p and h = L - 1 - p.
+    """
+    h = [{} for _ in range(num)]
+    t = [{} for _ in range(num)]
+    for c in colors:
+        for v in range(num):
+            if c in pred[v]:
+                continue
+            line = [v]
+            nxt = succ[v].get(c)
+            while nxt is not None:
+                line.append(nxt)
+                nxt = succ[nxt].get(c)
+            last = len(line) - 1
+            for p, w in enumerate(line):
+                t[w][c] = p
+                h[w][c] = last - p
     return tuple(h), tuple(t)
 
 

@@ -44,10 +44,9 @@ class PrincipalLattice:
 
 def principal_lattice(K: CrystalGraph) -> PrincipalLattice:
     by_tuple = {}
-    for v in K.vertex_ids():
-        f = K.functions[v]
-        if f.is_principal():
-            a = tuple(f.subgraph_values(k)[0] for k in range(1, K.n + 1))
+    for v, f in enumerate(K.functions):
+        a = f.constants()
+        if None not in a:
             by_tuple[a] = v
     return PrincipalLattice(by_tuple)
 
@@ -100,15 +99,11 @@ def base_crystal(n: int, k: int, ck: int) -> CrystalGraph:
 def skeleton(K: CrystalGraph) -> Skeleton:
     n = K.n
     groups: Dict[Tuple[int, tuple], List[int]] = {}
-    for v in K.vertex_ids():
-        f = K.functions[v]
-        consts = []
-        for i in range(1, n + 1):
-            vals = set(f.subgraph_values(i))
-            consts.append(vals.pop() if len(vals) == 1 else None)
+    for v, f in enumerate(K.functions):
+        consts = f.constants()
         for k in range(1, n + 1):
-            if all(consts[i - 1] is not None for i in range(1, n + 1) if i != k):
-                fixed = tuple(consts[i - 1] for i in range(1, n + 1) if i != k)
+            fixed = consts[:k - 1] + consts[k:]
+            if None not in fixed:
                 groups.setdefault((k, fixed), []).append(v)
     pieces = []
     union = set()
@@ -226,6 +221,10 @@ def _components(K: CrystalGraph, colors) -> list:
     return comps
 
 
+def _minus(a, d) -> tuple:
+    return tuple(x - y for x, y in zip(a, d))
+
+
 def upper_parameter(c, a) -> tuple:
     return tuple(c[i] - a[i] + a[i + 1] for i in range(len(c) - 1))
 
@@ -239,6 +238,8 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
 
     The measured parameter (string lengths at each component's source) must
     match the anchor-based formula; a mismatch is a model error, not a warning.
+    Anchors are raw values of f; the formula reads them and c as offsets from d,
+    since K(c, d) is K(c - d) shifted by d.
     """
     n = K.n
     if side == UPPER:
@@ -248,15 +249,16 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     else:
         raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
     g = K.functions[0].graph
+    c, d = K.bounds.width, K.bounds.d
     records = []
     for comp in _components(K, colors):
         f = K.functions[comp[0]]
         if side == UPPER:
             anchor = tuple(f.value(g.bottom(k)) for k in range(1, n + 1))
-            formula = upper_parameter(K.bounds.c, anchor)
+            formula = upper_parameter(c, _minus(anchor, d))
         else:
             anchor = tuple(f.value(g.top(k)) for k in range(1, n + 1))
-            formula = lower_parameter(K.bounds.c, anchor)
+            formula = lower_parameter(c, _minus(anchor, d))
         sub = subgraph(K, comp, colors)
         if sub.source is None:
             raise ModelError(f"{side} component through vertex {comp[0]} has no unique source")
@@ -281,18 +283,19 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
 
 def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     """Coordinates of the principal vertex at a inside the principal lattice of
-    its upper or lower subcrystal: a shift of the tuple by one color.
+    its upper or lower subcrystal: a - d shifted by one color.
 
     The formula answer is cross-checked by mapping the subcrystal onto a freshly
     generated reference crystal and reading the coordinates off its lattice.
     """
     a = tuple(int(x) for x in a)
     n = K.n
+    shifted = _minus(a, K.bounds.d)
     if side == UPPER:
-        formula = tuple(a[i] for i in range(1, n))
+        formula = shifted[1:]
         color_map = {c: c for c in range(1, n)}
     elif side == LOWER:
-        formula = tuple(a[i] for i in range(0, n - 1))
+        formula = shifted[:-1]
         color_map = {c: c - 1 for c in range(2, n + 1)}
     else:
         raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")

@@ -45,7 +45,8 @@ class SupportingGraph:
 
     Nodes are held in canonical order (sorted by (i, j, k)); ``index`` maps a
     NodeRef to its position in that order, which is also the layout of the dense
-    weight vectors used as crystal-vertex keys.
+    weight vectors used as crystal-vertex keys.  ``base_index[k - 1]`` holds the
+    positions of the nodes of G^k, in canonical order.
 
     ``slot`` maps every node of the extended graph to its position in the vector
     ``values + c + d`` of a weight function: a node of G to its own index, an
@@ -69,6 +70,7 @@ class SupportingGraph:
     n: int
     nodes: tuple
     index: dict = field(compare=False, repr=False)
+    base_index: tuple = field(compare=False, repr=False)
     multinodes: dict = field(compare=False, repr=False)
     slot: dict = field(compare=False, repr=False)
     level_steps: tuple = field(compare=False, repr=False)
@@ -81,9 +83,15 @@ class SupportingGraph:
 
     # -- structure accessors ---------------------------------------------------
 
+    def base_positions(self, k: int) -> tuple:
+        """``base_index[k - 1]``; ParameterError for a k outside 1..n."""
+        if not 1 <= k <= self.n:
+            raise ParameterError(f"color {k} out of range for n={self.n}")
+        return self.base_index[k - 1]
+
     def base_nodes(self, k: int) -> tuple:
         """Nodes of the base subgraph G^k in canonical order."""
-        return tuple(v for v in self.nodes if v.k == k)
+        return tuple(self.nodes[p] for p in self.base_positions(k))
 
     def multinode(self, i: int, j: int) -> Multinode:
         return self.multinodes[(i, j)]
@@ -116,6 +124,9 @@ def build_supporting_graph(n: int) -> SupportingGraph:
                 nodes.append(NodeRef(k, i, j))
     nodes.sort(key=lambda v: v.canonical_key)
     index = {v: p for p, v in enumerate(nodes)}
+    base_index = tuple(
+        tuple(p for p, v in enumerate(nodes) if v.k == k) for k in range(1, n + 1)
+    )
     multinodes = {}
     switch_pairs = {}
     for i in range(1, n + 1):
@@ -140,7 +151,8 @@ def build_supporting_graph(n: int) -> SupportingGraph:
                 else:
                     slot[v] = size + n + k - 1  # right of G^k: d_k
     return SupportingGraph(
-        n=n, nodes=tuple(nodes), index=index, multinodes=multinodes, slot=slot,
+        n=n, nodes=tuple(nodes), index=index, base_index=base_index,
+        multinodes=multinodes, slot=slot,
         level_steps=tuple(_level_steps(n, slot, i) for i in range(1, n + 1)),
         switch_pairs=switch_pairs,
     )

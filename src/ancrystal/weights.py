@@ -33,6 +33,11 @@ class Bounds:
     def n(self) -> int:
         return len(self.c)
 
+    @property
+    def width(self) -> tuple:
+        """c - d: K(c, d) is K(c - d) with every value raised by d_k on G^k."""
+        return tuple(ck - dk for ck, dk in zip(self.c, self.d))
+
 
 def zero_bounds(c) -> Bounds:
     return Bounds(tuple(c), (0,) * len(tuple(c)))
@@ -79,10 +84,25 @@ class WeightFunction:
         return WeightFunction(self.graph, self.bounds, tuple(vals))
 
     def subgraph_values(self, k: int) -> tuple:
-        return tuple(self.value(v) for v in self.graph.base_nodes(k))
+        values = self.values
+        return tuple(values[p] for p in self.graph.base_positions(k))
+
+    def constants(self) -> tuple:
+        """Per color k, the value f takes on all of G^k, or None where f is not
+        constant on G^k."""
+        values = self.values
+        out = []
+        for positions in self.graph.base_index:
+            x = values[positions[0]]
+            for p in positions:
+                if values[p] != x:
+                    x = None
+                    break
+            out.append(x)
+        return tuple(out)
 
     def is_principal(self) -> bool:
-        return all(len(set(self.subgraph_values(k))) == 1 for k in range(1, self.graph.n + 1))
+        return None not in self.constants()
 
     def to_json(self) -> dict:
         return {

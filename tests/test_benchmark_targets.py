@@ -16,6 +16,17 @@ BUILD_SPANS = (
     "moves.active_multinode",
     "moves.level_slacks",
     "weights.switch_node",
+    "crystal.to_json",
+)
+
+# Spans an analyze must open.
+ANALYZE_SPANS = (
+    "crystal.measured_strings",
+    "crystal.subgraph",
+    "structure.principal_lattice",
+    "structure.skeleton",
+    "structure.subcrystals",
+    "structure.branching",
 )
 
 
@@ -32,7 +43,9 @@ def test_benchmark_wraps_every_traced_name(monkeypatch):
         tracer.unwrap()
 
 
-def test_a_build_calls_every_traced_generation_layer(monkeypatch, tmp_path):
+def traced_calls(monkeypatch, argv, spans):
+    """Per span name, how often one ``cli.main(argv)`` under the benchmark's
+    wrappers opened it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import run
     from tracer import Tracer
@@ -42,10 +55,21 @@ def test_a_build_calls_every_traced_generation_layer(monkeypatch, tmp_path):
     tracer = Tracer()
     run.wrap_program(tracer)
     try:
-        rc = cli.main(["build", "--n", "3", "--c", "1,0,1", "--out", str(tmp_path / "K.json")])
+        rc = cli.main(argv)
     finally:
         tracer.unwrap()
     assert rc == 0
     totals = tracer.totals()
-    calls = {name: totals.get(name, (0,))[0] for name in BUILD_SPANS}
+    return {name: totals.get(name, (0,))[0] for name in spans}
+
+
+def test_a_build_calls_every_traced_generation_layer(monkeypatch, tmp_path):
+    argv = ["build", "--n", "3", "--c", "1,0,1", "--out", str(tmp_path / "K.json")]
+    calls = traced_calls(monkeypatch, argv, BUILD_SPANS)
+    assert all(count > 0 for count in calls.values()), calls
+
+
+def test_an_analyze_calls_every_traced_structure_layer(monkeypatch, tmp_path):
+    argv = ["analyze", "--n", "2", "--c", "2,3", "--out", str(tmp_path / "report.json")]
+    calls = traced_calls(monkeypatch, argv, ANALYZE_SPANS)
     assert all(count > 0 for count in calls.values()), calls

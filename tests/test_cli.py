@@ -131,6 +131,23 @@ def test_analyze_report(capsys, tmp_path):
     assert total == 8
 
 
+def test_analyze_with_lower_bounds(capsys, tmp_path):
+    """The report of K(c, d) is that of K(c - d) with anchors shifted by d."""
+    shifted, plain = tmp_path / "shifted.json", tmp_path / "plain.json"
+    code, stdout, _ = run(
+        capsys, "analyze", "--n", "2", "--c", "2,2", "--d", "1,1", "--out", str(shifted)
+    )
+    assert code == EXIT_OK
+    assert stdout.splitlines()[0] == "principal=4 skeleton=8 upper=4 lower=4"
+    assert run(capsys, "analyze", "--n", "2", "--c", "1,1", "--out", str(plain))[0] == EXIT_OK
+    a, b = json.loads(shifted.read_text()), json.loads(plain.read_text())
+    assert (a["c"], a["d"]) == ([2, 2], [1, 1])
+    for row in b["subcrystals"]:
+        row["anchor"] = [x + 1 for x in row["anchor"]]
+    for key in ("subcrystals", "branching", "principal_lattice_size", "skeleton_size"):
+        assert a[key] == b[key]
+
+
 def test_analyze_csv(capsys, tmp_path):
     out = tmp_path / "report.csv"
     code, _, _ = run(

@@ -18,6 +18,7 @@ from ancrystal import (
     sigma_bound,
     subgraph,
 )
+from ancrystal.crystal import json_text
 from ancrystal.axioms import all_pass, from_crystal_json, verify_graph
 from conftest import DESK_PARAMS
 
@@ -197,3 +198,75 @@ def test_shifted_bounds_property(params):
     assert K.num_vertices == count_bounded_patterns(n, sigma_bound(width))
     assert isomorphic(K, generate(n, width))
     assert all_pass(verify_graph(from_crystal_json(K.to_json()), strict_a4=True))
+
+
+def walked_strings(S):
+    """Per vertex and color, the head and tail string lengths walked one edge
+    at a time from the vertex itself."""
+    h, t = [], []
+    for v in S.vertex_ids():
+        hv, tv = {}, {}
+        for c in S.colors:
+            for adj, out in ((S.succ, hv), (S.pred, tv)):
+                m, w = 0, v
+                while c in adj[w]:
+                    w, m = adj[w][c], m + 1
+                out[c] = m
+        h.append(hv)
+        t.append(tv)
+    return h, t
+
+
+@settings(max_examples=25, deadline=None)
+@given(shifted_bounds, st.randoms(use_true_random=False))
+def test_measured_strings_match_a_walk_from_each_vertex(params, rng):
+    n, d, width = params
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    K = generate(n, c, d)
+    ids = [v for v in K.vertex_ids() if rng.random() < 0.6]
+    colors = tuple(rng.sample(K.colors, rng.randint(0, n)))
+    S = subgraph(K, ids, colors)
+    h, t = walked_strings(S)
+    assert list(S.h) == h and list(S.t) == t
+    # each vertex's entries follow the order of S.colors
+    assert all(list(hv) == list(colors) == list(tv) for hv, tv in zip(S.h, S.t))
+
+
+@settings(max_examples=12, deadline=None)
+@given(shifted_bounds)
+def test_constants_match_the_values_on_each_subgraph(params):
+    n, d, width = params
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    K = generate(n, c, d)
+    g = K.functions[0].graph
+    for f in K.functions:
+        expected = []
+        for k in range(1, n + 1):
+            values = [f.value(v) for v in g.nodes if v.k == k]
+            assert f.subgraph_values(k) == tuple(values)
+            expected.append(values[0] if len(set(values)) == 1 else None)
+        assert f.constants() == tuple(expected)
+        assert f.is_principal() == all(x is not None for x in expected)
+
+
+def test_json_text_is_the_indented_dump(crystals):
+    K = crystals(2, (1, 2))
+    graphs = [
+        crystals(1, (0,)),  # one vertex, "edges": []
+        K,
+        subgraph(K, range(0, K.num_vertices, 2), colors=(2,)),  # adds "colors"
+        subgraph(K, K.vertex_ids(), colors=()),  # empty h and t lists
+        subgraph(K, []),  # no vertices
+    ]
+    for G in graphs:
+        data = G.to_json()
+        assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+
+@settings(max_examples=12, deadline=None)
+@given(shifted_bounds)
+def test_json_text_property(params):
+    n, d, width = params
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    data = generate(n, c, d).to_json()
+    assert json_text(data) == json.dumps(data, indent=2) + "\n"

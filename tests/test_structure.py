@@ -117,6 +117,12 @@ def test_string_counts_match_brute_force(n, k):
     assert len(fundamental_strings(n, k)) == independent_string_count(n, k)
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_fundamental_strings_reject_a_color_out_of_range(k):
+    with pytest.raises(ParameterError, match=f"color {k} out of range for n=3"):
+        fundamental_strings(3, k)
+
+
 def test_canonical_string_examples():
     assert str(canonical_string(4, 2)) == "342312"
     assert str(canonical_string(3, 1)) == "321"
@@ -169,6 +175,30 @@ def test_subcrystal_decomposition(n, c, side, crystals):
     for r in records:
         assert isomorphic(r.graph, generate(n - 1, r.parameter), color_map), r.anchor
         assert K.functions[r.principal_vertex].is_principal()
+
+
+@pytest.mark.parametrize("side", [UPPER, LOWER])
+@pytest.mark.parametrize(
+    "n,c,d", [(2, (2, 2), (1, 1)), (3, (2, 1, 2), (1, 0, 1)), (3, (1, 2, 0), (-1, 1, -1))]
+)
+def test_subcrystals_with_lower_bounds_shift_the_anchors(n, c, d, side, crystals):
+    """K(c, d) is K(c - d) with every value raised by d: the same records, with
+    the anchors shifted by d and the parameters unchanged."""
+    width = tuple(ck - dk for ck, dk in zip(c, d))
+
+    def rows(K, shift):
+        return [
+            (tuple(a + s for a, s in zip(r.anchor, shift)), r.parameter, r.vertex_ids,
+             r.principal_vertex)
+            for r in subcrystals(K, side)
+        ]
+
+    assert rows(crystals(n, c, d), (0,) * n) == rows(crystals(n, width), d)
+    K = crystals(n, c, d)
+    for a in itertools.product(*[range(dk, ck + 1) for ck, dk in zip(c, d)]):
+        shifted = tuple(x - dk for x, dk in zip(a, d))
+        expected = shifted[1:] if side == UPPER else shifted[:-1]
+        assert principal_location(K, a, side) == expected
 
 
 def test_subcrystals_reject_bad_side(crystals):

@@ -40,6 +40,20 @@ def test_n4_subgraph_sizes():
     assert [len(g.base_nodes(k)) for k in range(1, 5)] == [4, 6, 6, 4]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_base_index_slices_are_the_subgraphs(n):
+    g = build_supporting_graph(n)
+    for k in range(1, n + 1):
+        assert g.base_index[k - 1] == tuple(p for p, v in enumerate(g.nodes) if v.k == k)
+        assert g.base_nodes(k) == tuple(v for v in g.nodes if v.k == k)
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_base_nodes_rejects_a_color_out_of_range(k):
+    with pytest.raises(ParameterError, match=f"color {k} out of range for n=3"):
+        build_supporting_graph(3).base_nodes(k)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_node_counts_and_multinode_partition(n):
     g = build_supporting_graph(n)

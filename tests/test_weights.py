@@ -135,6 +135,10 @@ def test_principal_function_bounds_and_lattice_order():
     f = principal_function(g, (1, 0, 1), b)
     assert f.subgraph_values(1) == (1, 1, 1)
     assert f.subgraph_values(2) == (0, 0, 0, 0)
+    assert f.constants() == (1, 0, 1) and f.is_principal()
+    for k in (0, 4):
+        with pytest.raises(ParameterError, match=f"color {k} out of range"):
+            f.subgraph_values(k)
     with pytest.raises(ParameterError):
         principal_function(g, (2, 0, 0), b)
     with pytest.raises(ParameterError):
