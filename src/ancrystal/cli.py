@@ -159,10 +159,8 @@ def cmd_analyze(args) -> int:
     lattice = principal_lattice(K)
     skel = skeleton(K)
     records = subcrystals(K, UPPER) + subcrystals(K, LOWER)
-    eta = {}
-    for r in records:
-        if r.side == UPPER:
-            eta[r.parameter] = branching_multiplicity(K.bounds.width, r.parameter)
+    upper = {r.parameter for r in records if r.side == UPPER}
+    eta = {q: branching_multiplicity(K.bounds.width, q) for q in upper}
     rows = [
         {
             "side": r.side,
@@ -174,7 +172,7 @@ def cmd_analyze(args) -> int:
         for r in records
     ]
     print(
-        f"principal={lattice.size} skeleton={skel.graph.num_vertices} "
+        f"principal={lattice.size} skeleton={len(skel.vertex_ids)} "
         f"upper={sum(1 for r in records if r.side == UPPER)} "
         f"lower={sum(1 for r in records if r.side == LOWER)}"
     )
@@ -199,7 +197,7 @@ def cmd_analyze(args) -> int:
             "c": list(K.bounds.c),
             "d": list(K.bounds.d),
             "principal_lattice_size": lattice.size,
-            "skeleton_size": skel.graph.num_vertices,
+            "skeleton_size": len(skel.vertex_ids),
             "subcrystals": rows,
             "branching": [
                 {"parameter": list(q), "multiplicity": m} for q, m in sorted(eta.items())

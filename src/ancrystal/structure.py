@@ -84,7 +84,7 @@ class SkeletonPiece:
 @dataclass(frozen=True)
 class Skeleton:
     pieces: tuple
-    graph: CrystalGraph  # induced subgraph on the union of all pieces
+    vertex_ids: tuple  # sorted union of the pieces' ids in the ambient crystal
 
     def pieces_for(self, k: int) -> list:
         return [p for p in self.pieces if p.k == k]
@@ -111,7 +111,7 @@ def skeleton(K: CrystalGraph) -> Skeleton:
         ids = tuple(sorted(groups[(k, fixed)]))
         union.update(ids)
         pieces.append(SkeletonPiece(k, fixed, ids, subgraph(K, ids)))
-    return Skeleton(tuple(pieces), subgraph(K, sorted(union)))
+    return Skeleton(tuple(pieces), tuple(sorted(union)))
 
 
 # -- fundamental strings -------------------------------------------------------
@@ -191,8 +191,7 @@ def apply_string(K: CrystalGraph, v: int, string: FundamentalString) -> Optional
 class SubcrystalRecord:
     side: str  # UPPER keeps colors 1..n-1, LOWER keeps colors 2..n
     anchor: tuple  # n-tuple: fixed bottom-level (upper) or top-level (lower) values
-    vertex_ids: tuple  # ids in the ambient crystal
-    graph: CrystalGraph
+    vertex_ids: tuple  # ascending ambient ids; subgraph(K, ids, colors) is the graph
     parameter: tuple  # (n-1)-tuple, measured at the component source
     principal_vertex: int  # ambient id of the record's one principal vertex
 
@@ -201,24 +200,35 @@ class SubcrystalRecord:
         return len(self.vertex_ids)
 
 
-def _components(K: CrystalGraph, colors) -> list:
-    seen = set()
-    comps = []
-    for start in K.vertex_ids():
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for adj in (K.succ[v], K.pred[v]):
-                for c, w in adj.items():
-                    if c in colors and w not in comp:
-                        comp.add(w)
-                        queue.append(w)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
+def _side_colors(n: int, side: str) -> tuple:
+    """The colors a side keeps: UPPER drops color n, LOWER drops color 1."""
+    if side == UPPER:
+        return tuple(range(1, n))
+    if side == LOWER:
+        return tuple(range(2, n + 1))
+    raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
+
+
+def _component(K: CrystalGraph, start: int, colors) -> list:
+    """Sorted ids of the component of ``start`` along edges of the given colors."""
+    comp = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for adj in (K.succ[v], K.pred[v]):
+            for c, w in adj.items():
+                if c in colors and w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+    return sorted(comp)
+
+
+def _line_length(K: CrystalGraph, v: int, color: int) -> int:
+    """Number of color-edges on the line walked along ``K.succ`` from v."""
+    m = 0
+    while color in K.succ[v]:
+        v, m = K.succ[v][color], m + 1
+    return m
 
 
 def _minus(a, d) -> tuple:
@@ -236,33 +246,32 @@ def lower_parameter(c, a) -> tuple:
 def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     """Components after removing the top (upper) or bottom (lower) color.
 
-    The measured parameter (string lengths at each component's source) must
-    match the anchor-based formula; a mismatch is a model error, not a warning.
-    Anchors are raw values of f; the formula reads them and c as offsets from d,
-    since K(c, d) is K(c - d) shifted by d.
+    The measured parameter (each kept color's line length from the component's
+    source, walked in K: a component is closed under its colors) must match the
+    anchor-based formula; a mismatch is a model error, not a warning.  Anchors
+    are raw values of f; the formula reads them and c as offsets from d, since
+    K(c, d) is K(c - d) shifted by d.
     """
     n = K.n
-    if side == UPPER:
-        colors = tuple(range(1, n))
-    elif side == LOWER:
-        colors = tuple(range(2, n + 1))
-    else:
-        raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
+    colors = _side_colors(n, side)
     g = K.functions[0].graph
+    ends = [g.bottom(k) if side == UPPER else g.top(k) for k in range(1, n + 1)]
+    parameter = upper_parameter if side == UPPER else lower_parameter
     c, d = K.bounds.width, K.bounds.d
     records = []
-    for comp in _components(K, colors):
+    seen = set()
+    for start in K.vertex_ids():
+        if start in seen:
+            continue
+        comp = _component(K, start, colors)
+        seen.update(comp)
         f = K.functions[comp[0]]
-        if side == UPPER:
-            anchor = tuple(f.value(g.bottom(k)) for k in range(1, n + 1))
-            formula = upper_parameter(c, _minus(anchor, d))
-        else:
-            anchor = tuple(f.value(g.top(k)) for k in range(1, n + 1))
-            formula = lower_parameter(c, _minus(anchor, d))
-        sub = subgraph(K, comp, colors)
-        if sub.source is None:
+        anchor = tuple(f.value(node) for node in ends)
+        formula = parameter(c, _minus(anchor, d))
+        sources = [v for v in comp if not any(col in K.pred[v] for col in colors)]
+        if len(sources) != 1:
             raise ModelError(f"{side} component through vertex {comp[0]} has no unique source")
-        measured = tuple(sub.h[sub.source][c] for c in colors)
+        measured = tuple(_line_length(K, sources[0], col) for col in colors)
         if measured != formula:
             raise ModelError(
                 f"{side} subcrystal at anchor {anchor}: measured parameter "
@@ -274,9 +283,7 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
                 f"{side} subcrystal at anchor {anchor} contains "
                 f"{len(principals)} principal vertices"
             )
-        records.append(
-            SubcrystalRecord(side, anchor, tuple(comp), sub, formula, principals[0])
-        )
+        records.append(SubcrystalRecord(side, anchor, tuple(comp), formula, principals[0]))
     records.sort(key=lambda r: r.anchor)
     return records
 
@@ -285,29 +292,23 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     """Coordinates of the principal vertex at a inside the principal lattice of
     its upper or lower subcrystal: a - d shifted by one color.
 
-    The formula answer is cross-checked by mapping the subcrystal onto a freshly
-    generated reference crystal and reading the coordinates off its lattice.
+    The formula answer is cross-checked by mapping the vertex's component onto
+    a freshly generated reference crystal and reading the coordinates off the
+    image's constants.
     """
     a = tuple(int(x) for x in a)
-    n = K.n
+    colors = _side_colors(K.n, side)
+    v = K.vertex_by_function(principal_function(K.functions[0].graph, a, K.bounds))
     shifted = _minus(a, K.bounds.d)
-    if side == UPPER:
-        formula = shifted[1:]
-        color_map = {c: c for c in range(1, n)}
-    elif side == LOWER:
-        formula = shifted[:-1]
-        color_map = {c: c - 1 for c in range(2, n + 1)}
-    else:
-        raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
-    record = next(r for r in subcrystals(K, side) if r.anchor == a)
-    ref = generate(n - 1, record.parameter)
-    m = find_isomorphism(record.graph, ref, color_map)
+    formula = shifted[1:] if side == UPPER else shifted[:-1]
+    parameter = upper_parameter if side == UPPER else lower_parameter
+    comp = _component(K, v, colors)
+    ref = generate(K.n - 1, parameter(K.bounds.width, shifted))
+    color_map = {col: p for p, col in enumerate(colors, start=1)}
+    m = find_isomorphism(subgraph(K, comp, colors), ref, color_map)
     if m is None:
         raise ModelError(f"{side} subcrystal at {a} does not match its reference crystal")
-    local = record.vertex_ids.index(record.principal_vertex)
-    image = m[local]
-    lattice = principal_lattice(ref)
-    located = next(t for t, v in lattice.by_tuple.items() if v == image)
+    located = ref.functions[m[comp.index(v)]].constants()
     if located != formula:
         raise ModelError(
             f"principal vertex {a}: located at {located} in its {side} subcrystal, "

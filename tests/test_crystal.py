@@ -166,16 +166,6 @@ def test_edge_list_and_dot_output(crystals):
     assert dot.count("->") == 18
 
 
-def test_monochromatic_strings_agree_with_stored_lengths(crystals):
-    K = crystals(3, (2, 1, 0))
-    for v in K.vertex_ids():
-        for c in K.colors:
-            m, w = 0, v
-            while c in K.succ[w]:
-                w, m = K.succ[w][c], m + 1
-            assert K.h[v][c] == m
-
-
 # Every (n, c, d) with n <= 3, lower bounds in [-2, 2] not all zero, and
 # c_k - d_k in [0, 2].  Nonzero d is what makes the right-hand extra nodes carry
 # a value other than 0 in the slacks.
@@ -215,6 +205,16 @@ def walked_strings(S):
         h.append(hv)
         t.append(tv)
     return h, t
+
+
+@settings(max_examples=12, deadline=None)
+@given(shifted_bounds)
+def test_monochromatic_strings_agree_with_stored_lengths(params):
+    """The generator's slack-based h and t are the walked string lengths."""
+    n, d, width = params
+    assume(any(d))
+    K = generate(n, tuple(dk + wk for dk, wk in zip(d, width)), d)
+    assert (list(K.h), list(K.t)) == walked_strings(K)
 
 
 @settings(max_examples=25, deadline=None)

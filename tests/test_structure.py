@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -21,6 +23,7 @@ from ancrystal import (
     principal_location,
     skeleton,
     subcrystals,
+    subgraph,
     upper_parameter,
 )
 
@@ -69,7 +72,7 @@ def test_principal_interval_rejects_bad_tuples(crystals):
 def test_two_color_skeleton_is_the_whole_crystal(crystals):
     K = crystals(2, (1, 2))
     sk = skeleton(K)
-    assert sk.graph.num_vertices == K.num_vertices
+    assert len(sk.vertex_ids) == K.num_vertices
 
 
 def test_skeleton_piece_counts_and_shapes(crystals):
@@ -89,8 +92,8 @@ def test_skeleton_piece_counts_and_shapes(crystals):
             assert isomorphic(p.graph, base), (k, p.fixed)
             total += p.graph.num_vertices
     # union size by inclusion-exclusion: pieces overlap exactly in the lattice
-    assert sk.graph.num_vertices == total - (n - 1) * lattice_size(c)
-    assert sk.graph.num_vertices == 40
+    assert len(sk.vertex_ids) == total - (n - 1) * lattice_size(c)
+    assert len(sk.vertex_ids) == 40
 
 
 def test_fundamental_strings_for_the_middle_color():
@@ -173,7 +176,8 @@ def test_subcrystal_decomposition(n, c, side, crystals):
         else {i: i - 1 for i in range(2, n + 1)}
     )
     for r in records:
-        assert isomorphic(r.graph, generate(n - 1, r.parameter), color_map), r.anchor
+        sub = subgraph(K, r.vertex_ids, tuple(color_map))
+        assert isomorphic(sub, generate(n - 1, r.parameter), color_map), r.anchor
         assert K.functions[r.principal_vertex].is_principal()
 
 
@@ -204,6 +208,57 @@ def test_subcrystals_with_lower_bounds_shift_the_anchors(n, c, d, side, crystals
 def test_subcrystals_reject_bad_side(crystals):
     with pytest.raises(ParameterError):
         subcrystals(crystals(2, (1, 1)), "sideways")
+    with pytest.raises(ParameterError, match="side must be 'upper' or 'lower'"):
+        principal_location(crystals(2, (1, 1)), (0, 0), "sideways")
+
+
+@pytest.mark.parametrize("side", [UPPER, LOWER])
+@pytest.mark.parametrize(
+    "a,message",
+    [
+        ((5, 5), "principal tuple (5, 5) outside bounds c=(1, 2), d=(0, 0)"),
+        ((0,), "principal tuple has length 1, expected 2"),
+        ((0, 0, 0), "principal tuple has length 3, expected 2"),
+    ],
+)
+def test_principal_location_rejects_bad_tuples(a, message, side, crystals):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        principal_location(crystals(2, (1, 2)), a, side)
+
+
+def without_edge(K, u, w, color):
+    """A copy of K with the color-edge u -> w deleted; K itself is untouched."""
+    succ = [dict(s) for s in K.succ]
+    pred = [dict(p) for p in K.pred]
+    assert succ[u][color] == w and pred[w][color] == u
+    del succ[u][color], pred[w][color]
+    return dataclasses.replace(K, succ=tuple(succ), pred=tuple(pred))
+
+
+# One deleted kept-color edge per row, and the exact error each form of damage
+# gets: a component whose source is not unique, a line shorter than the
+# formula, and a split-off part without the principal vertex.
+@pytest.mark.parametrize(
+    "n,c,side,edge,message",
+    [
+        (3, (1, 1, 1), UPPER, (0, 1, 1), "upper component through vertex 0 has no unique source"),
+        (3, (1, 1, 1), LOWER, (0, 2, 2), "lower component through vertex 0 has no unique source"),
+        (2, (1, 2), UPPER, (0, 1, 1),
+         "upper subcrystal at anchor (0, 0): measured parameter (0,) differs from formula (1,)"),
+        (2, (1, 2), LOWER, (0, 2, 2),
+         "lower subcrystal at anchor (0, 0): measured parameter (0,) differs from formula (2,)"),
+        (3, (1, 1, 1), UPPER, (37, 47, 2),
+         "upper subcrystal at anchor (1, 1, 0) contains 0 principal vertices"),
+        (3, (1, 1, 1), LOWER, (45, 53, 2),
+         "lower subcrystal at anchor (0, 1, 1) contains 0 principal vertices"),
+    ],
+)
+def test_subcrystals_reject_a_crystal_missing_one_kept_edge(n, c, side, edge, message, crystals):
+    K = crystals(n, c)
+    with pytest.raises(ModelError) as exc:
+        subcrystals(without_edge(K, *edge), side)
+    assert str(exc.value) == message
+    assert len(subcrystals(K, side)) == lattice_size(c)
 
 
 @pytest.mark.parametrize("side", [UPPER, LOWER])
