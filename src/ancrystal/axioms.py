@@ -83,48 +83,74 @@ class Lines:
 
 @dataclass
 class ColoredDigraph:
-    """Vertices plus per-color edge sets; nothing about it is assumed valid."""
+    """Vertices plus per-color edge sets; nothing about it is assumed valid.
+
+    Edges are kept over vertex positions in canonical order, per color: the
+    first head of tail ``k`` is ``nxt[c][k]`` and the first tail of head ``k``
+    is ``prv[c][k]`` (None without one); any further heads and tails go, in
+    edge order, to ``more_out[c][k]`` and ``more_in[c][k]``, which stay empty
+    exactly when A1's degree conditions hold.
+    """
 
     vertices: tuple
     edges: tuple  # (tail, head, color) triples, possibly with repeats
     n: int
     index: dict = field(init=False, repr=False)  # vertex -> position in ``vertices``
-    out: dict = field(init=False, repr=False)  # color -> tail -> [heads]
-    inn: dict = field(init=False, repr=False)  # color -> head -> [tails]
+    nxt: dict = field(init=False, repr=False)  # color -> [first head position]
+    prv: dict = field(init=False, repr=False)  # color -> [first tail position]
+    more_out: dict = field(init=False, repr=False)  # color -> tail position -> [further heads]
+    more_in: dict = field(init=False, repr=False)  # color -> head position -> [further tails]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise GraphFormatError(f"color count n must be at least 1, got {self.n}")
         try:
             order = sorted(self.vertices)
         except TypeError:
             order = sorted(self.vertices, key=str)
         self.vertices = tuple(order)
         self.edges = tuple(self.edges)
-        self.index = {v: k for k, v in enumerate(self.vertices)}
-        self.out = {c: {} for c in range(1, self.n + 1)}
-        self.inn = {c: {} for c in range(1, self.n + 1)}
+        self.index = index = {v: k for k, v in enumerate(self.vertices)}
+        if len(index) != len(order):
+            seen = set()
+            for v in order:
+                if v in seen:
+                    raise GraphFormatError(f"vertex {v} is listed twice")
+                seen.add(v)
+        size = len(order)
+        colors = range(1, self.n + 1)
+        self.nxt = nxt = {c: [None] * size for c in colors}
+        self.prv = prv = {c: [None] * size for c in colors}
+        self.more_out = {c: {} for c in colors}
+        self.more_in = {c: {} for c in colors}
         for (u, v, c) in self.edges:
-            if c not in self.out or u not in self.index or v not in self.index:
+            a, b, heads = index.get(u), index.get(v), nxt.get(c)
+            if a is None or b is None or heads is None:
                 raise GraphFormatError(f"edge ({u}, {v}, {c}) references unknown vertex or color")
-            self.out[c].setdefault(u, []).append(v)
-            self.inn[c].setdefault(v, []).append(u)
+            if heads[a] is None:
+                heads[a] = b
+            else:
+                self.more_out[c].setdefault(a, []).append(b)
+            tails = prv[c]
+            if tails[b] is None:
+                tails[b] = a
+            else:
+                self.more_in[c].setdefault(b, []).append(a)
 
     @cached_property
     def lines(self) -> dict:
         """color -> Lines, built on first use; a color with a cycle raises."""
-        index = self.index
-        size = len(self.vertices)
         table = {}
         for c in range(1, self.n + 1):
-            nxt = [None] * size
-            prv = [None] * size
-            for u, heads in self.out[c].items():
-                nxt[index[u]] = index[heads[0]]
-            for v, tails in self.inn[c].items():
-                prv[index[v]] = index[tails[0]]
-            table[c] = Lines.walk(nxt, prv)
+            table[c] = Lines.walk(self.nxt[c], self.prv[c])
             if None in table[c].path:
                 raise GraphFormatError(f"color {c} contains a directed cycle")
         return table
+
+    @cached_property
+    def reversed_lines(self) -> dict:
+        """color -> the Lines of that color with every edge reversed."""
+        return {c: lines.reversed() for c, lines in self.lines.items()}
 
 
 def from_edge_list_text(text: str, n: Optional[int] = None) -> ColoredDigraph:
@@ -168,22 +194,27 @@ def from_crystal_json(data: dict) -> ColoredDigraph:
 
 def check_nonempty_connected(g: ColoredDigraph) -> Verdict:
     name = "connected"
-    if not g.vertices:
+    size = len(g.vertices)
+    if not size:
         return _fail(name, "graph has no vertices")
-    seen = {g.vertices[0]}
-    queue = deque(seen)
-    undirected = {v: set() for v in g.vertices}
-    for (u, v, _) in g.edges:
-        undirected[u].add(v)
-        undirected[v].add(u)
-    while queue:
-        v = queue.popleft()
-        for w in undirected[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != len(g.vertices):
-        missing = next(v for v in g.vertices if v not in seen)
+    # the neighbors of a position: its first head and tail in every color,
+    # then whatever the overflow holds
+    firsts = list(zip(*g.nxt.values(), *g.prv.values()))
+    extra = {}
+    for more in (*g.more_out.values(), *g.more_in.values()):
+        for k, ends in more.items():
+            extra.setdefault(k, []).extend(ends)
+    seen = [False] * size
+    seen[0] = True
+    todo = [0]
+    while todo:
+        k = todo.pop()
+        for w in (*firsts[k], *extra[k]) if k in extra else firsts[k]:
+            if w is not None and not seen[w]:
+                seen[w] = True
+                todo.append(w)
+    if not all(seen):
+        missing = g.vertices[seen.index(False)]
         return _fail(name, f"vertex {missing} unreachable from {g.vertices[0]}")
     return _ok(name)
 
@@ -192,11 +223,11 @@ def check_A1(g: ColoredDigraph) -> Verdict:
     """Each monochromatic component must be a finite simple directed path."""
     name = "A1"
     for c in range(1, g.n + 1):
-        for v in g.vertices:
-            if len(g.out[c].get(v, ())) > 1:
-                return _fail(name, f"vertex {v} has two outgoing {c}-edges")
-            if len(g.inn[c].get(v, ())) > 1:
-                return _fail(name, f"vertex {v} has two incoming {c}-edges")
+        more_out, more_in = g.more_out[c], g.more_in[c]
+        if more_out or more_in:
+            k = min([*more_out, *more_in])
+            direction = "outgoing" if k in more_out else "incoming"
+            return _fail(name, f"vertex {g.vertices[k]} has two {direction} {c}-edges")
     try:
         g.lines
     except GraphFormatError as exc:
@@ -269,11 +300,9 @@ def check_A3(g: ColoredDigraph) -> Verdict:
     """Squares on 0-labeled outgoing edges; the same on the reversed digraph
     covers 1-labeled incoming edges and backward squares."""
     name = "A3"
-    forward = g.lines
-    backward = {c: lines.reversed() for c, lines in forward.items()}
     views = (
-        (forward, "0-labeled {}-edge with non-1-labeled {}-edge", "square"),
-        (backward, "1-labeled incoming {}-edge with non-0-labeled {}-edge", "backward square"),
+        (g.lines, "0-labeled {}-edge with non-1-labeled {}-edge", "square"),
+        (g.reversed_lines, "1-labeled incoming {}-edge with non-0-labeled {}-edge", "backward square"),
     )
     for i in range(1, g.n):
         j = i + 1
@@ -309,10 +338,9 @@ def check_A4(g: ColoredDigraph, strict: bool = False) -> Verdict:
     edges both carry label 1; in strict mode also on the reversed digraph, the
     inverse relation (it is derivable from the other axioms)."""
     name = "A4"
-    forward = g.lines
-    views = [(forward, "Verma")]
+    views = [(g.lines, "Verma")]
     if strict:
-        views.append(({c: lines.reversed() for c, lines in forward.items()}, "inverse Verma"))
+        views.append((g.reversed_lines, "inverse Verma"))
     for i in range(1, g.n):
         j = i + 1
         for u, name_u in enumerate(g.vertices):
@@ -370,60 +398,74 @@ def check_equal_criticals(g: ColoredDigraph) -> Verdict:
 
 
 def check_graded(g: ColoredDigraph) -> Verdict:
-    """Consistent per-color edge counts along all routes; implies acyclicity."""
+    """Consistent per-color edge counts along all routes; implies acyclicity.
+
+    A breadth-first search from each not yet reached vertex in canonical order
+    gives every vertex its depth vector: how many edges of each color, counted
+    forward minus backward, lead to it from the root.  The vector is stored as
+    one int, ``sum(d_c * B**(c - 1))`` with ``B = 2|V| + 3``, so one step is a
+    single add.  A search path has fewer than |V| edges, so every coordinate
+    met, even one step past a stored vector, lies in ``[-|V|, |V|]``.  Two such
+    vectors differ in each coordinate by at most 2|V| < B, so equal codes mean
+    equal vectors.
+    """
     name = "graded"
-    if not g.vertices:
+    size = len(g.vertices)
+    if not size:
         return _fail(name, "graph has no vertices")
-    depth = {}
-    for root in g.vertices:
-        if root in depth:
+    base = 2 * size + 3
+    # at each vertex: colors ascending, out-heads before in-tails
+    steps = []
+    for c in range(1, g.n + 1):
+        unit = base ** (c - 1)
+        steps += [(g.nxt[c], g.more_out[c], unit), (g.prv[c], g.more_in[c], -unit)]
+    depth = [None] * size
+    for root in range(size):
+        if depth[root] is not None:
             continue
-        depth[root] = (0,) * g.n
+        depth[root] = 0
         queue = deque([root])
         while queue:
-            v = queue.popleft()
-            steps = []
-            for c in range(1, g.n + 1):
-                for w in g.out[c].get(v, ()):
-                    steps.append((w, c, +1))
-                for w in g.inn[c].get(v, ()):
-                    steps.append((w, c, -1))
-            for (w, c, sign) in steps:
-                d = list(depth[v])
-                d[c - 1] += sign
-                d = tuple(d)
-                if w in depth:
-                    if depth[w] != d:
-                        return _fail(name, f"inconsistent color counts on routes to {w}")
-                else:
-                    depth[w] = d
-                    queue.append(w)
+            k = queue.popleft()
+            here = depth[k]
+            for first, more, unit in steps:
+                w = first[k]
+                if w is None:
+                    continue
+                step = here + unit
+                for w in (w, *more[k]) if k in more else (w,):
+                    there = depth[w]
+                    if there is None:
+                        depth[w] = step
+                        queue.append(w)
+                    elif there != step:
+                        return _fail(name, f"inconsistent color counts on routes to {g.vertices[w]}")
     return _ok(name)
 
 
 def check_no_parallel_edges(g: ColoredDigraph) -> Verdict:
     name = "no-parallel-edges"
+    size = len(g.vertices)
+    index = g.index
     seen = set()
     for (u, v, _) in g.edges:
-        if (u, v) in seen:
+        key = index[u] * size + index[v]
+        if key in seen:
             return _fail(name, f"two edges from {u} to {v}")
-        seen.add((u, v))
+        seen.add(key)
     return _ok(name)
 
 
 def check_unique_source_sink(g: ColoredDigraph) -> Verdict:
+    """Exactly one vertex without incoming and one without outgoing edges; a
+    position has an edge of color c exactly when its first one is recorded."""
     name = "unique-source-sink"
-    indeg = {v: 0 for v in g.vertices}
-    outdeg = {v: 0 for v in g.vertices}
-    for (u, v, _) in g.edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    sources = [v for v in g.vertices if indeg[v] == 0]
-    sinks = [v for v in g.vertices if outdeg[v] == 0]
-    if len(sources) != 1:
-        return _fail(name, f"expected one zero-indegree vertex, found {len(sources)}")
-    if len(sinks) != 1:
-        return _fail(name, f"expected one zero-outdegree vertex, found {len(sinks)}")
+    sources = sum(1 for tails in zip(*g.prv.values()) if tails.count(None) == g.n)
+    sinks = sum(1 for heads in zip(*g.nxt.values()) if heads.count(None) == g.n)
+    if sources != 1:
+        return _fail(name, f"expected one zero-indegree vertex, found {sources}")
+    if sinks != 1:
+        return _fail(name, f"expected one zero-outdegree vertex, found {sinks}")
     return _ok(name)
 
 

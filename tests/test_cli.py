@@ -96,6 +96,23 @@ def test_verify_reports_skipped_checks_and_fails(capsys, tmp_path):
     assert not any(line.endswith(": pass") for line in lines[4:9])
 
 
+@pytest.mark.parametrize(
+    "graph,message",
+    [
+        ({"n": 1, "vertices": [{"id": 0}, {"id": 0}, {"id": 1}],
+          "edges": [{"from": 0, "to": 1, "color": 1}]}, "vertex 0 is listed twice"),
+        ({"n": 0, "vertices": [{"id": 0}], "edges": []}, "got 0"),
+        ({"n": -2, "vertices": [{"id": 0}], "edges": []}, "got -2"),
+    ],
+)
+def test_verify_rejects_an_invalid_crystal_json(capsys, tmp_path, graph, message):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(graph))
+    code, stdout, err = run(capsys, "verify", "--in", str(f))
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", [["verify"], ["gt", "--direction", "to-pattern"]])
 def test_malformed_json_input_is_a_usage_error(capsys, tmp_path, command):
     bad = tmp_path / "x.json"
