@@ -22,13 +22,12 @@ from .weights import (
     zero_bounds,
 )
 from .moves import (
-    LevelSlacks,
-    MoveOutcome,
     active_multinode,
     backward_move,
     forward_move,
     level_slacks,
     residual_slacks_by_cancelation,
+    slack_dicts,
     string_lengths,
 )
 from .gt import GTPattern, count_bounded_patterns, from_gt, sigma_bound, to_gt

@@ -77,8 +77,15 @@ class Lines:
 
     def reversed(self) -> "Lines":
         """The same lines with every edge reversed: successor and predecessor,
-        t and h trade places, and so do edge labels 0 and 1."""
-        return Lines.walk(self.prv, self.nxt)
+        t and h trade places, and so do edge labels 0 and 1.  Each line's path
+        is reversed once, from the vertex that starts it."""
+        path = list(self.path)
+        for k, line in enumerate(self.path):
+            if line[0] == k:
+                back = line[::-1]
+                for w in line:
+                    path[w] = back
+        return Lines(self.prv, self.nxt, self.h, self.t, path)
 
 
 @dataclass

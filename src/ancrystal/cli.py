@@ -9,7 +9,7 @@ import json
 import sys
 
 from . import axioms
-from .crystal import generate, json_text
+from .crystal import DEFAULT_CAP, generate, json_text
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -46,7 +46,7 @@ def _add_model_args(p, require_c=True):
     p.add_argument("--n", type=int, required=require_c, help="number of colors")
     p.add_argument("--c", type=_int_list, required=require_c, help="upper bounds, comma-separated")
     p.add_argument("--d", type=_int_list, default=None, help="lower bounds (default zeros)")
-    p.add_argument("--cap", type=int, default=None, help="vertex cap for generation")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="vertex cap for generation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,13 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _generate(args):
-    kwargs = {}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    return generate(args.n, args.c, args.d, **kwargs)
-
-
 def _write(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -97,7 +90,7 @@ def _write(path, text):
 
 
 def cmd_build(args) -> int:
-    K = _generate(args)
+    K = generate(args.n, args.c, args.d, args.cap)
     d = K.bounds.d
     length = sum(
         (K.bounds.c[k] - d[k]) * (k + 1) * (K.n - k) for k in range(K.n)
@@ -142,7 +135,7 @@ def _load_graph(args):
         return axioms.from_edge_list_text(text)
     if args.n is None or args.c is None:
         raise ParameterError("verify needs either --in or --n/--c")
-    K = _generate(args)
+    K = generate(args.n, args.c, args.d, args.cap)
     return axioms.from_crystal_json(K.to_json())
 
 
@@ -155,7 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    K = _generate(args)
+    K = generate(args.n, args.c, args.d, args.cap)
     lattice = principal_lattice(K)
     skel = skeleton(K)
     records = subcrystals(K, UPPER) + subcrystals(K, LOWER)

@@ -218,17 +218,17 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
         v = queue.popleft()
         f = functions[v]
         for i in range(1, n + 1):
-            out = forward_move(f, i)
-            if out is None:
+            moved = forward_move(f, i)
+            if moved is None:
                 continue
-            key = out.function.values
+            key = moved.values
             w = key_to_id.get(key)
             if w is None:
                 if len(functions) >= cap:
                     raise CapExceededError(cap, len(functions))
                 w = len(functions)
                 key_to_id[key] = w
-                functions.append(out.function)
+                functions.append(moved)
                 succ.append({})
                 pred.append({})
                 queue.append(w)

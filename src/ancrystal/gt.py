@@ -49,6 +49,10 @@ class GTPattern:
     def from_json(data) -> "GTPattern":
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ParameterError("pattern JSON must be a list of rows")
+        for i, row in enumerate(data, start=1):
+            for x in row:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ParameterError(f"pattern row {i} has the non-integer entry {x!r}")
         return GTPattern(tuple(tuple(r) for r in data))
 
 

@@ -2,55 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
-from .support import NodeRef
 from .weights import BACKWARD, FORWARD, WeightFunction, switch_node
 
 
-class LevelSlacks:
-    """Slacks of level i of f.
+def level_slacks(f: WeightFunction, i: int) -> list:
+    """Prefix sums A(0), ..., A(i+1) of the level-i slack sums.
 
-    ``prefix`` holds the prefix sums A(0), ..., A(i+1) of the slack sums, from
-    one pass over the compiled steps ``f.graph.level_steps``.  The dicts ``eps``
-    (keyed by j = 1..i+1), ``delta`` (j = 0..i) and their residuals ``eps_res``
-    and ``delta_res`` come from the closed form over the ``slot`` layout, which
-    is computed on first access and does not read the compiled steps.
-    """
-
-    def __init__(self, f: WeightFunction, i: int, prefix: list):
-        self.f = f
-        self.i = i
-        self.prefix = prefix
-
-    @cached_property
-    def _dicts(self) -> tuple:
-        return _closed_form(self.f, self.i)
-
-    eps = property(lambda self: self._dicts[0])
-    delta = property(lambda self: self._dicts[1])
-    eps_res = property(lambda self: self._dicts[2])
-    delta_res = property(lambda self: self._dicts[3])
-
-
-@dataclass(frozen=True)
-class MoveOutcome:
-    function: WeightFunction
-    node: NodeRef
-    multinode: Tuple[int, int]
-
-
-def level_slacks(f: WeightFunction, i: int) -> LevelSlacks:
-    """Slacks of level i summed over the extended multinodes, plus residuals.
-
-    The prefix sums come from the compiled steps, A(0) = 0 and
-    A(j) = A(j-1) + eps(j) - delta(j-1).  The closed form telescopes over them:
-    the residual upper slacks sum to h = max A and the residual lower slacks to
-    t = h - A(i+1).  The forward multinode is the first argmax j of A and the
-    backward one the least j >= 1 with A(j) > max_{q>j} A(q), that is the last
-    argmax of A(1..i+1); either is taken only when 1 <= j <= i.
+    One pass over the compiled steps ``f.graph.level_steps``, with A(0) = 0 and
+    A(j) = A(j-1) + eps(j) - delta(j-1).  The residual slacks telescope over
+    them: the residual upper slacks sum to h = max A and the residual lower
+    slacks to t = h - A(i+1).  The forward multinode is the first argmax j of A
+    and the backward one the least j >= 1 with A(j) > max_{q>j} A(q), that is
+    the last argmax of A(1..i+1); either is taken only when 1 <= j <= i.
     """
     x = f.values + f.bounds.c + f.bounds.d
     a = 0
@@ -59,14 +24,16 @@ def level_slacks(f: WeightFunction, i: int) -> LevelSlacks:
         for plus, minus in step:
             a += x[plus] - x[minus]
         prefix.append(a)
-    return LevelSlacks(f, i, prefix)
+    return prefix
 
 
-def _closed_form(f: WeightFunction, i: int) -> tuple:
+def slack_dicts(f: WeightFunction, i: int) -> tuple:
     """(eps, delta, eps_res, delta_res) of level i, read from the ``slot`` layout.
 
-    The residual upper slack at j is max(0, A(j) - max_{p<j} A(p)) and the
-    residual lower slack at j is max(0, A(j) - max_{q>j} A(q)).
+    ``eps`` is keyed by j = 1..i+1 and ``delta`` by j = 0..i.  The residual
+    upper slack at j is max(0, A(j) - max_{p<j} A(p)) and the residual lower
+    slack at j is max(0, A(j) - max_{q>j} A(q)).  This closed form does not
+    read the compiled steps that ``level_slacks`` runs on.
     """
     colors = range(1, f.graph.n + 1)
     slot = f.graph.slot  # NodeRef is a tuple, so a plain (k, i, j) key finds it
@@ -99,7 +66,7 @@ def residual_slacks_by_cancelation(eps: dict, delta: dict) -> Tuple[dict, dict]:
     Repeatedly pick a positive lower slack at j' and a positive upper slack at
     j > j' with nothing positive strictly between them, and cancel the smaller
     against the larger.  The result is order-independent and must agree with the
-    closed form used by level_slacks.
+    closed form of slack_dicts.
     """
     er = dict(eps)
     dr = dict(delta)
@@ -134,7 +101,7 @@ def active_multinode(f: WeightFunction, i: int, direction: str) -> Optional[Tupl
     its own residual upper slack is positive.  Backward: the minimum j with
     positive residual lower slack.  Both are read off ``level_slacks``.
     """
-    prefix = level_slacks(f, i).prefix
+    prefix = level_slacks(f, i)
     if direction == FORWARD:
         j = prefix.index(max(prefix))
     else:
@@ -143,27 +110,27 @@ def active_multinode(f: WeightFunction, i: int, direction: str) -> Optional[Tupl
     return (i, j) if 1 <= j <= i else None
 
 
-def forward_move(f: WeightFunction, i: int) -> Optional[MoveOutcome]:
+def forward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
     """Apply the color-i raising step: +1 at the forward switch-node of the
     active multinode; None when the operator does not act."""
     am = active_multinode(f, i, FORWARD)
     if am is None:
         return None
     v = switch_node(f, am[0], am[1], FORWARD)
-    return MoveOutcome(f.replace(v, f.value(v) + 1), v, am)
+    return f.replace(v, f.value(v) + 1)
 
 
-def backward_move(f: WeightFunction, i: int) -> Optional[MoveOutcome]:
+def backward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
     """Inverse of forward_move: -1 at the backward switch-node."""
     am = active_multinode(f, i, BACKWARD)
     if am is None:
         return None
     v = switch_node(f, am[0], am[1], BACKWARD)
-    return MoveOutcome(f.replace(v, f.value(v) - 1), v, am)
+    return f.replace(v, f.value(v) - 1)
 
 
 def string_lengths(f: WeightFunction, i: int) -> Tuple[int, int]:
     """(h_i, t_i): how many consecutive forward / backward i-moves apply at f."""
-    prefix = level_slacks(f, i).prefix
+    prefix = level_slacks(f, i)
     h = max(prefix)
     return h, h - prefix[-1]

@@ -117,9 +117,17 @@ class WeightFunction:
         try:
             g = build_supporting_graph(int(data["n"]))
             b = Bounds(tuple(data["c"]), tuple(data["d"]))
-            raw = {NodeRef(k, i, j): int(val) for k, i, j, val in data["values"]}
+            raw = {NodeRef(k, i, j): val for k, i, j, val in data["values"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed weight-function JSON: {exc}") from exc
+        for v, val in raw.items():
+            if v not in g.index:
+                raise ParameterError(f"weight-function JSON names {v}, which is not a node of G")
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ParameterError(f"weight-function JSON gives {v} the non-integer value {val!r}")
+        for v in g.nodes:
+            if v not in raw:
+                raise ParameterError(f"weight-function JSON has no value for {v}")
         return make_weight_function(g, raw, b)
 
 

@@ -17,13 +17,13 @@ from ancrystal import (
     fundamental_strings,
     generate,
     isomorphic,
-    level_slacks,
     apply_string,
     principal_interval,
     principal_lattice,
     residual_slacks_by_cancelation,
     sigma_bound,
     skeleton,
+    slack_dicts,
     subcrystals,
     subgraph,
     to_gt,
@@ -98,10 +98,10 @@ def test_criterion_04_involution(crystals, capsys):
         for f in K.functions:
             for i in range(1, n + 1):
                 out = forward_move(f, i)
-                if out is not None and backward_move(out.function, i).function != f:
+                if out is not None and backward_move(out, i) != f:
                     ok = False
                 outb = backward_move(f, i)
-                if outb is not None and forward_move(outb.function, i).function != f:
+                if outb is not None and forward_move(outb, i) != f:
                     ok = False
     report(capsys, "criterion-04 forward and backward moves are mutually inverse", ok)
 
@@ -229,9 +229,8 @@ def test_criterion_10_residual_slacks(crystals, capsys):
         K = crystals(n, c)
         for f in K.functions:
             for i in range(1, n + 1):
-                ls = level_slacks(f, i)
-                er, dr = residual_slacks_by_cancelation(ls.eps, ls.delta)
-                if (er, dr) != (ls.eps_res, ls.delta_res):
+                eps, delta, eps_res, delta_res = slack_dicts(f, i)
+                if residual_slacks_by_cancelation(eps, delta) != (eps_res, delta_res):
                     ok = False
     rng = random.Random(20240817)
     for _ in range(10_000):

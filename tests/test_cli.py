@@ -47,6 +47,8 @@ def test_build_rejects_bad_bounds(capsys):
 def test_build_cap_exit_code(capsys):
     code, _, err = run(capsys, "build", "--n", "2", "--c", "1,2", "--cap", "5")
     assert code == EXIT_CAP and "error:" in err
+    code, _, err = run(capsys, "build", "--n", "2", "--c", "1,2", "--cap", "0")
+    assert code == EXIT_USAGE and "vertex cap must be positive" in err
 
 
 def test_verify_generated_crystal_passes(capsys):
@@ -228,6 +230,26 @@ def test_gt_conversion_round_trip(capsys, tmp_path):
     assert json.loads(back.read_text()) == f.to_json()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda vals: vals.pop(), "has no value for NodeRef(k=1, i=2, j=2)"),
+        (lambda vals: vals.append([1, 3, 3, 0]), "names NodeRef(k=1, i=3, j=3), which is not a node"),
+        (lambda vals: vals[0].__setitem__(3, 1.5), "gives NodeRef(k=1, i=1, j=1) the non-integer value 1.5"),
+    ],
+)
+def test_gt_rejects_a_malformed_weight_function(capsys, tmp_path, edit, message):
+    g = build_supporting_graph(2)
+    data = principal_function(g, (1, 1), zero_bounds((1, 2))).to_json()
+    edit(data["values"])
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(data))
+    code, _, err = run(capsys, "gt", "--direction", "to-pattern", "--in", str(fin))
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
 def test_gt_rejects_an_unbounded_pattern(capsys, tmp_path):
     pat = tmp_path / "p.json"
     pat.write_text("[[9], [9, 0]]")
@@ -236,6 +258,18 @@ def test_gt_rejects_an_unbounded_pattern(capsys, tmp_path):
         "--in", str(pat),
     )
     assert code == EXIT_VERDICT and "error:" in err
+
+
+@pytest.mark.parametrize("text, entry", [('[[1], [2, "x"]]', "'x'"), ("[[1], [2, 0.5]]", "0.5")])
+def test_gt_rejects_a_non_integer_pattern_entry(capsys, tmp_path, text, entry):
+    pat = tmp_path / "p.json"
+    pat.write_text(text)
+    code, _, err = run(
+        capsys, "gt", "--direction", "from-pattern", "--n", "2", "--c", "1,2",
+        "--in", str(pat),
+    )
+    assert code == EXIT_USAGE
+    assert err == f"error: pattern row 2 has the non-integer entry {entry}\n"
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -15,6 +15,7 @@ from ancrystal import (
     level_slacks,
     principal_function,
     residual_slacks_by_cancelation,
+    slack_dicts,
     string_lengths,
     switch_node,
     zero_bounds,
@@ -58,26 +59,25 @@ def reference_residuals(eps, delta, top):
 
 def test_slacks_of_the_two_level_source():
     f = source_function(2, (1, 2))
-    ls = level_slacks(f, 1)
-    assert ls.eps[1] == 3 and ls.delta[0] == 2
-    assert ls.eps_res[1] == 1
-    ls2 = level_slacks(f, 2)
-    assert ls2.eps_res == {1: 2, 2: 0, 3: 0}
+    eps, delta, eps_res, _ = slack_dicts(f, 1)
+    assert eps[1] == 3 and delta[0] == 2
+    assert eps_res[1] == 1
+    assert slack_dicts(f, 2)[2] == {1: 2, 2: 0, 3: 0}
 
 
 def test_sink_has_no_residual_upper_slack():
     f = sink_function(3, (2, 1, 2))
     for i in (1, 2, 3):
-        assert all(x == 0 for x in level_slacks(f, i).eps_res.values())
+        assert all(x == 0 for x in slack_dicts(f, i)[2].values())
 
 
 def test_top_upper_slack_is_zero_and_first_exceeds_lower():
     for n, c in ((2, (1, 2)), (3, (2, 1, 2))):
         f = source_function(n, c)
         for i in range(1, n + 1):
-            ls = level_slacks(f, i)
-            assert ls.eps[i + 1] == 0
-            assert ls.eps[1] >= ls.delta[0]
+            eps, delta, _, _ = slack_dicts(f, i)
+            assert eps[i + 1] == 0
+            assert eps[1] >= delta[0]
 
 
 def test_cancelation_trivial_and_single_step():
@@ -126,18 +126,20 @@ def test_active_multinodes_at_the_ends():
 
 def test_forward_moves_from_the_source():
     f0 = source_function(2, (1, 2))
-    out = forward_move(f0, 1)
-    assert out.node == NodeRef(1, 1, 1) and out.multinode == (1, 1)
-    out2 = forward_move(f0, 2)
-    assert out2.node == NodeRef(2, 2, 1) and out2.multinode == (2, 1)
+    assert active_multinode(f0, 1, FORWARD) == (1, 1)
+    assert switch_node(f0, 1, 1, FORWARD) == NodeRef(1, 1, 1)
+    assert forward_move(f0, 1) == f0.replace(NodeRef(1, 1, 1), 1)
+    assert active_multinode(f0, 2, FORWARD) == (2, 1)
+    assert switch_node(f0, 2, 1, FORWARD) == NodeRef(2, 2, 1)
+    assert forward_move(f0, 2) == f0.replace(NodeRef(2, 2, 1), 1)
     assert forward_move(sink_function(2, (1, 2)), 1) is None
     assert backward_move(f0, 1) is None
 
 
 def test_backward_undoes_forward():
     f0 = source_function(2, (1, 2))
-    stepped = forward_move(f0, 1).function
-    assert backward_move(stepped, 1).function == f0
+    stepped = forward_move(f0, 1)
+    assert backward_move(stepped, 1) == f0
 
 
 def all_feasible_functions(n, c):
@@ -159,11 +161,11 @@ def test_moves_preserve_feasibility_and_change_one_node(n, c):
             out = forward_move(f, i)
             if out is None:
                 continue
-            diffs = [
-                (a, b) for a, b in zip(f.values, out.function.values) if a != b
-            ]
-            assert diffs == [(f.value(out.node), f.value(out.node) + 1)]
-            assert is_feasible(g, out.function, f.bounds).ok
+            v = switch_node(f, *active_multinode(f, i, FORWARD), FORWARD)
+            diffs = [(a, b) for a, b in zip(f.values, out.values) if a != b]
+            assert diffs == [(f.value(v), f.value(v) + 1)]
+            assert out.value(v) == f.value(v) + 1
+            assert is_feasible(g, out, f.bounds).ok
 
 
 @pytest.mark.parametrize("n,c", [(2, (2, 2)), (3, (1, 1, 1))])
@@ -172,10 +174,10 @@ def test_move_involution_exhaustive(n, c):
         for i in range(1, n + 1):
             out = forward_move(f, i)
             if out is not None:
-                assert backward_move(out.function, i).function == f
+                assert backward_move(out, i) == f
             outb = backward_move(f, i)
             if outb is not None:
-                assert forward_move(outb.function, i).function == f
+                assert forward_move(outb, i) == f
 
 
 def test_string_lengths_at_source_and_sink():
@@ -195,14 +197,14 @@ def test_string_lengths_equal_iterated_moves():
                 out = forward_move(cur, i)
                 if out is None:
                     break
-                cur, count = out.function, count + 1
+                cur, count = out, count + 1
             assert count == h
             cur, count = f, 0
             while True:
                 out = backward_move(cur, i)
                 if out is None:
                     break
-                cur, count = out.function, count + 1
+                cur, count = out, count + 1
             assert count == t
 
 
@@ -215,7 +217,7 @@ def test_weight_changes_by_the_cartan_row():
             if out is None:
                 continue
             before = [string_lengths(f, j) for j in range(1, n + 1)]
-            after = [string_lengths(out.function, j) for j in range(1, n + 1)]
+            after = [string_lengths(out, j) for j in range(1, n + 1)]
             delta = [
                 (hb - tb) - (ha - ta)
                 for (hb, tb), (ha, ta) in zip(before, after)
@@ -230,13 +232,13 @@ def test_distant_colors_commute():
         b = forward_move(f, 3)
         if a is None or b is None:
             continue
-        ab = forward_move(a.function, 3)
-        ba = forward_move(b.function, 1)
+        ab = forward_move(a, 3)
+        ba = forward_move(b, 1)
         assert ab is not None and ba is not None
-        assert ab.function == ba.function
+        assert ab == ba
 
 
-def sandwich_rule(ls, i, direction):
+def sandwich_rule(eps_res, delta_res, i, direction):
     """The active multinode read off the residual slack dicts of level i.
 
     Forward: the least j whose residual lower slacks before it and residual
@@ -245,13 +247,13 @@ def sandwich_rule(ls, i, direction):
     """
     if direction == FORWARD:
         for j in range(1, i + 1):
-            if all(ls.delta_res[q] == 0 for q in range(0, j)) and all(
-                ls.eps_res[q] == 0 for q in range(j + 1, i + 2)
+            if all(delta_res[q] == 0 for q in range(0, j)) and all(
+                eps_res[q] == 0 for q in range(j + 1, i + 2)
             ):
-                return (i, j) if ls.eps_res[j] > 0 else None
+                return (i, j) if eps_res[j] > 0 else None
         return None
     for j in range(1, i + 1):
-        if ls.delta_res[j] > 0:
+        if delta_res[j] > 0:
             return (i, j)
     return None
 
@@ -273,7 +275,9 @@ def test_compiled_moves_match_the_slack_dicts(params, rng):
     """The compiled prefix sums agree with the slack dicts, and
     string_lengths, active_multinode and switch_node, which run on the
     compiled tables, agree with the residual dicts and the per-member switch
-    rule on vertices of K(c, d) with nonzero d."""
+    rule on vertices of K(c, d) with nonzero d; each forward move raises the
+    forward switch node by one, stays feasible and is undone by the backward
+    move."""
     n, d, width = params
     assume(any(d))
     c = tuple(dk + wk for dk, wk in zip(d, width))
@@ -281,13 +285,21 @@ def test_compiled_moves_match_the_slack_dicts(params, rng):
     functions = list(K.functions)
     for f in rng.sample(functions, min(len(functions), 150)):
         for i in range(1, n + 1):
-            ls = level_slacks(f, i)
-            steps = [ls.eps[j] - ls.delta[j - 1] for j in range(1, i + 2)]
-            assert ls.prefix == [0, *itertools.accumulate(steps)]
-            h, t = sum(ls.eps_res.values()), sum(ls.delta_res.values())
+            eps, delta, eps_res, delta_res = slack_dicts(f, i)
+            steps = [eps[j] - delta[j - 1] for j in range(1, i + 2)]
+            assert level_slacks(f, i) == [0, *itertools.accumulate(steps)]
+            h, t = sum(eps_res.values()), sum(delta_res.values())
             assert string_lengths(f, i) == (h, t)
             for direction in (FORWARD, BACKWARD):
-                assert active_multinode(f, i, direction) == sandwich_rule(ls, i, direction)
+                expected = sandwich_rule(eps_res, delta_res, i, direction)
+                assert active_multinode(f, i, direction) == expected
+            out = forward_move(f, i)
+            if out is None:
+                continue
+            v = switch_node(f, *active_multinode(f, i, FORWARD), FORWARD)
+            assert out == f.replace(v, f.value(v) + 1)
+            assert is_feasible(f.graph, out, f.bounds).ok
+            assert backward_move(out, i) == f
         for mn in f.graph.multinodes.values():
             allowed = allowed_switch_members(f.value, mn.members)
             assert switch_node(f, mn.i, mn.j, FORWARD) == mn.members[allowed[0]]
