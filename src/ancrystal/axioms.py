@@ -7,9 +7,11 @@ counterexample in canonical vertex order instead of raising.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import List, Optional
 
 from .errors import GraphFormatError
@@ -43,8 +45,8 @@ class Lines:
 
     ``nxt[k]``/``prv[k]`` is the single successor/predecessor of vertex ``k``
     (None at an end), ``t[k]``/``h[k]`` its distance to the start/end of its
-    line, and ``path[k]`` that line as a list of positions.  Only meaningful
-    once A1 holds.
+    line, ``path[k]`` that line as a list of positions, and ``starts`` the
+    first positions of the lines, ascending.  Only meaningful once A1 holds.
     """
 
     nxt: list
@@ -52,6 +54,7 @@ class Lines:
     t: list
     h: list
     path: list
+    starts: list
 
     @staticmethod
     def walk(nxt: list, prv: list) -> "Lines":
@@ -61,9 +64,8 @@ class Lines:
         t = [0] * size
         h = [0] * size
         path = [None] * size
-        for k in range(size):
-            if prv[k] is not None:
-                continue
+        starts = [k for k in range(size) if prv[k] is None]
+        for k in starts:
             line = []
             w = k
             while w is not None and path[w] is None:
@@ -73,19 +75,7 @@ class Lines:
             for pos, w in enumerate(line):
                 t[w] = pos
                 h[w] = len(line) - 1 - pos
-        return Lines(nxt, prv, t, h, path)
-
-    def reversed(self) -> "Lines":
-        """The same lines with every edge reversed: successor and predecessor,
-        t and h trade places, and so do edge labels 0 and 1.  Each line's path
-        is reversed once, from the vertex that starts it."""
-        path = list(self.path)
-        for k, line in enumerate(self.path):
-            if line[0] == k:
-                back = line[::-1]
-                for w in line:
-                    path[w] = back
-        return Lines(self.prv, self.nxt, self.h, self.t, path)
+        return Lines(nxt, prv, t, h, path, starts)
 
 
 @dataclass
@@ -107,6 +97,7 @@ class ColoredDigraph:
     prv: dict = field(init=False, repr=False)  # color -> [first tail position]
     more_out: dict = field(init=False, repr=False)  # color -> tail position -> [further heads]
     more_in: dict = field(init=False, repr=False)  # color -> head position -> [further tails]
+    _labels: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> labels()
 
     def __post_init__(self):
         if self.n < 1:
@@ -154,10 +145,29 @@ class ColoredDigraph:
                 raise GraphFormatError(f"color {c} contains a directed cycle")
         return table
 
-    @cached_property
-    def reversed_lines(self) -> dict:
-        """color -> the Lines of that color with every edge reversed."""
-        return {c: lines.reversed() for c, lines in self.lines.items()}
+    def labels(self, i: int, j: int) -> tuple:
+        """Per position, the label w.r.t. color j of its i-edge: 0 when t_j drops
+        by one and h_j is unchanged, 1 when t_j is unchanged and h_j grows by
+        one, 2 when neither holds (an A2 violation) and 3 without an i-edge;
+        and, at the start of each i-line, how many 0-labels open it when its
+        labels are 0s followed by 1s, else -1.  Built on first use."""
+        if (i, j) not in self._labels:
+            li, lj = self.lines[i], self.lines[j]
+            t, h = lj.t, lj.h
+            label = bytes([
+                3 if v is None else 0 if t[v] == t[u] - 1 and h[v] == h[u]
+                else 1 if t[v] == t[u] and h[v] == h[u] + 1 else 2
+                for u, v in enumerate(li.nxt)
+            ])
+            split = array("i", [0]) * len(label)
+            # every line's labels in turn, each closed by the 3 of its last vertex
+            in_turn = chain.from_iterable(map(li.path.__getitem__, li.starts))
+            along = bytes(map(label.__getitem__, in_turn))
+            for k, run in zip(li.starts, along.split(b"\3")):
+                ones = run.lstrip(b"\0")
+                split[k] = -1 if ones.lstrip(b"\1") else len(run) - len(ones)
+            self._labels[i, j] = (label, split)
+        return self._labels[i, j]
 
 
 def from_edge_list_text(text: str, n: Optional[int] = None) -> ColoredDigraph:
@@ -186,13 +196,18 @@ def from_edge_list_text(text: str, n: Optional[int] = None) -> ColoredDigraph:
 
 def from_crystal_json(data: dict) -> ColoredDigraph:
     try:
-        n = int(data["n"])
-        vertices = tuple(int(v["id"]) for v in data["vertices"])
-        edges = tuple(
-            (int(e["from"]), int(e["to"]), int(e["color"])) for e in data["edges"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        n = data["n"]
+        vertices = tuple(v["id"] for v in data["vertices"])
+        edges = tuple((e["from"], e["to"], e["color"]) for e in data["edges"])
+    except (KeyError, TypeError) as exc:
         raise GraphFormatError(f"malformed crystal JSON: {exc}") from exc
+    # no int(): it would read 0.9, 1.7 or "0" as another vertex or color
+    columns = {"n": (n,), "id": vertices}
+    columns.update((key, [e[p] for e in edges]) for p, key in enumerate(("from", "to", "color")))
+    for key, values in columns.items():
+        for x in values:
+            if type(x) is not int:  # a bool is an int, too
+                raise GraphFormatError(f"malformed crystal JSON: {key} {x!r} is not an integer")
     return ColoredDigraph(vertices, edges, n)
 
 
@@ -242,56 +257,53 @@ def check_A1(g: ColoredDigraph) -> Verdict:
     return _ok(name)
 
 
-def _label(lines: Lines, u: int, v: int) -> Optional[int]:
-    """Label of the edge (u, v) with respect to the color whose ``lines`` these are.
-
-    0 when t drops by one and h is unchanged, 1 when t is unchanged and h grows
-    by one; None when neither pattern holds (an A2 violation).
-    """
-    t, h = lines.t, lines.h
-    if t[v] == t[u] - 1 and h[v] == h[u]:
-        return 0
-    if t[v] == t[u] and h[v] == h[u] + 1:
-        return 1
-    return None
+# The label of an edge read backwards: reversing every edge swaps t and h, so
+# labels 0 and 1 trade places; 2 (invalid) and 3 (no edge) stay.
+FLIP = b"\1\0\2\3"
 
 
-def _zeros(lines: Lines, line: list) -> Optional[int]:
-    """How many 0-labels, with respect to the color whose ``lines`` these are,
-    open the path ``line`` when its labels are 0s followed by 1s; None otherwise."""
-    labels = [_label(lines, line[p], line[p + 1]) for p in range(len(line) - 1)]
-    zeros = labels.count(0)
-    if labels != [0] * zeros + [1] * (len(labels) - zeros):
-        return None
-    return zeros
+def _view(g: ColoredDigraph, i: int, j: int, back: bool) -> tuple:
+    """The successors of the neighboring colors i, j and, per ordered pair
+    (a, b) of them, the label w.r.t. b of the a-edge out of each position.
+    With ``back``, of the digraph with every edge reversed: ``prv`` in place of
+    ``nxt``, and the a-edge out of u is the one into u in ``g``, its label flipped."""
+    step = {c: g.lines[c].prv if back else g.lines[c].nxt for c in (i, j)}
+    label = {}
+    for a, b in ((i, j), (j, i)):
+        x = g.labels(a, b)[0]
+        label[a, b] = bytes([3 if p is None else FLIP[x[p]] for p in step[a]]) if back else x
+    return step, label
 
 
 def check_A2(g: ColoredDigraph) -> Verdict:
     name = "A2"
     lines = g.lines
     for i in range(1, g.n + 1):
-        for u, v in enumerate(lines[i].nxt):
-            if v is None:
-                continue
-            for j in range(1, g.n + 1):
-                lj = lines[j]
-                if abs(i - j) >= 2 and (lj.t[u], lj.h[u]) != (lj.t[v], lj.h[v]):
-                    fault = f"changes the color-{j} line position"
-                elif abs(i - j) == 1 and _label(lj, u, v) is None:
-                    fault = f"has an invalid (t_{j}, h_{j}) change"
-                else:
-                    continue
-                return _fail(name, f"{i}-edge ({g.vertices[u]}, {g.vertices[v]}) {fault}")
+        nxt = lines[i].nxt
+        # per color j, the first i-edge that breaks it: a neighboring color's
+        # label is invalid, a distant color's line position changes
+        faults = []
+        for j in range(1, g.n + 1):
+            if abs(i - j) == 1:
+                u = g.labels(i, j)[0].find(2)
+                if u >= 0:
+                    faults.append((u, j, f"has an invalid (t_{j}, h_{j}) change"))
+            elif abs(i - j) >= 2:
+                t, h = lines[j].t, lines[j].h
+                u = next((
+                    u for u, v in enumerate(nxt) if v is not None and (t[v] != t[u] or h[v] != h[u])
+                ), -1)
+                if u >= 0:
+                    faults.append((u, j, f"changes the color-{j} line position"))
+        if faults:
+            u, _, fault = min(faults)
+            return _fail(name, f"{i}-edge ({g.vertices[u]}, {g.vertices[nxt[u]]}) {fault}")
         # convexity: along any i-line the labels must be 0s followed by 1s
         for j in (i - 1, i + 1):
-            if not 1 <= j <= g.n:
-                continue
-            for k, line in enumerate(lines[i].path):
-                if line[0] == k and _zeros(lines[j], line) is None:
-                    return _fail(
-                        name,
-                        f"labels along the {i}-line through {g.vertices[k]} are not monotone in color {j}",
-                    )
+            split = g.labels(i, j)[1] if 1 <= j <= g.n else ()
+            if -1 in split:
+                where = f"the {i}-line through {g.vertices[split.index(-1)]}"
+                return _fail(name, f"labels along {where} are not monotone in color {j}")
     return _ok(name)
 
 
@@ -299,69 +311,73 @@ def critical_vertex(g: ColoredDigraph, v, i: int, j: int):
     """Critical vertex of the i-line through v with respect to color j, i.e. the
     vertex where the 0-labeled prefix ends; None when the labels are not split."""
     line = g.lines[i].path[g.index[v]]
-    zeros = _zeros(g.lines[j], line)
-    return None if zeros is None else g.vertices[line[zeros]]
+    zeros = g.labels(i, j)[1][line[0]]
+    return None if zeros < 0 else g.vertices[line[zeros]]
 
 
 def check_A3(g: ColoredDigraph) -> Verdict:
-    """Squares on 0-labeled outgoing edges; the same on the reversed digraph
+    """Squares on 0-labeled outgoing edges; the same on the reversed view
     covers 1-labeled incoming edges and backward squares."""
     name = "A3"
     views = (
-        (g.lines, "0-labeled {}-edge with non-1-labeled {}-edge", "square"),
-        (g.reversed_lines, "1-labeled incoming {}-edge with non-0-labeled {}-edge", "backward square"),
+        (False, "at {u}: 0-labeled {a}-edge with non-1-labeled {b}-edge",
+         "square at {u} for colors {a},{b} does not close"),
+        (True, "at {u}: 1-labeled incoming {a}-edge with non-0-labeled {b}-edge",
+         "backward square at {u} for colors {a},{b} does not close"),
     )
     for i in range(1, g.n):
         j = i + 1
-        for u, name_u in enumerate(g.vertices):
-            for lines, mismatch, square in views:
-                for (a, b) in ((i, j), (j, i)):
-                    la, lb = lines[a], lines[b]
-                    v, vp = la.nxt[u], lb.nxt[u]
-                    if v is None or vp is None:
-                        continue
-                    if _label(lb, u, v) == 0:
-                        if _label(la, u, vp) != 1:
-                            return _fail(name, f"at {name_u}: " + mismatch.format(a, b))
-                        w = lb.nxt[v]
-                        if w is None or w != la.nxt[vp]:
-                            return _fail(
-                                name, f"{square} at {name_u} for colors {a},{b} does not close"
-                            )
+        # per view and color order, the first position whose square fails
+        faults = []
+        for rank, (back, mismatch, square) in enumerate(views):
+            step, label = _view(g, i, j, back)
+            for a, b in ((i, j), (j, i)):
+                go_a, go_b, label_b = step[a], step[b], label[b, a]
+                u = next((
+                    u for u, x in enumerate(label[a, b])
+                    if x == 0 and (vp := go_b[u]) is not None
+                    and (label_b[u] != 1 or (w := go_b[go_a[u]]) is None or w != go_a[vp])
+                ), -1)
+                if u >= 0:
+                    fault = mismatch if label_b[u] != 1 else square
+                    faults.append((u, rank, a, fault.format(u=g.vertices[u], a=a, b=b)))
+        if faults:
+            return _fail(name, min(faults)[3])
     return _ok(name)
 
 
-def _chain(lines: dict, v, colors):
+def _chain(step: dict, v, colors):
     """Follow single successors for the given color sequence; None when a step is missing."""
     for c in colors:
         if v is None:
             return None
-        v = lines[c].nxt[v]
+        v = step[c][v]
     return v
 
 
 def check_A4(g: ColoredDigraph, strict: bool = False) -> Verdict:
     """Degree-4 Verma relation at vertices whose two outgoing neighboring-color
-    edges both carry label 1; in strict mode also on the reversed digraph, the
+    edges both carry label 1; in strict mode also on the reversed view, the
     inverse relation (it is derivable from the other axioms)."""
     name = "A4"
-    views = [(g.lines, "Verma")]
-    if strict:
-        views.append((g.reversed_lines, "inverse Verma"))
+    views = ((False, "Verma"), (True, "inverse Verma"))[: 2 if strict else 1]
     for i in range(1, g.n):
         j = i + 1
-        for u, name_u in enumerate(g.vertices):
-            for lines, relation in views:
-                li, lj = lines[i], lines[j]
-                v, vp = li.nxt[u], lj.nxt[u]
-                if v is None or vp is None:
-                    continue
-                if _label(lj, u, v) == 1 and _label(li, u, vp) == 1:
-                    w = _chain(lines, u, (i, j, j, i))
-                    if w is None or w != _chain(lines, u, (j, i, i, j)):
-                        return _fail(
-                            name, f"{relation} relation fails at {name_u} for colors {i},{j}"
-                        )
+        # per view, the first position where the relation fails
+        faults = []
+        for rank, (back, relation) in enumerate(views):
+            step, label = _view(g, i, j, back)
+            u = next((
+                u for u, x in enumerate(label[i, j])
+                if x == 1 and label[j, i][u] == 1
+                and ((w := _chain(step, u, (i, j, j, i))) is None
+                     or w != _chain(step, u, (j, i, i, j)))
+            ), -1)
+            if u >= 0:
+                faults.append((u, rank, relation))
+        if faults:
+            u, _, relation = min(faults)
+            return _fail(name, f"{relation} relation fails at {g.vertices[u]} for colors {i},{j}")
     return _ok(name)
 
 
@@ -390,17 +406,21 @@ def check_equal_criticals(g: ColoredDigraph) -> Verdict:
     name = "equal-criticals"
     for i in range(1, g.n):
         j = i + 1
-        # lines in the order of their first vertex in canonical order
-        done = set()
-        for v, line in zip(g.vertices, g.lines[i].path):
-            if line[0] in done:
-                continue
-            done.add(line[0])
-            r = critical_vertex(g, v, i, j)
+        li, lj = g.lines[i], g.lines[j]
+        split, back = g.labels(i, j)[1], g.labels(j, i)[1]
+        # the starts of the i-lines without a critical vertex r, or whose r is
+        # not critical on its j-line, which holds r at t_j[r]
+        faults = [
+            k for k in li.starts
+            if split[k] < 0 or back[lj.path[r := li.path[k][split[k]]][0]] != lj.t[r]
+        ]
+        if faults:
+            # the line met first in canonical order
+            k = min(faults, key=lambda k: min(li.path[k]))
+            r = critical_vertex(g, g.vertices[k], i, j)
             if r is None:
-                return _fail(name, f"no critical vertex on the {i}-line through {g.vertices[line[0]]}")
-            if critical_vertex(g, r, j, i) != r:
-                return _fail(name, f"vertex {r}: critical for color {i} w.r.t. {j} but not conversely")
+                return _fail(name, f"no critical vertex on the {i}-line through {g.vertices[k]}")
+            return _fail(name, f"vertex {r}: critical for color {i} w.r.t. {j} but not conversely")
     return _ok(name)
 
 

@@ -115,20 +115,33 @@ class WeightFunction:
     @staticmethod
     def from_json(data: dict) -> "WeightFunction":
         try:
-            g = build_supporting_graph(int(data["n"]))
-            b = Bounds(tuple(data["c"]), tuple(data["d"]))
-            raw = {NodeRef(k, i, j): val for k, i, j, val in data["values"]}
+            g = build_supporting_graph(data["n"])
+            c, d = tuple(data["c"]), tuple(data["d"])
+            entries = [(NodeRef(k, i, j), val) for k, i, j, val in data["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed weight-function JSON: {exc}") from exc
-        for v, val in raw.items():
+        # checked here, as Bounds would read 1.5 as 1
+        for name, bound in (("c", c), ("d", d)):
+            for p, x in enumerate(bound):
+                _check_integer(f"{name}[{p}]", x)
+        b = Bounds(c, d)
+        raw = {}
+        for v, val in entries:
             if v not in g.index:
                 raise ParameterError(f"weight-function JSON names {v}, which is not a node of G")
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ParameterError(f"weight-function JSON gives {v} the non-integer value {val!r}")
+            if v in raw:
+                raise ParameterError(f"weight-function JSON gives {v} a value twice")
+            _check_integer(v, val)
+            raw[v] = val
         for v in g.nodes:
             if v not in raw:
                 raise ParameterError(f"weight-function JSON has no value for {v}")
         return make_weight_function(g, raw, b)
+
+
+def _check_integer(what, x) -> None:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParameterError(f"weight-function JSON gives {what} the non-integer value {x!r}")
 
 
 def _switch_range(values, se, sw) -> tuple:

@@ -18,6 +18,7 @@ from ancrystal.axioms import (
     from_crystal_json,
     from_edge_list_text,
     verify_graph,
+    _view,
 )
 from conftest import DESK_PARAMS
 
@@ -51,6 +52,19 @@ def test_crystal_json_parser_rejects_malformed_input():
         from_crystal_json({"n": 1, "vertices": [{"id": 0}]})
     with pytest.raises(GraphFormatError):
         from_crystal_json({"n": 1, "vertices": [{"id": 0}], "edges": [{"from": 0}]})
+    # a field that is not an int, or is a bool, is named with its value, not truncated
+    edge = {"from": 0, "to": 1, "color": 1}
+    for key, value, where in (
+        ("id", 0.9, "vertices"), ("id", "0", "vertices"), ("id", True, "vertices"),
+        ("from", 0.5, "edges"), ("to", 1.0, "edges"), ("color", 1.7, "edges"), ("color", True, "edges"),
+    ):
+        data = {"n": 1, "vertices": [{"id": 0}, {"id": 1}], "edges": [edge]}
+        data[where] = [dict(data[where][0], **{key: value}), *data[where][1:]]
+        with pytest.raises(GraphFormatError, match=f"{key} {value!r} is not an integer"):
+            from_crystal_json(data)
+    for n in (2.7, "2", True):
+        with pytest.raises(GraphFormatError, match=f"n {n!r} is not an integer"):
+            from_crystal_json({"n": n, "vertices": [{"id": 0}], "edges": []})
 
 
 def test_round_trip_through_the_edge_list(crystals):
@@ -98,14 +112,27 @@ def test_a2_position_bookkeeping(crystals):
     assert check_A2(g).ok
 
 
-def test_reversed_lines_swap_ends():
-    # the 1-line 0 -> 1 -> 2 read backwards
+def test_reversed_view_swaps_ends_and_flips_labels(crystals):
+    # the 1-line 0 -> 1 -> 2 read backwards is the line 2 -> 1 -> 0
     g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (1, 2, 1)), 1)
-    lines = g.lines[1]
+    back = ColoredDigraph((0, 1, 2), ((1, 0, 1), (2, 1, 1)), 1)
+    lines, lines_back = g.lines[1], back.lines[1]
     assert (lines.nxt, lines.prv, lines.t, lines.h) == ([1, 2, None], [None, 0, 1], [0, 1, 2], [2, 1, 0])
-    back = lines.reversed()
-    assert (back.nxt, back.prv, back.t, back.h) == (lines.prv, lines.nxt, lines.h, lines.t)
-    assert back.path == [[2, 1, 0]] * 3
+    assert (lines_back.nxt, lines_back.prv, lines_back.t, lines_back.h) == (lines.prv, lines.nxt, lines.h, lines.t)
+    # the reversed view of a crystal, and of a mutant with invalid labels, is
+    # the forward view of the digraph with every edge reversed: prv in place
+    # of nxt, and the label of the edge into u flipped, (1, 0, 2)[label[prv[u]]]
+    K = crystals(2, (1, 2))
+    mutant = tuple(e for e in K.edges() if e != (0, 1, 1))
+    for edges, invalid in ((tuple(K.edges()), False), (mutant, True)):
+        g = ColoredDigraph(tuple(range(K.num_vertices)), edges, 2)
+        assert (2 in g.labels(2, 1)[0]) == invalid
+        back = ColoredDigraph(g.vertices, tuple((v, u, c) for (u, v, c) in edges), 2)
+        assert _view(g, 1, 2, back=True) == _view(back, 1, 2, back=False)
+        for i, j in ((1, 2), (2, 1)):
+            label, prv = g.labels(i, j)[0], g.lines[i].prv
+            flipped = [3 if p is None else (1, 0, 2)[label[p]] for p in prv]
+            assert list(back.labels(i, j)[0]) == flipped
 
 
 def test_a2_detects_a_distant_color_shift():

@@ -196,8 +196,13 @@ def test_color_count_below_one_is_a_format_error(n):
         ColoredDigraph((0,), (), n)
 
 
-def test_reversed_lines_are_built_once():
-    g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (1, 2, 1)), 1)
-    assert g.reversed_lines is g.reversed_lines
-    back = g.reversed_lines[1]
-    assert (back.nxt, back.prv, back.t, back.h) == ([None, 0, 1], [1, 2, None], [2, 1, 0], [0, 1, 2])
+def test_label_tables_are_built_once():
+    # 0 -1-> 1 -2-> 2: the 1-edge keeps t_2 and lengthens the 2-line (label
+    # 1), the 2-edge walks down the 1-line (label 0); 3 marks no edge
+    g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (1, 2, 2)), 2)
+    assert g.labels(1, 2) is g.labels(1, 2)
+    label, split = g.labels(1, 2)
+    assert (label, list(split)) == (bytes([1, 3, 3]), [0, 0, 0])
+    label, split = g.labels(2, 1)
+    # the 2-line 1 -> 2 opens with one 0-label; 0 is a line of its own
+    assert (label, list(split)) == (bytes([3, 0, 3]), [0, 1, 0])

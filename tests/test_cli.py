@@ -105,6 +105,17 @@ def test_verify_reports_skipped_checks_and_fails(capsys, tmp_path):
           "edges": [{"from": 0, "to": 1, "color": 1}]}, "vertex 0 is listed twice"),
         ({"n": 0, "vertices": [{"id": 0}], "edges": []}, "got 0"),
         ({"n": -2, "vertices": [{"id": 0}], "edges": []}, "got -2"),
+        # int() would have read these as vertex 0, color 1 and n = 2
+        ({"n": 2, "vertices": [{"id": 0.9}, {"id": 1}], "edges": [{"from": 0, "to": 1, "color": 1}]},
+         "id 0.9 is not an integer"),
+        ({"n": 2, "vertices": [{"id": 0}, {"id": 1}], "edges": [{"from": 0, "to": 1, "color": 1.7}]},
+         "color 1.7 is not an integer"),
+        ({"n": 2, "vertices": [{"id": "0"}, {"id": 1}], "edges": [{"from": 0, "to": 1, "color": 1}]},
+         "id '0' is not an integer"),
+        ({"n": 2.7, "vertices": [{"id": 0}, {"id": 1}], "edges": [{"from": 0, "to": 1, "color": 1}]},
+         "n 2.7 is not an integer"),
+        ({"n": 1, "vertices": [{"id": 0}, {"id": 1}], "edges": [{"from": False, "to": 1, "color": 1}]},
+         "from False is not an integer"),
     ],
 )
 def test_verify_rejects_an_invalid_crystal_json(capsys, tmp_path, graph, message):
@@ -233,20 +244,39 @@ def test_gt_conversion_round_trip(capsys, tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda vals: vals.pop(), "has no value for NodeRef(k=1, i=2, j=2)"),
-        (lambda vals: vals.append([1, 3, 3, 0]), "names NodeRef(k=1, i=3, j=3), which is not a node"),
-        (lambda vals: vals[0].__setitem__(3, 1.5), "gives NodeRef(k=1, i=1, j=1) the non-integer value 1.5"),
+        (lambda data: data["values"].pop(), "has no value for NodeRef(k=1, i=2, j=2)"),
+        (lambda data: data["values"].append([1, 3, 3, 0]), "names NodeRef(k=1, i=3, j=3), which is not a node"),
+        (lambda data: data["values"][0].__setitem__(3, 1.5),
+         "gives NodeRef(k=1, i=1, j=1) the non-integer value 1.5"),
+        (lambda data: data.__setitem__("c", [1.5, 2]), "gives c[0] the non-integer value 1.5"),
+        (lambda data: data.__setitem__("d", [0, False]), "gives d[1] the non-integer value False"),
+        (lambda data: data.__setitem__("c", "12"), "gives c[0] the non-integer value '1'"),
+        (lambda data: data.__setitem__("n", 2.7), "number of colors must be a positive integer, got 2.7"),
     ],
 )
 def test_gt_rejects_a_malformed_weight_function(capsys, tmp_path, edit, message):
     g = build_supporting_graph(2)
     data = principal_function(g, (1, 1), zero_bounds((1, 2))).to_json()
-    edit(data["values"])
+    edit(data)
     fin = tmp_path / "f.json"
     fin.write_text(json.dumps(data))
     code, _, err = run(capsys, "gt", "--direction", "to-pattern", "--in", str(fin))
     assert code == EXIT_USAGE
     assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_gt_rejects_a_node_given_twice(capsys, tmp_path):
+    # the repeat would silently replace the first value of NodeRef(k=1, i=1, j=1)
+    g = build_supporting_graph(2)
+    data = principal_function(g, (1, 1), zero_bounds((1, 2))).to_json()
+    k, i, j, value = data["values"][0]
+    data["values"].append([k, i, j, value + 1])
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(data))
+    code, stdout, err = run(capsys, "gt", "--direction", "to-pattern", "--in", str(fin))
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.startswith("error:") and "gives NodeRef(k=1, i=1, j=1) a value twice" in err
     assert len(err.splitlines()) == 1
 
 
