@@ -15,6 +15,7 @@ from .weights import (
     FORWARD,
     Bounds,
     WeightFunction,
+    base_constants,
     is_feasible,
     make_weight_function,
     principal_function,
@@ -30,7 +31,14 @@ from .moves import (
     slack_dicts,
     string_lengths,
 )
-from .gt import GTPattern, count_bounded_patterns, from_gt, sigma_bound, to_gt
+from .gt import (
+    GTPattern,
+    count_bounded_patterns,
+    from_gt,
+    sigma_bound,
+    to_gt,
+    weyl_dimension,
+)
 from .crystal import (
     CrystalGraph,
     dual,

@@ -136,7 +136,7 @@ def _load_graph(args):
     if args.n is None or args.c is None:
         raise ParameterError("verify needs either --in or --n/--c")
     K = generate(args.n, args.c, args.d, args.cap)
-    return axioms.from_crystal_json(K.to_json())
+    return axioms.ColoredDigraph(tuple(K.vertex_ids()), tuple(K.edges()), K.n)
 
 
 def cmd_verify(args) -> int:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Iterator, Optional, Tuple
 
 from .errors import CapExceededError, ModelError, ParameterError
+from .gt import weyl_dimension
 from .moves import forward_move, string_lengths
-from .support import build_supporting_graph
-from .weights import Bounds, WeightFunction, principal_function
+from .support import SupportingGraph, build_supporting_graph
+from .weights import Bounds, WeightFunction, base_constants, principal_function
 
 DEFAULT_CAP = 2_000_000
 
@@ -24,18 +27,23 @@ _DOT_PALETTE = (
 class CrystalGraph:
     """Colored digraph on weight functions; at most one edge per color each way.
 
-    Vertex ids are discovery order; ``functions[v]`` is the weight function of
-    vertex v and its dense value tuple is the canonical vertex key.
+    Stored as columns over vertex ids, which are discovery order:
+    ``keys[v]`` is the value tuple of vertex v's weight function (the
+    canonical vertex key, ``key_to_id`` its inverse), and for each color c
+    ``nxt[c][v]``/``prv[c][v]`` are the head of v's outgoing and the tail of
+    its incoming c-edge (-1 for none) and ``h[c][v]``/``t[c][v]`` its head and
+    tail string lengths, all ``array('i')``.  ``function(v)`` builds the
+    weight function on demand.
     """
 
-    n: int
+    graph: SupportingGraph
     bounds: Bounds
     colors: tuple
-    functions: tuple
-    succ: tuple  # per vertex: dict color -> head id
-    pred: tuple  # per vertex: dict color -> tail id
-    h: tuple  # per vertex: dict color -> head string length
-    t: tuple  # per vertex: dict color -> tail string length
+    keys: tuple
+    nxt: dict  # color -> array('i') of head ids, -1 for none
+    prv: dict  # color -> array('i') of tail ids, -1 for none
+    h: dict  # color -> array('i') of head string lengths
+    t: dict  # color -> array('i') of tail string lengths
     source: Optional[int]
     sink: Optional[int]
     key_to_id: dict = field(repr=False)
@@ -43,54 +51,65 @@ class CrystalGraph:
     # -- basics ----------------------------------------------------------------
 
     @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
     def num_vertices(self) -> int:
-        return len(self.functions)
+        return len(self.keys)
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self.succ)
+        return sum(len(col) - col.count(-1) for col in self.nxt.values())
 
     def vertex_ids(self) -> range:
         return range(self.num_vertices)
+
+    def function(self, v: int) -> WeightFunction:
+        return WeightFunction(self.graph, self.bounds, self.keys[v])
 
     def vertex_by_function(self, f: WeightFunction) -> int:
         return self.key_to_id[f.values]
 
     def wt(self, v: int) -> dict:
-        return {c: self.h[v][c] - self.t[v][c] for c in self.colors}
+        return {c: self.h[c][v] - self.t[c][v] for c in self.colors}
 
     def edges(self) -> Iterator[Tuple[int, int, int]]:
         """All (tail, head, color) triples, sorted by tail then color."""
-        for v in self.vertex_ids():
-            for c in sorted(self.succ[v]):
-                yield (v, self.succ[v][c], c)
+        order = sorted(self.colors)
+        for v, heads in enumerate(zip(*(self.nxt[c] for c in order))):
+            for c, w in zip(order, heads):
+                if w >= 0:
+                    yield (v, w, c)
+
+    def _rows(self, columns) -> Iterator[tuple]:
+        """Per vertex, its entries of the per-color ``columns`` in color order."""
+        if not self.colors:
+            return repeat((), self.num_vertices)
+        return zip(*(columns[c] for c in self.colors))
 
     def __eq__(self, other):
         if not isinstance(other, CrystalGraph):
             return NotImplemented
         return (
-            self.n == other.n
+            self.graph == other.graph
             and self.bounds == other.bounds
             and self.colors == other.colors
-            and [f.values for f in self.functions] == [f.values for f in other.functions]
-            and list(self.succ) == list(other.succ)
+            and self.keys == other.keys
+            and self.nxt == other.nxt
         )
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
+        rows = zip(self.keys, self._rows(self.h), self._rows(self.t))
         data = {
             "n": self.n,
             "c": list(self.bounds.c),
             "d": list(self.bounds.d),
             "vertices": [
-                {
-                    "id": v,
-                    "weights": list(self.functions[v].values),
-                    "h": [self.h[v][c] for c in self.colors],
-                    "t": [self.t[v][c] for c in self.colors],
-                }
-                for v in self.vertex_ids()
+                {"id": v, "weights": list(key), "h": list(hv), "t": list(tv)}
+                for v, (key, hv, tv) in enumerate(rows)
             ],
             "edges": [
                 {"from": u, "to": w, "color": c} for (u, w, c) in self.edges()
@@ -105,13 +124,12 @@ class CrystalGraph:
 
     def to_dot(self) -> str:
         lines = ["digraph crystal {"]
-        for v in self.vertex_ids():
-            f = self.functions[v]
-            a = f.constants()
+        for v, key in enumerate(self.keys):
+            a = base_constants(self.graph, key)
             if None not in a:
                 label = "p" + "".join(str(x) for x in a)
             else:
-                label = hashlib.sha1(repr(f.values).encode()).hexdigest()[:8]
+                label = hashlib.sha1(repr(key).encode()).hexdigest()[:8]
             lines.append(f'  v{v} [label="{label}"];')
         for (u, w, c) in self.edges():
             color = _DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]
@@ -163,39 +181,51 @@ def json_text(data: dict) -> str:
     return "".join(parts)
 
 
-def _measured_strings(num, succ, pred, colors):
-    """Per-vertex head/tail string lengths read off the graph itself.
+def _measured_strings(num, nxt, prv, colors):
+    """Per-color head/tail string length columns read off the graph itself.
 
     Each c-line is walked once from its start, the vertex with no
     c-predecessor; a vertex at position p of a line of length L gets
     t = p and h = L - 1 - p.
     """
-    h = [{} for _ in range(num)]
-    t = [{} for _ in range(num)]
+    h = {}
+    t = {}
     for c in colors:
-        for v in range(num):
-            if c in pred[v]:
+        hc = array("i", [0]) * num
+        tc = array("i", [0]) * num
+        succ = nxt[c]
+        for v, u in enumerate(prv[c]):
+            if u >= 0:
                 continue
             line = [v]
-            nxt = succ[v].get(c)
-            while nxt is not None:
-                line.append(nxt)
-                nxt = succ[nxt].get(c)
+            w = succ[v]
+            while w >= 0:
+                line.append(w)
+                w = succ[w]
             last = len(line) - 1
             for p, w in enumerate(line):
-                t[w][c] = p
-                h[w][c] = last - p
-    return tuple(h), tuple(t)
+                tc[w] = p
+                hc[w] = last - p
+        h[c] = hc
+        t[c] = tc
+    return h, t
 
 
-def _unique_end(num, adj) -> Optional[int]:
-    ends = [v for v in range(num) if not adj[v]]
+def _unique_end(num, columns) -> Optional[int]:
+    """The one id that is -1 in every column, or None when there is not one."""
+    if columns:
+        ends = [v for v, row in enumerate(zip(*columns)) if max(row) < 0]
+    else:
+        ends = range(num)
     return ends[0] if len(ends) == 1 else None
 
 
 def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     """Crystal digraph K(c, d): closure of the constant-d function under all
-    forward moves, vertices deduplicated by their value tuples."""
+    forward moves, vertices deduplicated by their value tuples.
+
+    The Weyl dimension gives the exact size first, so a crystal above ``cap``
+    fails before any move is made."""
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ParameterError(f"vertex cap must be an integer, got {cap!r}")
     if cap < 1:
@@ -208,51 +238,59 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     if len(c) != n or len(d) != n:
         raise ParameterError(f"bound tuples must have length n={n}")
     b = Bounds(c, d)
+    size = weyl_dimension(b.c, b.d)
+    if size > cap:
+        raise CapExceededError(cap, 0, size)
+    colors = tuple(range(1, n + 1))
     f0 = principal_function(g, d, b)
-    functions: List[WeightFunction] = [f0]
-    key_to_id: Dict[tuple, int] = {f0.values: 0}
-    succ: List[dict] = [{}]
-    pred: List[dict] = [{}]
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        f = functions[v]
-        for i in range(1, n + 1):
+    keys = [f0.values]
+    key_to_id = {f0.values: 0}
+    nxt = [array("i", [-1]) for _ in colors]
+    prv = [array("i", [-1]) for _ in colors]
+    h = [array("i") for _ in colors]
+    t = [array("i") for _ in colors]
+    # ids are handed out in the order vertices enter the frontier, so the
+    # vertex taken off it is always the next id
+    frontier = deque([f0])
+    v = -1
+    while frontier:
+        f = frontier.popleft()
+        v += 1
+        for i in colors:
+            head, tail = string_lengths(f, i)
+            h[i - 1].append(head)
+            t[i - 1].append(tail)
             moved = forward_move(f, i)
             if moved is None:
                 continue
             key = moved.values
             w = key_to_id.get(key)
             if w is None:
-                if len(functions) >= cap:
-                    raise CapExceededError(cap, len(functions))
-                w = len(functions)
+                w = len(keys)
+                if w >= cap:
+                    raise CapExceededError(cap, w)
                 key_to_id[key] = w
-                functions.append(moved)
-                succ.append({})
-                pred.append({})
-                queue.append(w)
-            succ[v][i] = w
-            if i in pred[w]:
+                keys.append(key)
+                for col in nxt:
+                    col.append(-1)
+                for col in prv:
+                    col.append(-1)
+                frontier.append(moved)
+            nxt[i - 1][v] = w
+            if prv[i - 1][w] >= 0:
                 raise ModelError(f"vertex {w} received two incoming {i}-edges")
-            pred[w][i] = v
-    colors = tuple(range(1, n + 1))
-    h = []
-    t = []
-    for f in functions:
-        pairs = [string_lengths(f, i) for i in colors]
-        h.append({i: p[0] for i, p in zip(colors, pairs)})
-        t.append({i: p[1] for i, p in zip(colors, pairs)})
-    num = len(functions)
-    source = _unique_end(num, pred)
-    sink = _unique_end(num, succ)
+            prv[i - 1][w] = v
+    num = len(keys)
+    source = _unique_end(num, prv)
+    sink = _unique_end(num, nxt)
     if source != 0:
         raise ModelError("generation produced more than one zero-indegree vertex")
     if sink is None:
         raise ModelError("generation produced more than one zero-outdegree vertex")
     return CrystalGraph(
-        n=n, bounds=b, colors=colors, functions=tuple(functions),
-        succ=tuple(succ), pred=tuple(pred), h=tuple(h), t=tuple(t),
+        graph=g, bounds=b, colors=colors, keys=tuple(keys),
+        nxt=dict(zip(colors, nxt)), prv=dict(zip(colors, prv)),
+        h=dict(zip(colors, h)), t=dict(zip(colors, t)),
         source=source, sink=sink, key_to_id=key_to_id,
     )
 
@@ -264,43 +302,35 @@ def subgraph(K: CrystalGraph, vertex_ids, colors=None) -> CrystalGraph:
         colors = K.colors
     colors = tuple(colors)
     ids = sorted(set(vertex_ids))
-    new_id = {v: p for p, v in enumerate(ids)}
-    functions = tuple(K.functions[v] for v in ids)
-    succ = []
-    pred = []
-    for v in ids:
-        succ.append(
-            {c: new_id[w] for c, w in K.succ[v].items() if c in colors and w in new_id}
-        )
-        pred.append(
-            {c: new_id[w] for c, w in K.pred[v].items() if c in colors and w in new_id}
-        )
-    h, t = _measured_strings(len(ids), succ, pred, colors)
-    key_to_id = {f.values: p for p, f in enumerate(functions)}
+    # -1, the "none" entry, is not an id, so it maps to itself
+    new_id = {v: p for p, v in enumerate(ids)}.get
+    nxt = {c: array("i", [new_id(K.nxt[c][v], -1) for v in ids]) for c in colors}
+    prv = {c: array("i", [new_id(K.prv[c][v], -1) for v in ids]) for c in colors}
+    num = len(ids)
+    h, t = _measured_strings(num, nxt, prv, colors)
+    keys = tuple(K.keys[v] for v in ids)
     return CrystalGraph(
-        n=K.n, bounds=K.bounds, colors=colors, functions=functions,
-        succ=tuple(succ), pred=tuple(pred), h=h, t=t,
-        source=_unique_end(len(ids), pred), sink=_unique_end(len(ids), succ),
-        key_to_id=key_to_id,
+        graph=K.graph, bounds=K.bounds, colors=colors, keys=keys,
+        nxt=nxt, prv=prv, h=h, t=t,
+        source=_unique_end(num, prv.values()),
+        sink=_unique_end(num, nxt.values()),
+        key_to_id={key: p for p, key in enumerate(keys)},
     )
 
 
 def dual(K: CrystalGraph) -> CrystalGraph:
     """Edge-reversed crystal with colors kept; source and sink trade places."""
-    return CrystalGraph(
-        n=K.n, bounds=K.bounds, colors=K.colors, functions=K.functions,
-        succ=K.pred, pred=K.succ, h=K.t, t=K.h,
-        source=K.sink, sink=K.source, key_to_id=K.key_to_id,
-    )
+    return replace(K, nxt=K.prv, prv=K.nxt, h=K.t, t=K.h, source=K.sink, sink=K.source)
 
 
-def _reachable(K: CrystalGraph, start: int, adj) -> set:
+def _reachable(start: int, columns) -> set:
     seen = {start}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for w in adj[v].values():
-            if w not in seen:
+        for col in columns:
+            w = col[v]
+            if w >= 0 and w not in seen:
                 seen.add(w)
                 queue.append(w)
     return seen
@@ -308,7 +338,7 @@ def _reachable(K: CrystalGraph, start: int, adj) -> set:
 
 def interval(K: CrystalGraph, u: int, v: int) -> CrystalGraph:
     """Subgraph of vertices and edges lying on directed paths from u to v."""
-    ids = _reachable(K, u, K.succ) & _reachable(K, v, K.pred)
+    ids = _reachable(u, K.nxt.values()) & _reachable(v, K.prv.values())
     if u not in ids or v not in ids:
         ids = set()
     return subgraph(K, ids)
@@ -331,19 +361,19 @@ def find_isomorphism(K1: CrystalGraph, K2: CrystalGraph, color_map=None) -> Opti
         return {}
     if K1.source is None or K2.source is None:
         raise ParameterError("isomorphism matching requires unique sources")
+    pairs = [(K1.nxt[c], K2.nxt[color_map[c]]) for c in K1.colors]
     m = {K1.source: K2.source}
     rm = {K2.source: K1.source}
     queue = deque([K1.source])
     while queue:
         v1 = queue.popleft()
         v2 = m[v1]
-        s1 = {color_map[c]: w for c, w in K1.succ[v1].items()}
-        s2 = dict(K2.succ[v2])
-        if set(s1) != set(s2):
-            return None
-        for c, w1 in s1.items():
-            w2 = s2[c]
-            if w1 in m:
+        for col1, col2 in pairs:
+            w1, w2 = col1[v1], col2[v2]
+            if w1 < 0 or w2 < 0:
+                if w1 != w2:
+                    return None
+            elif w1 in m:
                 if m[w1] != w2:
                     return None
             elif w2 in rm:
@@ -367,6 +397,7 @@ def find_sink_by_operators(K: CrystalGraph, start: int) -> int:
     v = start
     for i in range(1, K.n + 1):
         for c in range(i, 0, -1):
-            while c in K.succ[v]:
-                v = K.succ[v][c]
+            col = K.nxt.get(c)
+            while col is not None and col[v] >= 0:
+                v = col[v]
     return v

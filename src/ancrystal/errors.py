@@ -14,14 +14,18 @@ class InfeasibleError(ModelError, ValueError):
 
 
 class CapExceededError(ModelError, RuntimeError):
-    """Crystal generation hit the vertex cap before closure."""
+    """Crystal generation would pass the vertex cap: found before the closure
+    from the exact ``size``, or during it after ``partial_count`` vertices."""
 
-    def __init__(self, cap, partial_count):
+    def __init__(self, cap, partial_count, size=None):
         self.cap = cap
         self.partial_count = partial_count
-        super().__init__(
-            f"vertex cap {cap} exceeded ({partial_count} vertices discovered so far)"
-        )
+        self.size = size
+        if size is None:
+            message = f"vertex cap {cap} exceeded ({partial_count} vertices discovered so far)"
+        else:
+            message = f"vertex cap {cap} exceeded: the crystal has {size} vertices"
+        super().__init__(message)
 
 
 class GraphFormatError(ModelError, ValueError):

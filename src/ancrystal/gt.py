@@ -63,6 +63,24 @@ def sigma_bound(c) -> tuple:
     return tuple(sum(c[: n - j]) for j in range(n))
 
 
+def weyl_dimension(c, d=None) -> int:
+    """Number of vertices of K(c, d), by the Weyl dimension formula.
+
+    The product over p < q of (l_p - l_q + q - p) / (q - p) with
+    l = sigma_bound(c - d) + (0,), in O(n^2); ``count_bounded_patterns``
+    enumerates the same number.
+    """
+    c = tuple(c)
+    b = Bounds(c, (0,) * len(c) if d is None else tuple(d))
+    lam = sigma_bound(b.width) + (0,)
+    num = den = 1
+    for q in range(len(lam)):
+        for p in range(q):
+            num *= lam[p] - lam[q] + q - p
+            den *= q - p
+    return num // den
+
+
 def _prefix(c, length: int) -> int:
     # c[1:length] with the empty range (length <= 0) summing to 0
     return sum(c[:length])

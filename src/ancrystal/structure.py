@@ -16,7 +16,7 @@ from .crystal import (
 )
 from .errors import ModelError, ParameterError
 from .support import build_supporting_graph
-from .weights import principal_function
+from .weights import base_constants, principal_function
 
 UPPER = "upper"
 LOWER = "lower"
@@ -44,8 +44,9 @@ class PrincipalLattice:
 
 def principal_lattice(K: CrystalGraph) -> PrincipalLattice:
     by_tuple = {}
-    for v, f in enumerate(K.functions):
-        a = f.constants()
+    g = K.graph
+    for v, key in enumerate(K.keys):
+        a = base_constants(g, key)
         if None not in a:
             by_tuple[a] = v
     return PrincipalLattice(by_tuple)
@@ -61,7 +62,7 @@ def principal_interval(K: CrystalGraph, a, b) -> CrystalGraph:
         raise ParameterError(f"principal tuples must have length {K.n}")
     if not all(bd.d[k] <= a[k] <= b[k] <= bd.c[k] for k in range(K.n)):
         raise ParameterError(f"need d <= a <= b <= c, got a={a}, b={b}")
-    g = K.functions[0].graph
+    g = K.graph
     u = K.vertex_by_function(principal_function(g, a, bd))
     v = K.vertex_by_function(principal_function(g, b, bd))
     return interval(K, u, v)
@@ -99,8 +100,9 @@ def base_crystal(n: int, k: int, ck: int) -> CrystalGraph:
 def skeleton(K: CrystalGraph) -> Skeleton:
     n = K.n
     groups: Dict[Tuple[int, tuple], List[int]] = {}
-    for v, f in enumerate(K.functions):
-        consts = f.constants()
+    g = K.graph
+    for v, key in enumerate(K.keys):
+        consts = base_constants(g, key)
         for k in range(1, n + 1):
             fixed = consts[:k - 1] + consts[k:]
             if None not in fixed:
@@ -178,9 +180,10 @@ def canonical_string(n: int, k: int) -> FundamentalString:
 def apply_string(K: CrystalGraph, v: int, string: FundamentalString) -> Optional[int]:
     """Follow the string's moves from vertex v; None when some move is missing."""
     for i in string.application_order:
-        if i not in K.succ[v]:
+        heads = K.nxt.get(i)
+        if heads is None or heads[v] < 0:
             return None
-        v = K.succ[v][i]
+        v = heads[v]
     return v
 
 
@@ -211,23 +214,25 @@ def _side_colors(n: int, side: str) -> tuple:
 
 def _component(K: CrystalGraph, start: int, colors) -> list:
     """Sorted ids of the component of ``start`` along edges of the given colors."""
+    columns = [K.nxt[c] for c in colors] + [K.prv[c] for c in colors]
     comp = {start}
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        for adj in (K.succ[v], K.pred[v]):
-            for c, w in adj.items():
-                if c in colors and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
+        for col in columns:
+            w = col[v]
+            if w >= 0 and w not in comp:
+                comp.add(w)
+                queue.append(w)
     return sorted(comp)
 
 
 def _line_length(K: CrystalGraph, v: int, color: int) -> int:
-    """Number of color-edges on the line walked along ``K.succ`` from v."""
+    """Number of color-edges on the line walked along ``K.nxt`` from v."""
+    col = K.nxt[color]
     m = 0
-    while color in K.succ[v]:
-        v, m = K.succ[v][color], m + 1
+    while col[v] >= 0:
+        v, m = col[v], m + 1
     return m
 
 
@@ -254,10 +259,11 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     """
     n = K.n
     colors = _side_colors(n, side)
-    g = K.functions[0].graph
-    ends = [g.bottom(k) if side == UPPER else g.top(k) for k in range(1, n + 1)]
+    g = K.graph
+    ends = [g.index[g.bottom(k) if side == UPPER else g.top(k)] for k in range(1, n + 1)]
     parameter = upper_parameter if side == UPPER else lower_parameter
     c, d = K.bounds.width, K.bounds.d
+    prv = [K.prv[col] for col in colors]
     records = []
     seen = set()
     for start in K.vertex_ids():
@@ -265,10 +271,10 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
             continue
         comp = _component(K, start, colors)
         seen.update(comp)
-        f = K.functions[comp[0]]
-        anchor = tuple(f.value(node) for node in ends)
+        key = K.keys[comp[0]]
+        anchor = tuple(key[p] for p in ends)
         formula = parameter(c, _minus(anchor, d))
-        sources = [v for v in comp if not any(col in K.pred[v] for col in colors)]
+        sources = [v for v in comp if all(tails[v] < 0 for tails in prv)]
         if len(sources) != 1:
             raise ModelError(f"{side} component through vertex {comp[0]} has no unique source")
         measured = tuple(_line_length(K, sources[0], col) for col in colors)
@@ -277,7 +283,7 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
                 f"{side} subcrystal at anchor {anchor}: measured parameter "
                 f"{measured} differs from formula {formula}"
             )
-        principals = [v for v in comp if K.functions[v].is_principal()]
+        principals = [v for v in comp if None not in base_constants(g, K.keys[v])]
         if len(principals) != 1:
             raise ModelError(
                 f"{side} subcrystal at anchor {anchor} contains "
@@ -298,7 +304,7 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     """
     a = tuple(int(x) for x in a)
     colors = _side_colors(K.n, side)
-    v = K.vertex_by_function(principal_function(K.functions[0].graph, a, K.bounds))
+    v = K.vertex_by_function(principal_function(K.graph, a, K.bounds))
     shifted = _minus(a, K.bounds.d)
     formula = shifted[1:] if side == UPPER else shifted[:-1]
     parameter = upper_parameter if side == UPPER else lower_parameter
@@ -308,7 +314,7 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     m = find_isomorphism(subgraph(K, comp, colors), ref, color_map)
     if m is None:
         raise ModelError(f"{side} subcrystal at {a} does not match its reference crystal")
-    located = ref.functions[m[comp.index(v)]].constants()
+    located = base_constants(ref.graph, ref.keys[m[comp.index(v)]])
     if located != formula:
         raise ModelError(
             f"principal vertex {a}: located at {located} in its {side} subcrystal, "

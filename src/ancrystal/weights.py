@@ -90,16 +90,7 @@ class WeightFunction:
     def constants(self) -> tuple:
         """Per color k, the value f takes on all of G^k, or None where f is not
         constant on G^k."""
-        values = self.values
-        out = []
-        for positions in self.graph.base_index:
-            x = values[positions[0]]
-            for p in positions:
-                if values[p] != x:
-                    x = None
-                    break
-            out.append(x)
-        return tuple(out)
+        return base_constants(self.graph, self.values)
 
     def is_principal(self) -> bool:
         return None not in self.constants()
@@ -117,7 +108,7 @@ class WeightFunction:
         try:
             g = build_supporting_graph(data["n"])
             c, d = tuple(data["c"]), tuple(data["d"])
-            entries = [(NodeRef(k, i, j), val) for k, i, j, val in data["values"]]
+            entries = [((k, i, j), val) for k, i, j, val in data["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed weight-function JSON: {exc}") from exc
         # checked here, as Bounds would read 1.5 as 1
@@ -126,7 +117,14 @@ class WeightFunction:
                 _check_integer(f"{name}[{p}]", x)
         b = Bounds(c, d)
         raw = {}
-        for v, val in entries:
+        for coords, val in entries:
+            for x in coords:
+                # 1.0 or True would equal a coordinate and name a real node
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ParameterError(
+                        f"weight-function JSON names a node by the non-integer coordinate {x!r}"
+                    )
+            v = NodeRef(*coords)
             if v not in g.index:
                 raise ParameterError(f"weight-function JSON names {v}, which is not a node of G")
             if v in raw:
@@ -137,6 +135,20 @@ class WeightFunction:
             if v not in raw:
                 raise ParameterError(f"weight-function JSON has no value for {v}")
         return make_weight_function(g, raw, b)
+
+
+def base_constants(g: SupportingGraph, values) -> tuple:
+    """Per color k, the value a canonical-order value tuple takes on all of
+    G^k, or None where it is not constant on G^k."""
+    out = []
+    for positions in g.base_index:
+        x = values[positions[0]]
+        for p in positions:
+            if values[p] != x:
+                x = None
+                break
+        out.append(x)
+    return tuple(out)
 
 
 def _check_integer(what, x) -> None:

@@ -69,6 +69,16 @@ def test_verify_round_trips_through_json_and_edge_list(capsys, tmp_path):
     assert run(capsys, "verify", "--in", str(e))[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("c,d", [((1, 1, 1), (0, 0, 0)), ((2, 1, 2), (1, 0, 1))])
+def test_verify_from_parameters_prints_what_verify_of_the_json_prints(capsys, tmp_path, c, d):
+    j = tmp_path / "k.json"
+    j.write_text(json.dumps(generate(3, c, d).to_json()))
+    from_file = run(capsys, "verify", "--in", str(j), "--strict-a4")
+    bounds = [",".join(map(str, xs)) for xs in (c, d)]
+    direct = run(capsys, "verify", "--n", "3", "--c", bounds[0], "--d", bounds[1], "--strict-a4")
+    assert direct == from_file and direct[0] == EXIT_OK
+
+
 def test_verify_flags_a_mutated_graph(capsys, tmp_path):
     K = generate(2, (1, 2))
     lines = K.to_edge_list_text().splitlines()
@@ -248,6 +258,11 @@ def test_gt_conversion_round_trip(capsys, tmp_path):
         (lambda data: data["values"].append([1, 3, 3, 0]), "names NodeRef(k=1, i=3, j=3), which is not a node"),
         (lambda data: data["values"][0].__setitem__(3, 1.5),
          "gives NodeRef(k=1, i=1, j=1) the non-integer value 1.5"),
+        # 1.0 and True equal the coordinates of real nodes
+        (lambda data: data["values"][0].__setitem__(0, 1.0),
+         "names a node by the non-integer coordinate 1.0"),
+        (lambda data: next(e for e in data["values"] if e[:3] == [2, 1, 1]).__setitem__(1, True),
+         "names a node by the non-integer coordinate True"),
         (lambda data: data.__setitem__("c", [1.5, 2]), "gives c[0] the non-integer value 1.5"),
         (lambda data: data.__setitem__("d", [0, False]), "gives d[1] the non-integer value False"),
         (lambda data: data.__setitem__("c", "12"), "gives c[0] the non-integer value '1'"),

@@ -1,5 +1,9 @@
+import gc
 import itertools
 import json
+import time
+import tracemalloc
+from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,16 +12,22 @@ from ancrystal import (
     Bounds,
     CapExceededError,
     ParameterError,
+    build_supporting_graph,
     count_bounded_patterns,
     dual,
     find_isomorphism,
     find_sink_by_operators,
+    forward_move,
     generate,
     interval,
     isomorphic,
+    principal_function,
     sigma_bound,
+    string_lengths,
     subgraph,
+    weyl_dimension,
 )
+from ancrystal import crystal
 from ancrystal.crystal import json_text
 from ancrystal.axioms import all_pass, from_crystal_json, verify_graph
 from conftest import DESK_PARAMS
@@ -56,7 +66,7 @@ def test_anchor_crystal_counts(crystals):
     K = crystals(2, (1, 2))
     assert (K.num_vertices, K.num_edges) == (15, 18)
     assert K.source == 0
-    assert not K.pred[K.source] and not K.succ[K.sink]
+    assert all(K.prv[c][K.source] == -1 and K.nxt[c][K.sink] == -1 for c in K.colors)
 
 
 def test_equal_bounds_give_a_single_vertex():
@@ -66,9 +76,35 @@ def test_equal_bounds_give_a_single_vertex():
 
 
 def test_cap_is_enforced():
+    # K(2; 1,2) has 15 vertices, known from the Weyl dimension before any move
     with pytest.raises(CapExceededError) as e:
         generate(2, (1, 2), cap=7)
-    assert e.value.cap == 7 and e.value.partial_count == 7
+    assert e.value.cap == 7 and e.value.size == 15 and e.value.partial_count == 0
+    assert str(e.value) == "vertex cap 7 exceeded: the crystal has 15 vertices"
+    assert generate(2, (1, 2), cap=15).num_vertices == 15
+
+
+def test_the_closure_keeps_its_own_cap_check(monkeypatch):
+    # with a preflight that undercounts, the closure still stops at the cap
+    monkeypatch.setattr(crystal, "weyl_dimension", lambda c, d: 1)
+    with pytest.raises(CapExceededError) as e:
+        generate(2, (1, 2), cap=7)
+    assert e.value.cap == 7 and e.value.partial_count == 7 and e.value.size is None
+
+
+def test_an_oversized_crystal_fails_before_the_closure():
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="the crystal has 2737800 vertices"):
+        generate(4, (4, 3, 3, 4))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weyl_dimension_is_the_pattern_count(n):
+    for c in itertools.product(range(3), repeat=n):
+        assert weyl_dimension(c) == count_bounded_patterns(n, sigma_bound(c)), c
+    # only c - d matters
+    assert weyl_dimension((3,) * n, (1,) * n) == weyl_dimension((2,) * n)
 
 
 @pytest.mark.parametrize("n,c", DESK_PARAMS)
@@ -80,7 +116,7 @@ def test_sizes_match_the_pattern_count(n, c, crystals):
 def test_vertex_lookup_and_weight(crystals):
     K = crystals(2, (1, 2))
     for v in K.vertex_ids():
-        assert K.vertex_by_function(K.functions[v]) == v
+        assert K.vertex_by_function(K.function(v)) == v
     assert K.wt(K.source) == {1: 1, 2: 2}
     assert K.wt(K.sink) == {1: -2, 2: -1}
 
@@ -97,10 +133,10 @@ def test_interval_between_source_and_sink_is_everything(crystals):
     K = crystals(2, (1, 2))
     assert interval(K, K.source, K.sink).num_vertices == K.num_vertices
     assert interval(K, K.sink, K.source).num_vertices == 0
-    mid = K.succ[K.source][1]
+    mid = K.nxt[1][K.source]
     J = interval(K, mid, K.sink)
     assert 0 < J.num_vertices < K.num_vertices
-    assert all(K.functions[0].values != f.values for f in J.functions) or mid == 0
+    assert all(K.keys[0] != key for key in J.keys) or mid == 0
 
 
 def test_subgraph_restricts_colors(crystals):
@@ -191,19 +227,17 @@ def test_shifted_bounds_property(params):
 
 
 def walked_strings(S):
-    """Per vertex and color, the head and tail string lengths walked one edge
+    """Per color and vertex, the head and tail string lengths walked one edge
     at a time from the vertex itself."""
-    h, t = [], []
-    for v in S.vertex_ids():
-        hv, tv = {}, {}
-        for c in S.colors:
-            for adj, out in ((S.succ, hv), (S.pred, tv)):
+    h, t = {}, {}
+    for c in S.colors:
+        for adj, out in ((S.nxt[c], h), (S.prv[c], t)):
+            out[c] = []
+            for v in S.vertex_ids():
                 m, w = 0, v
-                while c in adj[w]:
-                    w, m = adj[w][c], m + 1
-                out[c] = m
-        h.append(hv)
-        t.append(tv)
+                while adj[w] >= 0:
+                    w, m = adj[w], m + 1
+                out[c].append(m)
     return h, t
 
 
@@ -214,7 +248,8 @@ def test_monochromatic_strings_agree_with_stored_lengths(params):
     n, d, width = params
     assume(any(d))
     K = generate(n, tuple(dk + wk for dk, wk in zip(d, width)), d)
-    assert (list(K.h), list(K.t)) == walked_strings(K)
+    h, t = walked_strings(K)
+    assert all(list(K.h[c]) == h[c] and list(K.t[c]) == t[c] for c in K.colors)
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,9 +262,9 @@ def test_measured_strings_match_a_walk_from_each_vertex(params, rng):
     colors = tuple(rng.sample(K.colors, rng.randint(0, n)))
     S = subgraph(K, ids, colors)
     h, t = walked_strings(S)
-    assert list(S.h) == h and list(S.t) == t
-    # each vertex's entries follow the order of S.colors
-    assert all(list(hv) == list(colors) == list(tv) for hv, tv in zip(S.h, S.t))
+    assert all(list(S.h[c]) == h[c] and list(S.t[c]) == t[c] for c in colors)
+    # the columns follow the order of S.colors
+    assert list(S.h) == list(colors) == list(S.t)
 
 
 @settings(max_examples=12, deadline=None)
@@ -238,8 +273,8 @@ def test_constants_match_the_values_on_each_subgraph(params):
     n, d, width = params
     c = tuple(dk + wk for dk, wk in zip(d, width))
     K = generate(n, c, d)
-    g = K.functions[0].graph
-    for f in K.functions:
+    g = K.graph
+    for f in map(K.function, K.vertex_ids()):
         expected = []
         for k in range(1, n + 1):
             values = [f.value(v) for v in g.nodes if v.k == k]
@@ -270,3 +305,77 @@ def test_json_text_property(params):
     c = tuple(dk + wk for dk, wk in zip(d, width))
     data = generate(n, c, d).to_json()
     assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+
+def reference_closure(n, c, d):
+    """K(c, d) by a plain breadth-first closure over ``forward_move`` and
+    ``string_lengths``, one dict per vertex: (keys, succ, pred, h, t), where
+    ``succ[v][i]`` is the head of v's i-edge and ``h[v][i]`` its head string
+    length."""
+    g = build_supporting_graph(n)
+    functions = [principal_function(g, d, Bounds(c, d))]
+    index = {functions[0].values: 0}
+    succ, pred = [{}], [{}]
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for i in range(1, n + 1):
+            moved = forward_move(functions[v], i)
+            if moved is None:
+                continue
+            w = index.setdefault(moved.values, len(functions))
+            if w == len(functions):
+                functions.append(moved)
+                succ.append({})
+                pred.append({})
+                queue.append(w)
+            succ[v][i] = w
+            pred[w][i] = v
+    lengths = [{i: string_lengths(f, i) for i in range(1, n + 1)} for f in functions]
+    h = [{i: ht[0] for i, ht in row.items()} for row in lengths]
+    t = [{i: ht[1] for i, ht in row.items()} for row in lengths]
+    return [f.values for f in functions], succ, pred, h, t
+
+
+# (n, d, c - d) with n <= 4, small enough for the reference closure
+small_shifted_bounds = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2 if n <= 3 else 1), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_shifted_bounds)
+def test_columns_match_a_reference_closure(params):
+    n, d, width = params
+    assume(any(d))
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    K = generate(n, c, d)
+    keys, succ, pred, h, t = reference_closure(n, c, tuple(d))
+    assert list(K.keys) == keys
+    assert all(K.key_to_id[key] == v for v, key in enumerate(keys))
+    for i in K.colors:
+        assert list(K.nxt[i]) == [s.get(i, -1) for s in succ]
+        assert list(K.prv[i]) == [p.get(i, -1) for p in pred]
+        assert list(K.h[i]) == [row[i] for row in h]
+        assert list(K.t[i]) == [row[i] for row in t]
+    assert [K.source] == [v for v, p in enumerate(pred) if not p]
+    assert [K.sink] == [v for v, s in enumerate(succ) if not s]
+    assert dual(dual(K)) == K
+
+
+def test_generate_keeps_at_most_300_bytes_per_vertex():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        K = generate(2, (24, 24))
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert K.num_vertices == 15625
+    assert used / K.num_vertices <= 300

@@ -68,7 +68,7 @@ def test_round_trip_and_exact_image(n, c, crystals):
     g = build_supporting_graph(n)
     K = crystals(n, c)
     images = set()
-    for f in K.functions:
+    for f in map(K.function, K.vertex_ids()):
         p = to_gt(f)
         assert p.is_bounded_by(sigma_bound(c))
         assert from_gt(g, p, c) == f

@@ -282,7 +282,7 @@ def test_compiled_moves_match_the_slack_dicts(params, rng):
     assume(any(d))
     c = tuple(dk + wk for dk, wk in zip(d, width))
     K = generate(n, c, d)
-    functions = list(K.functions)
+    functions = [K.function(v) for v in K.vertex_ids()]
     for f in rng.sample(functions, min(len(functions), 150)):
         for i in range(1, n + 1):
             eps, delta, eps_res, delta_res = slack_dicts(f, i)

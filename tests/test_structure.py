@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+from array import array
 
 import pytest
 
@@ -178,7 +179,7 @@ def test_subcrystal_decomposition(n, c, side, crystals):
     for r in records:
         sub = subgraph(K, r.vertex_ids, tuple(color_map))
         assert isomorphic(sub, generate(n - 1, r.parameter), color_map), r.anchor
-        assert K.functions[r.principal_vertex].is_principal()
+        assert K.function(r.principal_vertex).is_principal()
 
 
 @pytest.mark.parametrize("side", [UPPER, LOWER])
@@ -228,11 +229,11 @@ def test_principal_location_rejects_bad_tuples(a, message, side, crystals):
 
 def without_edge(K, u, w, color):
     """A copy of K with the color-edge u -> w deleted; K itself is untouched."""
-    succ = [dict(s) for s in K.succ]
-    pred = [dict(p) for p in K.pred]
-    assert succ[u][color] == w and pred[w][color] == u
-    del succ[u][color], pred[w][color]
-    return dataclasses.replace(K, succ=tuple(succ), pred=tuple(pred))
+    nxt = {c: array("i", col) for c, col in K.nxt.items()}
+    prv = {c: array("i", col) for c, col in K.prv.items()}
+    assert nxt[color][u] == w and prv[color][w] == u
+    nxt[color][u] = prv[color][w] = -1
+    return dataclasses.replace(K, nxt=nxt, prv=prv)
 
 
 # One deleted kept-color edge per row, and the exact error each form of damage
