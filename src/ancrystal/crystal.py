@@ -6,7 +6,9 @@ import hashlib
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterator, Optional, Tuple
 
 from .errors import CapExceededError, ModelError, ParameterError
@@ -71,6 +73,16 @@ class CrystalGraph:
     def vertex_by_function(self, f: WeightFunction) -> int:
         return self.key_to_id[f.values]
 
+    @cached_property
+    def constants(self) -> tuple:
+        """Per vertex id, ``base_constants`` of its key, computed once per
+        crystal; equal tuples are one object."""
+        g = self.graph
+        interned = {}
+        return tuple(
+            interned.setdefault(a, a) for a in (base_constants(g, key) for key in self.keys)
+        )
+
     def wt(self, v: int) -> dict:
         return {c: self.h[c][v] - self.t[c][v] for c in self.colors}
 
@@ -124,8 +136,7 @@ class CrystalGraph:
 
     def to_dot(self) -> str:
         lines = ["digraph crystal {"]
-        for v, key in enumerate(self.keys):
-            a = base_constants(self.graph, key)
+        for v, (key, a) in enumerate(zip(self.keys, self.constants)):
             if None not in a:
                 label = "p" + "".join(str(x) for x in a)
             else:
@@ -138,6 +149,11 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
+# Records per ``%`` format in ``json_text``, so that beyond the output text
+# the writer holds one chunk of values at a time.
+JSON_CHUNK = 2048
+
+
 def _json_ints(xs, pad: str) -> str:
     """An int list as ``json.dumps(..., indent=2)`` prints it at indent ``pad``."""
     if not xs:
@@ -146,34 +162,76 @@ def _json_ints(xs, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
 
 
-def _json_block(items) -> str:
-    """A list of pre-rendered objects at indent 2, as ``json.dumps`` prints it."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _json_records(records, template: str, flatten) -> str:
+    """A list of same-shape records at indent 2, as ``json.dumps`` prints it.
+
+    ``template`` renders one record from the tuple of its values, and
+    ``flatten(chunk)`` gives the values of a chunk of records in order; each
+    chunk is rendered with one ``%`` format.
+    """
+    if not records:
+        return "[]"
+    size = min(JSON_CHUNK, len(records))
+    full = ",\n".join([template] * size)
+    parts = []
+    for start in range(0, len(records), size):
+        chunk = records[start:start + size]
+        if len(chunk) < size:  # the last chunk
+            full = ",\n".join([template] * len(chunk))
+        parts.append(full % flatten(chunk))
+    return "[\n" + ",\n".join(parts) + "\n  ]"
 
 
 def json_text(data: dict) -> str:
     """``json.dumps(data, indent=2) + "\n"`` for a ``CrystalGraph.to_json()``
     dict, written from its fixed shape: with ``indent`` set, CPython's json
-    encoder falls back to pure Python, which costs several times this."""
+    encoder falls back to pure Python, which costs several times this.
+
+    Every vertex record has as many weights, ``h`` and ``t`` values as the
+    first one, so one template renders them all; a record of another shape
+    raises ``ValueError``.
+    """
+    vertices = data["vertices"]
     pad = " " * 6
-    vertices = [
-        f'    {{\n      "id": {v["id"]},\n'
-        f'      "weights": {_json_ints(v["weights"], pad)},\n'
-        f'      "h": {_json_ints(v["h"], pad)},\n'
-        f'      "t": {_json_ints(v["t"], pad)}\n    }}'
-        for v in data["vertices"]
-    ]
-    edges = [
-        f'    {{\n      "from": {e["from"]},\n      "to": {e["to"]},\n'
-        f'      "color": {e["color"]}\n    }}'
-        for e in data["edges"]
-    ]
+    if vertices:
+        first = vertices[0]
+        shape = (len(first["weights"]), len(first["h"]), len(first["t"]))
+    else:
+        shape = (0, 0, 0)
+    weights, h, t = (_json_ints(["%d"] * size, pad) for size in shape)
+    vertex = (
+        f'    {{\n      "id": %d,\n      "weights": {weights},\n'
+        f'      "h": {h},\n      "t": {t}\n    }}'
+    )
+
+    def vertex_values(chunk):
+        out = []
+        for v in chunk:
+            w, hv, tv = v["weights"], v["h"], v["t"]
+            if (len(w), len(hv), len(tv)) != shape:
+                raise ValueError(
+                    f"vertex {v['id']} has {len(w)} weights, {len(hv)} h and "
+                    f"{len(tv)} t values; the first vertex has {shape[0]}, "
+                    f"{shape[1]} and {shape[2]}"
+                )
+            out.append(v["id"])
+            out += w
+            out += hv
+            out += tv
+        return tuple(out)
+
+    edge = '    {\n      "from": %d,\n      "to": %d,\n      "color": %d\n    }'
+    ends = itemgetter("from", "to", "color")
+
+    def edge_values(chunk):
+        return tuple(chain.from_iterable(map(ends, chunk)))
+
     parts = [
         f'{{\n  "n": {data["n"]},\n'
         f'  "c": {_json_ints(data["c"], "  ")},\n'
         f'  "d": {_json_ints(data["d"], "  ")},\n'
-        f'  "vertices": {_json_block(vertices)},\n'
-        f'  "edges": {_json_block(edges)}'
+        f'  "vertices": {_json_records(vertices, vertex, vertex_values)},\n'
+        f'  "edges": {_json_records(data["edges"], edge, edge_values)}'
     ]
     if "colors" in data:
         parts.append(f',\n  "colors": {_json_ints(data["colors"], "  ")}')
@@ -249,6 +307,7 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     prv = [array("i", [-1]) for _ in colors]
     h = [array("i") for _ in colors]
     t = [array("i") for _ in colors]
+    columns = tuple(zip(colors, h, t, nxt, prv))
     # ids are handed out in the order vertices enter the frontier, so the
     # vertex taken off it is always the next id
     frontier = deque([f0])
@@ -256,10 +315,10 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     while frontier:
         f = frontier.popleft()
         v += 1
-        for i in colors:
+        for i, hc, tc, heads, tails in columns:
             head, tail = string_lengths(f, i)
-            h[i - 1].append(head)
-            t[i - 1].append(tail)
+            hc.append(head)
+            tc.append(tail)
             moved = forward_move(f, i)
             if moved is None:
                 continue
@@ -276,10 +335,10 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
                 for col in prv:
                     col.append(-1)
                 frontier.append(moved)
-            nxt[i - 1][v] = w
-            if prv[i - 1][w] >= 0:
+            heads[v] = w
+            if tails[w] >= 0:
                 raise ModelError(f"vertex {w} received two incoming {i}-edges")
-            prv[i - 1][w] = v
+            tails[w] = v
     num = len(keys)
     source = _unique_end(num, prv)
     sink = _unique_end(num, nxt)

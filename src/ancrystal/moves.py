@@ -4,11 +4,25 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from .errors import ParameterError
 from .weights import BACKWARD, FORWARD, WeightFunction, switch_node
+
+# (f, i, prefix) of the last scan.  ``generate`` asks for the same (f, i)
+# twice in a row, once for the string lengths and once for the move, so the
+# second call reads this.  A WeightFunction is frozen, so the stored prefix
+# cannot go stale, and holding f keeps its id from being reused.  The entry is
+# one tuple, read and replaced whole, so callers in other threads can miss it
+# but never read a torn entry.
+_last_scan = (None, 0, ())
+
+
+def _check_color(g, i: int) -> None:
+    if not 1 <= i <= g.n:
+        raise ParameterError(f"color i={i} out of range for n={g.n}")
 
 
 def level_slacks(f: WeightFunction, i: int) -> list:
-    """Prefix sums A(0), ..., A(i+1) of the level-i slack sums.
+    """Prefix sums A(0), ..., A(i+1) of the level-i slack sums, as a new list.
 
     One pass over the compiled steps ``f.graph.level_steps``, with A(0) = 0 and
     A(j) = A(j-1) + eps(j) - delta(j-1).  The residual slacks telescope over
@@ -16,14 +30,24 @@ def level_slacks(f: WeightFunction, i: int) -> list:
     slacks to t = h - A(i+1).  The forward multinode is the first argmax j of A
     and the backward one the least j >= 1 with A(j) > max_{q>j} A(q), that is
     the last argmax of A(1..i+1); either is taken only when 1 <= j <= i.
+
+    A call with the same f (the same object) and i as the one before it
+    returns a copy of that call's prefix without scanning again.
     """
+    global _last_scan
+    last = _last_scan
+    if last[0] is f and last[1] == i:
+        return list(last[2])
+    g = f.graph
+    _check_color(g, i)
     x = f.values + f.bounds.c + f.bounds.d
     a = 0
     prefix = [0]
-    for step in f.graph.level_steps[i - 1]:
+    for step in g.level_steps[i - 1]:
         for plus, minus in step:
             a += x[plus] - x[minus]
         prefix.append(a)
+    _last_scan = (f, i, tuple(prefix))
     return prefix
 
 
@@ -35,6 +59,7 @@ def slack_dicts(f: WeightFunction, i: int) -> tuple:
     slack at j is max(0, A(j) - max_{q>j} A(q)).  This closed form does not
     read the compiled steps that ``level_slacks`` runs on.
     """
+    _check_color(f.graph, i)
     colors = range(1, f.graph.n + 1)
     slot = f.graph.slot  # NodeRef is a tuple, so a plain (k, i, j) key finds it
     x = f.values + f.bounds.c + f.bounds.d
@@ -116,8 +141,7 @@ def forward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
     am = active_multinode(f, i, FORWARD)
     if am is None:
         return None
-    v = switch_node(f, am[0], am[1], FORWARD)
-    return f.replace(v, f.value(v) + 1)
+    return _shifted(f, switch_node(f, am[0], am[1], FORWARD), 1)
 
 
 def backward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
@@ -125,8 +149,15 @@ def backward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
     am = active_multinode(f, i, BACKWARD)
     if am is None:
         return None
-    v = switch_node(f, am[0], am[1], BACKWARD)
-    return f.replace(v, f.value(v) - 1)
+    return _shifted(f, switch_node(f, am[0], am[1], BACKWARD), -1)
+
+
+def _shifted(f: WeightFunction, v, step: int) -> WeightFunction:
+    """f with ``step`` added at node v."""
+    g = f.graph
+    values = list(f.values)
+    values[g.index[v]] += step
+    return WeightFunction(g, f.bounds, tuple(values))
 
 
 def string_lengths(f: WeightFunction, i: int) -> Tuple[int, int]:

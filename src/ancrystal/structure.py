@@ -44,9 +44,7 @@ class PrincipalLattice:
 
 def principal_lattice(K: CrystalGraph) -> PrincipalLattice:
     by_tuple = {}
-    g = K.graph
-    for v, key in enumerate(K.keys):
-        a = base_constants(g, key)
+    for v, a in enumerate(K.constants):
         if None not in a:
             by_tuple[a] = v
     return PrincipalLattice(by_tuple)
@@ -100,9 +98,7 @@ def base_crystal(n: int, k: int, ck: int) -> CrystalGraph:
 def skeleton(K: CrystalGraph) -> Skeleton:
     n = K.n
     groups: Dict[Tuple[int, tuple], List[int]] = {}
-    g = K.graph
-    for v, key in enumerate(K.keys):
-        consts = base_constants(g, key)
+    for v, consts in enumerate(K.constants):
         for k in range(1, n + 1):
             fixed = consts[:k - 1] + consts[k:]
             if None not in fixed:
@@ -264,6 +260,7 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     parameter = upper_parameter if side == UPPER else lower_parameter
     c, d = K.bounds.width, K.bounds.d
     prv = [K.prv[col] for col in colors]
+    constants = K.constants
     records = []
     seen = set()
     for start in K.vertex_ids():
@@ -283,7 +280,7 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
                 f"{side} subcrystal at anchor {anchor}: measured parameter "
                 f"{measured} differs from formula {formula}"
             )
-        principals = [v for v in comp if None not in base_constants(g, K.keys[v])]
+        principals = [v for v in comp if None not in constants[v]]
         if len(principals) != 1:
             raise ModelError(
                 f"{side} subcrystal at anchor {anchor} contains "

@@ -213,11 +213,11 @@ def make_weight_function(g: SupportingGraph, f, b: Bounds) -> WeightFunction:
 def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
     """Switch-node of multinode V_i(j): first qualifying member going forward,
     last one going backward."""
-    mn = f.graph.multinode(i, j)
-    lo, hi = _switch_range(f.values, *f.graph.switch_pairs[(i, j)])
+    g = f.graph
+    lo, hi = _switch_range(f.values, *g.switch_pairs[i, j])
     if lo > hi:
         raise InfeasibleError(f"no switch-node in V_{i}({j}); function is not feasible")
-    return mn.members[lo if direction == FORWARD else hi]
+    return g.multinodes[i, j].members[lo if direction == FORWARD else hi]
 
 
 def principal_function(g: SupportingGraph, a, b: Bounds) -> WeightFunction:

@@ -298,6 +298,49 @@ def test_json_text_is_the_indented_dump(crystals):
         assert json_text(data) == json.dumps(data, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_json_text_across_chunk_boundaries(crystals, monkeypatch, chunk):
+    monkeypatch.setattr(crystal, "JSON_CHUNK", chunk)
+    K = crystals(2, (1, 2))  # 15 vertices, 22 edges
+    graphs = [
+        crystals(1, (0,)),
+        K,
+        subgraph(K, range(0, K.num_vertices, 2), colors=(2,)),
+        subgraph(K, K.vertex_ids(), colors=()),
+        subgraph(K, range(chunk)),
+    ]
+    for G in graphs:
+        data = G.to_json()
+        assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+
+def test_json_text_without_colors_and_with_a_colors_key(crystals):
+    K = crystals(3, (1, 0, 1))
+    for colors in [(), (2,), (3, 1)]:
+        data = subgraph(K, K.vertex_ids(), colors=colors).to_json()
+        assert data["colors"] == list(colors)
+        assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [2, 2048])
+def test_json_text_rejects_a_record_of_another_shape(crystals, monkeypatch, chunk):
+    monkeypatch.setattr(crystal, "JSON_CHUNK", chunk)
+    K = crystals(2, (1, 2))
+    edits = [
+        lambda vs: vs[5]["h"].append(0),
+        lambda vs: vs[-1]["t"].pop(),
+        lambda vs: vs[0]["weights"].pop(),
+        # as many values in all, but misaligned across two records
+        lambda vs: (vs[3]["weights"].append(1), vs[4]["weights"].pop()),
+        lambda vs: (vs[6]["h"].append(1), vs[6]["t"].pop()),
+    ]
+    for edit in edits:
+        data = K.to_json()
+        edit(data["vertices"])
+        with pytest.raises(ValueError, match="the first vertex has"):
+            json_text(data)
+
+
 @settings(max_examples=12, deadline=None)
 @given(shifted_bounds)
 def test_json_text_property(params):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ancrystal import (
     NodeRef,
+    ParameterError,
     active_multinode,
     backward_move,
     build_supporting_graph,
@@ -304,3 +305,88 @@ def test_compiled_moves_match_the_slack_dicts(params, rng):
             allowed = allowed_switch_members(f.value, mn.members)
             assert switch_node(f, mn.i, mn.j, FORWARD) == mn.members[allowed[0]]
             assert switch_node(f, mn.i, mn.j, BACKWARD) == mn.members[allowed[-1]]
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_a_color_outside_1_to_n_is_a_parameter_error(i):
+    f = source_function(3, (1, 1, 1))
+    calls = [
+        lambda: level_slacks(f, i),
+        lambda: slack_dicts(f, i),
+        lambda: string_lengths(f, i),
+        lambda: active_multinode(f, i, FORWARD),
+        lambda: active_multinode(f, i, BACKWARD),
+        lambda: forward_move(f, i),
+        lambda: backward_move(f, i),
+    ]
+    for call in calls:
+        level_slacks(f, 1)  # a scan just before must not let i through
+        with pytest.raises(ParameterError, match=f"i={i} out of range for n=3"):
+            call()
+
+
+def prefix_from_dicts(f, i):
+    """[A(0), ..., A(i+1)] rebuilt from slack_dicts, which keeps no state."""
+    eps, delta, _, _ = slack_dicts(f, i)
+    return [0, *itertools.accumulate(eps[j] - delta[j - 1] for j in range(1, i + 2))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(shifted_crystals, st.randoms(use_true_random=False))
+def test_level_slacks_never_serves_a_stale_prefix(params, rng):
+    """Interleaved calls of the move layer over random (vertex, color) pairs
+    each see the prefix of their own (f, i): repeated calls on one f, calls
+    on equal but distinct weight functions, and switches of f or i between
+    calls."""
+    n, d, width = params
+    assume(any(d))
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    K = generate(n, c, d)
+    held = {}  # one object per vertex, so that some calls repeat an f
+    v, i = 0, 1
+    for _ in range(120):
+        if rng.random() < 0.7:
+            v, i = rng.randrange(K.num_vertices), rng.randint(1, n)
+        if rng.random() < 0.5:
+            f = held.setdefault(v, K.function(v))
+        else:
+            f = K.function(v)
+        expected = prefix_from_dicts(f, i)
+        top = max(expected)
+        op = rng.randrange(4)
+        if op == 0:
+            assert level_slacks(f, i) == expected
+        elif op == 1:
+            assert string_lengths(f, i) == (top, top - expected[-1])
+        elif op == 2:
+            j = expected.index(top)
+            out = forward_move(f, i)
+            if not 1 <= j <= i:
+                assert out is None
+            else:
+                node = switch_node(f, i, j, FORWARD)
+                assert out == f.replace(node, f.value(node) + 1)
+        else:
+            tail = expected[:0:-1]
+            j = i + 1 - tail.index(max(tail))
+            out = backward_move(f, i)
+            if not 1 <= j <= i:
+                assert out is None
+            else:
+                node = switch_node(f, i, j, BACKWARD)
+                assert out == f.replace(node, f.value(node) - 1)
+
+
+def test_a_changed_prefix_does_not_change_the_next_call():
+    f = source_function(3, (2, 1, 2))
+    for i in (1, 2, 3):
+        expected = prefix_from_dicts(f, i)
+        first = level_slacks(f, i)
+        assert first == expected
+        first[0] = 99
+        first.append(7)
+        second = level_slacks(f, i)
+        assert second == expected
+        second[-1] -= 1
+        assert string_lengths(f, i) == (max(expected), max(expected) - expected[-1])
+        assert level_slacks(f, i) == expected

@@ -11,6 +11,7 @@ from ancrystal import (
     ModelError,
     ParameterError,
     apply_string,
+    base_constants,
     base_crystal,
     branching_multiplicity,
     build_supporting_graph,
@@ -45,6 +46,18 @@ def test_principal_lattice_size_and_membership(n, c, crystals):
     assert lat.tuples() == sorted(itertools.product(*[range(x + 1) for x in c]))
     assert lat.vertex((0,) * n) == K.source
     assert lat.vertex(c) == K.sink
+
+
+def test_the_constants_column_is_computed_once_per_crystal(crystals):
+    K = crystals(3, (2, 1, 2))
+    column = K.constants
+    assert column is K.constants
+    assert column == tuple(base_constants(K.graph, key) for key in K.keys)
+    # equal tuples are one object
+    assert len({id(a) for a in column}) == len(set(column))
+    assert principal_lattice(K).by_tuple == {
+        a: v for v, a in enumerate(column) if None not in a
+    }
 
 
 @pytest.mark.parametrize("n,c", [(2, (1, 2)), (3, (1, 1, 1))])
