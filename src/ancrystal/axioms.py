@@ -170,7 +170,7 @@ class ColoredDigraph:
         return self._labels[i, j]
 
 
-def from_edge_list_text(text: str, n: Optional[int] = None) -> ColoredDigraph:
+def from_edge_list_text(text: str) -> ColoredDigraph:
     """Parse the plain "tail head color" one-edge-per-line format."""
     edges = []
     vertices = set()
@@ -189,9 +189,9 @@ def from_edge_list_text(text: str, n: Optional[int] = None) -> ColoredDigraph:
             raise GraphFormatError(f"line {ln}: color must be >= 1, got {c}")
         edges.append((u, v, c))
         vertices.update((u, v))
-    if n is None:
-        n = max((c for (_, _, c) in edges), default=1)
-    return ColoredDigraph(tuple(sorted(vertices)), tuple(edges), n)
+    # ColoredDigraph puts the vertices in canonical order
+    n = max((c for (_, _, c) in edges), default=1)
+    return ColoredDigraph(tuple(vertices), tuple(edges), n)
 
 
 def from_crystal_json(data: dict) -> ColoredDigraph:

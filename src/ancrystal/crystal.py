@@ -283,30 +283,30 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     forward moves, vertices deduplicated by their value tuples.
 
     The Weyl dimension gives the exact size first, so a crystal above ``cap``
-    fails before any move is made."""
+    fails before any move is made.  The size is also the closure's only
+    bound: the columns are allocated once at that length, and a closure that
+    finds more or fewer vertices is a ``ModelError``."""
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ParameterError(f"vertex cap must be an integer, got {cap!r}")
     if cap < 1:
         raise ParameterError(f"vertex cap must be positive, got {cap}")
     g = build_supporting_graph(n)  # validates n before it is used
-    c = tuple(int(x) for x in c)
-    if d is None:
-        d = (0,) * n
-    d = tuple(int(x) for x in d)
+    c = tuple(c)
+    d = (0,) * n if d is None else tuple(d)
     if len(c) != n or len(d) != n:
         raise ParameterError(f"bound tuples must have length n={n}")
-    b = Bounds(c, d)
+    b = Bounds(c, d)  # checks that every entry is an int
     size = weyl_dimension(b.c, b.d)
     if size > cap:
-        raise CapExceededError(cap, 0, size)
+        raise CapExceededError(cap, size)
     colors = tuple(range(1, n + 1))
     f0 = principal_function(g, d, b)
     keys = [f0.values]
     key_to_id = {f0.values: 0}
-    nxt = [array("i", [-1]) for _ in colors]
-    prv = [array("i", [-1]) for _ in colors]
-    h = [array("i") for _ in colors]
-    t = [array("i") for _ in colors]
+    nxt = [array("i", [-1]) * size for _ in colors]
+    prv = [array("i", [-1]) * size for _ in colors]
+    h = [array("i", [0]) * size for _ in colors]
+    t = [array("i", [0]) * size for _ in colors]
     columns = tuple(zip(colors, h, t, nxt, prv))
     # ids are handed out in the order vertices enter the frontier, so the
     # vertex taken off it is always the next id
@@ -316,9 +316,7 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
         f = frontier.popleft()
         v += 1
         for i, hc, tc, heads, tails in columns:
-            head, tail = string_lengths(f, i)
-            hc.append(head)
-            tc.append(tail)
+            hc[v], tc[v] = string_lengths(f, i)
             moved = forward_move(f, i)
             if moved is None:
                 continue
@@ -326,22 +324,19 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
             w = key_to_id.get(key)
             if w is None:
                 w = len(keys)
-                if w >= cap:
-                    raise CapExceededError(cap, w)
+                if w == size:
+                    raise ModelError(f"the closure passed the Weyl dimension {size}")
                 key_to_id[key] = w
                 keys.append(key)
-                for col in nxt:
-                    col.append(-1)
-                for col in prv:
-                    col.append(-1)
                 frontier.append(moved)
             heads[v] = w
             if tails[w] >= 0:
                 raise ModelError(f"vertex {w} received two incoming {i}-edges")
             tails[w] = v
-    num = len(keys)
-    source = _unique_end(num, prv)
-    sink = _unique_end(num, nxt)
+    if len(keys) != size:
+        raise ModelError(f"the closure found {len(keys)} vertices, not the Weyl dimension {size}")
+    source = _unique_end(size, prv)
+    sink = _unique_end(size, nxt)
     if source != 0:
         raise ModelError("generation produced more than one zero-indegree vertex")
     if sink is None:

@@ -9,23 +9,34 @@ class ParameterError(ModelError, ValueError):
     """Invalid numeric parameters (colors, bounds, tuples of wrong shape)."""
 
 
+def check_integer(x, what, source: str = "the caller") -> int:
+    """``x`` when it is an int; a bool or any other type is a ParameterError,
+    where ``int(x)`` would read 1.5 as 1 and "1" or True as 1."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ParameterError(f"{source} gives {what} the non-integer value {x!r}")
+    return x
+
+
+def integer_tuple(xs, name: str, source: str = "the caller") -> tuple:
+    """``tuple(xs)``, each entry checked by ``check_integer`` as ``name[p]``."""
+    xs = tuple(xs)
+    for p, x in enumerate(xs):
+        check_integer(x, f"{name}[{p}]", source)
+    return xs
+
+
 class InfeasibleError(ModelError, ValueError):
     """A node-weighting or pattern fails the feasibility/validity conditions."""
 
 
 class CapExceededError(ModelError, RuntimeError):
-    """Crystal generation would pass the vertex cap: found before the closure
-    from the exact ``size``, or during it after ``partial_count`` vertices."""
+    """The crystal to be generated has more vertices than the cap; raised from
+    its exact ``size`` before the closure starts."""
 
-    def __init__(self, cap, partial_count, size=None):
+    def __init__(self, cap, size):
         self.cap = cap
-        self.partial_count = partial_count
         self.size = size
-        if size is None:
-            message = f"vertex cap {cap} exceeded ({partial_count} vertices discovered so far)"
-        else:
-            message = f"vertex cap {cap} exceeded: the crystal has {size} vertices"
-        super().__init__(message)
+        super().__init__(f"vertex cap {cap} exceeded: the crystal has {size} vertices")
 
 
 class GraphFormatError(ModelError, ValueError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError, integer_tuple
 from .support import NodeRef, SupportingGraph
 from .weights import Bounds, WeightFunction, make_weight_function, zero_bounds
 
@@ -17,7 +17,7 @@ class GTPattern:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(integer_tuple(row, f"rows[{i}]") for i, row in enumerate(self.rows))
         object.__setattr__(self, "rows", rows)
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
@@ -111,7 +111,7 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
     its target.  The front members end tight on their SE-edges and the back
     members on their SW-edges, which is exactly the switch condition.
     """
-    c = tuple(int(x) for x in c)
+    c = integer_tuple(c, "c")
     n = g.n
     if pattern.n != n or len(c) != n:
         raise ParameterError(f"pattern/bounds size mismatch with n={n}")
@@ -149,7 +149,7 @@ def count_bounded_patterns(n: int, bound) -> int:
     free of closed-form shortcuts so it can serve as an independent counting
     oracle for generated crystal sizes.
     """
-    bound = tuple(int(x) for x in bound)
+    bound = integer_tuple(bound, "bound")
     if len(bound) != n:
         raise ParameterError(f"bound has length {len(bound)}, expected {n}")
     if any(x < 0 for x in bound) or any(

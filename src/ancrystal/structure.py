@@ -3,18 +3,18 @@ fundamental strings, subcrystal decompositions, branching multiplicities."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .crystal import (
     CrystalGraph,
+    _reachable,
     find_isomorphism,
     generate,
     interval,
     subgraph,
 )
-from .errors import ModelError, ParameterError
+from .errors import ModelError, ParameterError, integer_tuple
 from .support import build_supporting_graph
 from .weights import base_constants, principal_function
 
@@ -53,8 +53,8 @@ def principal_lattice(K: CrystalGraph) -> PrincipalLattice:
 def principal_interval(K: CrystalGraph, a, b) -> CrystalGraph:
     """Interval between the principal vertices at a and b; an RAN-crystal with
     parameter b - a."""
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
+    a = integer_tuple(a, "a")
+    b = integer_tuple(b, "b")
     bd = K.bounds
     if not (len(a) == len(b) == K.n):
         raise ParameterError(f"principal tuples must have length {K.n}")
@@ -210,17 +210,7 @@ def _side_colors(n: int, side: str) -> tuple:
 
 def _component(K: CrystalGraph, start: int, colors) -> list:
     """Sorted ids of the component of ``start`` along edges of the given colors."""
-    columns = [K.nxt[c] for c in colors] + [K.prv[c] for c in colors]
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for col in columns:
-            w = col[v]
-            if w >= 0 and w not in comp:
-                comp.add(w)
-                queue.append(w)
-    return sorted(comp)
+    return sorted(_reachable(start, [K.nxt[c] for c in colors] + [K.prv[c] for c in colors]))
 
 
 def _line_length(K: CrystalGraph, v: int, color: int) -> int:
@@ -299,7 +289,7 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     a freshly generated reference crystal and reading the coordinates off the
     image's constants.
     """
-    a = tuple(int(x) for x in a)
+    a = integer_tuple(a, "a")
     colors = _side_colors(K.n, side)
     v = K.vertex_by_function(principal_function(K.graph, a, K.bounds))
     shifted = _minus(a, K.bounds.d)
@@ -323,8 +313,8 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
 def branching_multiplicity(c, q) -> int:
     """Number of upper subcrystals of the crystal with parameter c that share
     the (n-1)-tuple parameter q."""
-    c = tuple(int(x) for x in c)
-    q = tuple(int(x) for x in q)
+    c = integer_tuple(c, "c")
+    q = integer_tuple(q, "q")
     n = len(c)
     if len(q) != n - 1:
         raise ParameterError(f"parameter tuple must have length {n - 1}, got {len(q)}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError, check_integer, integer_tuple
 from .support import NodeRef, SupportingGraph, build_supporting_graph
 
 FORWARD = "forward"
@@ -20,8 +20,8 @@ class Bounds:
     d: tuple
 
     def __post_init__(self):
-        c = tuple(int(x) for x in self.c)
-        d = tuple(int(x) for x in self.d)
+        c = integer_tuple(self.c, "c")
+        d = integer_tuple(self.d, "d")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         if len(c) != len(d):
@@ -111,11 +111,8 @@ class WeightFunction:
             entries = [((k, i, j), val) for k, i, j, val in data["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed weight-function JSON: {exc}") from exc
-        # checked here, as Bounds would read 1.5 as 1
-        for name, bound in (("c", c), ("d", d)):
-            for p, x in enumerate(bound):
-                _check_integer(f"{name}[{p}]", x)
-        b = Bounds(c, d)
+        source = "weight-function JSON"
+        b = Bounds(integer_tuple(c, "c", source), integer_tuple(d, "d", source))
         raw = {}
         for coords, val in entries:
             for x in coords:
@@ -129,7 +126,7 @@ class WeightFunction:
                 raise ParameterError(f"weight-function JSON names {v}, which is not a node of G")
             if v in raw:
                 raise ParameterError(f"weight-function JSON gives {v} a value twice")
-            _check_integer(v, val)
+            check_integer(val, v, source)
             raw[v] = val
         for v in g.nodes:
             if v not in raw:
@@ -149,11 +146,6 @@ def base_constants(g: SupportingGraph, values) -> tuple:
                 break
         out.append(x)
     return tuple(out)
-
-
-def _check_integer(what, x) -> None:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ParameterError(f"weight-function JSON gives {what} the non-integer value {x!r}")
 
 
 def _switch_range(values, se, sw) -> tuple:
@@ -222,7 +214,7 @@ def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
 
 def principal_function(g: SupportingGraph, a, b: Bounds) -> WeightFunction:
     """The function taking the constant value a_k on each base subgraph G^k."""
-    a = tuple(int(x) for x in a)
+    a = integer_tuple(a, "a")
     if len(a) != g.n:
         raise ParameterError(f"principal tuple has length {len(a)}, expected {g.n}")
     if any(not b.d[k] <= a[k] <= b.c[k] for k in range(g.n)):

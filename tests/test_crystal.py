@@ -9,19 +9,26 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ancrystal import (
+    UPPER,
     Bounds,
     CapExceededError,
+    GTPattern,
+    ModelError,
     ParameterError,
+    branching_multiplicity,
     build_supporting_graph,
     count_bounded_patterns,
     dual,
     find_isomorphism,
     find_sink_by_operators,
     forward_move,
+    from_gt,
     generate,
     interval,
     isomorphic,
     principal_function,
+    principal_interval,
+    principal_location,
     sigma_bound,
     string_lengths,
     subgraph,
@@ -62,6 +69,33 @@ def test_generate_rejects_a_bool_cap():
         generate(2, (1, 1), cap=True)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: generate(2, (1.5, 2)), "gives c[0] the non-integer value 1.5"),
+        (lambda: generate(2, ("1", True)), "gives c[0] the non-integer value '1'"),
+        (lambda: generate(2, (1, 2), (0, 0.0)), "gives d[1] the non-integer value 0.0"),
+        (lambda: Bounds((1, 2), (True, 0)), "gives d[0] the non-integer value True"),
+        (lambda: principal_function(build_supporting_graph(2), (0.5, 0), Bounds((1, 2), (0, 0))),
+         "gives a[0] the non-integer value 0.5"),
+        (lambda: branching_multiplicity((1.9, 2), (1.2,)), "gives c[0] the non-integer value 1.9"),
+        (lambda: count_bounded_patterns(2, (2.7, 1)), "gives bound[0] the non-integer value 2.7"),
+        (lambda: GTPattern(((1.5,), (2, 1))), "gives rows[0][0] the non-integer value 1.5"),
+        (lambda: from_gt(build_supporting_graph(2), GTPattern(((1,), (2, 0))), (1, 1.0)),
+         "gives c[1] the non-integer value 1.0"),
+        (lambda: principal_interval(generate(2, (1, 2)), (0, 0), (1, 2.0)),
+         "gives b[1] the non-integer value 2.0"),
+        (lambda: principal_location(generate(2, (1, 2)), (0, False), UPPER),
+         "gives a[1] the non-integer value False"),
+    ],
+)
+def test_the_api_rejects_a_non_integer_parameter(call, message):
+    # int() used to read these as other integers: 1.5 as 1, "1" and True as 1
+    with pytest.raises(ParameterError) as e:
+        call()
+    assert str(e.value) == "the caller " + message
+
+
 def test_anchor_crystal_counts(crystals):
     K = crystals(2, (1, 2))
     assert (K.num_vertices, K.num_edges) == (15, 18)
@@ -79,17 +113,23 @@ def test_cap_is_enforced():
     # K(2; 1,2) has 15 vertices, known from the Weyl dimension before any move
     with pytest.raises(CapExceededError) as e:
         generate(2, (1, 2), cap=7)
-    assert e.value.cap == 7 and e.value.size == 15 and e.value.partial_count == 0
+    assert e.value.cap == 7 and e.value.size == 15
     assert str(e.value) == "vertex cap 7 exceeded: the crystal has 15 vertices"
     assert generate(2, (1, 2), cap=15).num_vertices == 15
 
 
-def test_the_closure_keeps_its_own_cap_check(monkeypatch):
-    # with a preflight that undercounts, the closure still stops at the cap
+def test_a_closure_beyond_the_weyl_dimension_is_a_model_error(monkeypatch):
+    # the columns are sized by the preflight, so the closure may not pass it
     monkeypatch.setattr(crystal, "weyl_dimension", lambda c, d: 1)
-    with pytest.raises(CapExceededError) as e:
-        generate(2, (1, 2), cap=7)
-    assert e.value.cap == 7 and e.value.partial_count == 7 and e.value.size is None
+    with pytest.raises(ModelError, match="the closure passed the Weyl dimension 1$"):
+        generate(2, (1, 2))
+
+
+def test_a_closure_short_of_the_weyl_dimension_is_a_model_error(monkeypatch):
+    # K(2; 1,2) has 15 vertices; the closure's count is checked after it
+    monkeypatch.setattr(crystal, "weyl_dimension", lambda c, d: 16)
+    with pytest.raises(ModelError, match="found 15 vertices, not the Weyl dimension 16"):
+        generate(2, (1, 2))
 
 
 def test_an_oversized_crystal_fails_before_the_closure():
