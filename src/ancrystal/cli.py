@@ -100,12 +100,8 @@ def cmd_build(args) -> int:
         f"vertices={K.num_vertices} edges={K.num_edges} "
         f"length={length} principal={principal}"
     )
-    if args.format == "dot":
-        text = K.to_dot()
-    else:
-        text = json_text(K.to_json())
     if args.out is not None:
-        _write(args.out, text)
+        _write(args.out, K.to_dot() if args.format == "dot" else json_text(K.to_json()))
     return EXIT_OK
 
 
@@ -152,8 +148,13 @@ def cmd_analyze(args) -> int:
     lattice = principal_lattice(K)
     skel = skeleton(K)
     records = subcrystals(K, UPPER) + subcrystals(K, LOWER)
-    upper = {r.parameter for r in records if r.side == UPPER}
-    eta = {q: branching_multiplicity(K.bounds.width, q) for q in upper}
+    print(
+        f"principal={lattice.size} skeleton={len(skel.vertex_ids)} "
+        f"upper={sum(1 for r in records if r.side == UPPER)} "
+        f"lower={sum(1 for r in records if r.side == LOWER)}"
+    )
+    if args.out is None:
+        return EXIT_OK
     rows = [
         {
             "side": r.side,
@@ -164,11 +165,6 @@ def cmd_analyze(args) -> int:
         }
         for r in records
     ]
-    print(
-        f"principal={lattice.size} skeleton={len(skel.vertex_ids)} "
-        f"upper={sum(1 for r in records if r.side == UPPER)} "
-        f"lower={sum(1 for r in records if r.side == LOWER)}"
-    )
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -185,6 +181,8 @@ def cmd_analyze(args) -> int:
             )
         text = buf.getvalue()
     else:
+        upper = {r.parameter for r in records if r.side == UPPER}
+        eta = {q: branching_multiplicity(K.bounds.width, q) for q in upper}
         report = {
             "n": K.n,
             "c": list(K.bounds.c),
@@ -197,8 +195,7 @@ def cmd_analyze(args) -> int:
             ],
         }
         text = json.dumps(report, indent=2) + "\n"
-    if args.out is not None:
-        _write(args.out, text)
+    _write(args.out, text)
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
@@ -46,9 +46,6 @@ class CrystalGraph:
     prv: dict  # color -> array('i') of tail ids, -1 for none
     h: dict  # color -> array('i') of head string lengths
     t: dict  # color -> array('i') of tail string lengths
-    source: Optional[int]
-    sink: Optional[int]
-    key_to_id: dict = field(repr=False)
 
     # -- basics ----------------------------------------------------------------
 
@@ -72,6 +69,23 @@ class CrystalGraph:
 
     def vertex_by_function(self, f: WeightFunction) -> int:
         return self.key_to_id[f.values]
+
+    @cached_property
+    def key_to_id(self) -> dict:
+        return {key: v for v, key in enumerate(self.keys)}
+
+    def _unique_end(self, columns) -> Optional[int]:
+        """The one id that is -1 in every column, or None when there is not one."""
+        ends = [v for v, row in enumerate(self._rows(columns)) if max(row, default=-1) < 0]
+        return ends[0] if len(ends) == 1 else None
+
+    @cached_property
+    def source(self) -> Optional[int]:
+        return self._unique_end(self.prv)
+
+    @cached_property
+    def sink(self) -> Optional[int]:
+        return self._unique_end(self.nxt)
 
     @cached_property
     def constants(self) -> tuple:
@@ -269,15 +283,6 @@ def _measured_strings(num, nxt, prv, colors):
     return h, t
 
 
-def _unique_end(num, columns) -> Optional[int]:
-    """The one id that is -1 in every column, or None when there is not one."""
-    if columns:
-        ends = [v for v, row in enumerate(zip(*columns)) if max(row) < 0]
-    else:
-        ends = range(num)
-    return ends[0] if len(ends) == 1 else None
-
-
 def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     """Crystal digraph K(c, d): closure of the constant-d function under all
     forward moves, vertices deduplicated by their value tuples.
@@ -335,18 +340,16 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
             tails[w] = v
     if len(keys) != size:
         raise ModelError(f"the closure found {len(keys)} vertices, not the Weyl dimension {size}")
-    source = _unique_end(size, prv)
-    sink = _unique_end(size, nxt)
-    if source != 0:
-        raise ModelError("generation produced more than one zero-indegree vertex")
-    if sink is None:
-        raise ModelError("generation produced more than one zero-outdegree vertex")
-    return CrystalGraph(
+    K = CrystalGraph(
         graph=g, bounds=b, colors=colors, keys=tuple(keys),
         nxt=dict(zip(colors, nxt)), prv=dict(zip(colors, prv)),
         h=dict(zip(colors, h)), t=dict(zip(colors, t)),
-        source=source, sink=sink, key_to_id=key_to_id,
     )
+    if K.source != 0:
+        raise ModelError("generation produced more than one zero-indegree vertex")
+    if K.sink is None:
+        raise ModelError("generation produced more than one zero-outdegree vertex")
+    return K
 
 
 def subgraph(K: CrystalGraph, vertex_ids, colors=None) -> CrystalGraph:
@@ -360,21 +363,16 @@ def subgraph(K: CrystalGraph, vertex_ids, colors=None) -> CrystalGraph:
     new_id = {v: p for p, v in enumerate(ids)}.get
     nxt = {c: array("i", [new_id(K.nxt[c][v], -1) for v in ids]) for c in colors}
     prv = {c: array("i", [new_id(K.prv[c][v], -1) for v in ids]) for c in colors}
-    num = len(ids)
-    h, t = _measured_strings(num, nxt, prv, colors)
-    keys = tuple(K.keys[v] for v in ids)
+    h, t = _measured_strings(len(ids), nxt, prv, colors)
     return CrystalGraph(
-        graph=K.graph, bounds=K.bounds, colors=colors, keys=keys,
-        nxt=nxt, prv=prv, h=h, t=t,
-        source=_unique_end(num, prv.values()),
-        sink=_unique_end(num, nxt.values()),
-        key_to_id={key: p for p, key in enumerate(keys)},
+        graph=K.graph, bounds=K.bounds, colors=colors,
+        keys=tuple(K.keys[v] for v in ids), nxt=nxt, prv=prv, h=h, t=t,
     )
 
 
 def dual(K: CrystalGraph) -> CrystalGraph:
     """Edge-reversed crystal with colors kept; source and sink trade places."""
-    return replace(K, nxt=K.prv, prv=K.nxt, h=K.t, t=K.h, source=K.sink, sink=K.source)
+    return replace(K, nxt=K.prv, prv=K.nxt, h=K.t, t=K.h)
 
 
 def _reachable(start: int, columns) -> set:

@@ -113,6 +113,8 @@ class WeightFunction:
             raise ParameterError(f"malformed weight-function JSON: {exc}") from exc
         source = "weight-function JSON"
         b = Bounds(integer_tuple(c, "c", source), integer_tuple(d, "d", source))
+        if b.n != g.n:
+            raise ParameterError(f"{source} has bound tuples of length {b.n}, expected n={g.n}")
         raw = {}
         for coords, val in entries:
             for x in coords:
@@ -171,12 +173,13 @@ def _switch_range(values, se, sw) -> tuple:
 
 
 def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
-    """Check monotonicity, bounds, and the switch condition; verdict, no raise.
+    """Check monotonicity, bounds, and the switch condition; a verdict, not a raise.
 
-    ``f`` maps every G-node to an integer (a dict or a WeightFunction).
+    ``f`` maps every G-node to an integer (a dict or a WeightFunction).  Bounds
+    whose length is not ``g.n`` have no node to violate: a ``ParameterError``.
     """
     if b.n != g.n:
-        return FeasibilityReport(False, Violation("bounds", 0, 0, 0))
+        raise ParameterError(f"bound tuples have length {b.n}, expected n={g.n}")
     values = f.values if isinstance(f, WeightFunction) else tuple(f[v] for v in g.nodes)
     for v, x in zip(g.nodes, values):
         if not b.d[v.k - 1] <= x <= b.c[v.k - 1]:

@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from ancrystal import build_supporting_graph, generate, principal_function, to_gt, zero_bounds
+from ancrystal import cli
 from ancrystal.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main
 
 
@@ -21,6 +23,27 @@ def test_build_summary_line(capsys, tmp_path):
     assert stdout.splitlines()[0] == "vertices=15 edges=18 length=6 principal=6"
     data = json.loads(out.read_text())
     assert len(data["vertices"]) == 15 and len(data["edges"]) == 18
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("rendered output that no --out asked for")
+
+
+@pytest.mark.parametrize(
+    "argv, renderer, stub, summary",
+    [
+        (["build", "--n", "2", "--c", "1,2"], "json_text", refuse,
+         "vertices=15 edges=18 length=6 principal=6"),
+        (["analyze", "--n", "3", "--c", "1,1,1"], "json", SimpleNamespace(dumps=refuse),
+         "principal=8 skeleton=40 upper=8 lower=8"),
+    ],
+    ids=["build", "analyze"],
+)
+def test_without_out_only_the_summary_is_made(capsys, monkeypatch, argv, renderer, stub, summary):
+    monkeypatch.setattr(cli, renderer, stub)
+    code, stdout, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert stdout == summary + "\n"
 
 
 def test_build_dot_output(capsys, tmp_path):
@@ -267,6 +290,8 @@ def test_gt_conversion_round_trip(capsys, tmp_path):
         (lambda data: data.__setitem__("d", [0, False]), "gives d[1] the non-integer value False"),
         (lambda data: data.__setitem__("c", "12"), "gives c[0] the non-integer value '1'"),
         (lambda data: data.__setitem__("n", 2.7), "number of colors must be a positive integer, got 2.7"),
+        # c and d agree with each other but not with n: no node is out of bounds
+        (lambda data: data.update(c=[1], d=[0]), "has bound tuples of length 1, expected n=2"),
     ],
 )
 def test_gt_rejects_a_malformed_weight_function(capsys, tmp_path, edit, message):

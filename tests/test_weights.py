@@ -93,6 +93,17 @@ def test_monotone_and_bounds_violations_are_localized():
     assert not r.ok and r.violation.condition == "bounds"
 
 
+def test_bounds_of_another_length_name_no_node():
+    # the mismatch has no location, so it is a ParameterError, not a Violation
+    g = build_supporting_graph(2)
+    with pytest.raises(ParameterError, match=r"length 1, expected n=2$"):
+        is_feasible(g, {v: 0 for v in g.nodes}, zero_bounds((1,)))
+    data = principal_function(g, (0, 0), zero_bounds((1, 2))).to_json()
+    data.update(c=[1], d=[0])
+    with pytest.raises(ParameterError, match=r"bound tuples of length 1, expected n=2$"):
+        WeightFunction.from_json(data)
+
+
 def test_switch_nodes_in_the_first_multinode():
     g = build_supporting_graph(2)
     f = principal_function(g, (0, 0), zero_bounds((1, 2)))
