@@ -15,7 +15,7 @@ from .errors import CapExceededError, ModelError, ParameterError
 from .gt import weyl_dimension
 from .moves import forward_move, string_lengths
 from .support import SupportingGraph, build_supporting_graph
-from .weights import Bounds, WeightFunction, base_constants, principal_function
+from .weights import Bounds, WeightFunction, principal_function
 
 DEFAULT_CAP = 2_000_000
 
@@ -89,13 +89,11 @@ class CrystalGraph:
 
     @cached_property
     def constants(self) -> tuple:
-        """Per vertex id, ``base_constants`` of its key, computed once per
-        crystal; equal tuples are one object."""
-        g = self.graph
+        """Per vertex id, ``base_constants`` of its key (the graph's compiled
+        ``constants_of``), computed once per crystal; equal tuples are one
+        object."""
         interned = {}
-        return tuple(
-            interned.setdefault(a, a) for a in (base_constants(g, key) for key in self.keys)
-        )
+        return tuple(interned.setdefault(a, a) for a in map(self.graph.constants_of, self.keys))
 
     def wt(self, v: int) -> dict:
         return {c: self.h[c][v] - self.t[c][v] for c in self.colors}

@@ -5,15 +5,19 @@ The graph for ``n`` colors is the disjoint union of base subgraphs ``G^1 .. G^n`
 ``v_i^k(j)``.  The extended graph adds a fringe of extra nodes around every base
 subgraph, which carry the bound ``c_k`` on the left of ``G^k`` and ``d_k`` on its
 right.  ``build_supporting_graph`` precomputes the whole extension once as the
-``slot`` table, so a value on the extended graph is a single lookup, and
-compiles the move layer's sums and tests into index tables over that layout.
+``slot`` table, so a value on the extended graph is a single lookup, compiles
+the move layer's sums and tests into index tables over that layout, and turns
+those tables into generated loop-free functions with one ``compile()`` call.
+It builds each graph once per process and hands every caller the same one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import ParameterError
 
@@ -65,16 +69,37 @@ class SupportingGraph:
     it is the first.  ``se`` holds those tests as ``(member, neighbor)`` pairs
     of canonical indices for m = 0, 1, ... and ``sw`` for m = last, last - 1,
     ..., 1.
+
+    Three of those tables are also compiled into loop-free functions of a
+    canonical-order value sequence ``v``:
+
+    - ``level_scans[i - 1](v, c, d)`` returns the new list ``[A(0), ...,
+      A(i+1)]`` of level ``i``, summing ``level_steps[i - 1]`` with the
+      positions of ``c`` and ``d`` read from those tuples;
+    - ``switch_ranges[(i, j)](v)`` returns ``(lo, end)``: the members of
+      V_i(j) allowed as its switch node are exactly ``range(lo, end)``, as a
+      member is allowed iff every member before it is SE-tight and every
+      member after it is SW-tight.  So lo is the last member that is not
+      SW-tight (0 if none) and end - 1 the first that is not SE-tight (the
+      last member if none), read from ``switch_pairs[(i, j)]``;
+    - ``constants_of(v)`` returns, per color k, the value ``v`` takes on all
+      of G^k (``base_index[k - 1]``), or None where it is not constant there.
+
+    A graph is shared by every caller of its ``n``, so its mappings are
+    read-only views.
     """
 
     n: int
     nodes: tuple
-    index: dict = field(compare=False, repr=False)
+    index: Mapping = field(compare=False, repr=False)
     base_index: tuple = field(compare=False, repr=False)
-    multinodes: dict = field(compare=False, repr=False)
-    slot: dict = field(compare=False, repr=False)
+    multinodes: Mapping = field(compare=False, repr=False)
+    slot: Mapping = field(compare=False, repr=False)
     level_steps: tuple = field(compare=False, repr=False)
-    switch_pairs: dict = field(compare=False, repr=False)
+    switch_pairs: Mapping = field(compare=False, repr=False)
+    level_scans: tuple = field(compare=False, repr=False)
+    switch_ranges: Mapping = field(compare=False, repr=False)
+    constants_of: Callable = field(compare=False, repr=False)
 
     def is_node(self, v: NodeRef) -> bool:
         """True iff v is a node of G (not merely of the extension)."""
@@ -94,7 +119,10 @@ class SupportingGraph:
         return tuple(self.nodes[p] for p in self.base_positions(k))
 
     def multinode(self, i: int, j: int) -> Multinode:
-        return self.multinodes[(i, j)]
+        try:
+            return self.multinodes[i, j]
+        except KeyError:
+            raise ParameterError(f"no multinode V_{i}({j}) for n={self.n}") from None
 
     def top(self, k: int) -> NodeRef:
         return NodeRef(k, 1, 1)
@@ -114,9 +142,16 @@ class SupportingGraph:
 
 
 def build_supporting_graph(n: int) -> SupportingGraph:
-    """Construct the supporting graph for ``n`` colors (n >= 1)."""
+    """The supporting graph for ``n`` colors (n >= 1).  It is cached for the
+    life of the process, so every caller of an ``n`` shares one object."""
+    # checked before the cache, where True and 1.0 would hash like 1
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParameterError(f"number of colors must be a positive integer, got {n!r}")
+    return _build(n)
+
+
+@cache
+def _build(n: int) -> SupportingGraph:
     nodes = []
     for k in range(1, n + 1):
         for j in range(1, n - k + 2):
@@ -124,9 +159,10 @@ def build_supporting_graph(n: int) -> SupportingGraph:
                 nodes.append(NodeRef(k, i, j))
     nodes.sort(key=lambda v: v.canonical_key)
     index = {v: p for p, v in enumerate(nodes)}
-    base_index = tuple(
-        tuple(p for p, v in enumerate(nodes) if v.k == k) for k in range(1, n + 1)
-    )
+    base_index = [[] for _ in range(n)]
+    for p, v in enumerate(nodes):
+        base_index[v.k - 1].append(p)
+    base_index = tuple(map(tuple, base_index))
     multinodes = {}
     switch_pairs = {}
     for i in range(1, n + 1):
@@ -150,11 +186,16 @@ def build_supporting_graph(n: int) -> SupportingGraph:
                     slot[v] = size + k - 1  # left of G^k: c_k
                 else:
                     slot[v] = size + n + k - 1  # right of G^k: d_k
+    level_steps = tuple(_level_steps(n, slot, i) for i in range(1, n + 1))
+    level_scans, switch_ranges, constants_of = _compile_kernels(
+        n, size, level_steps, switch_pairs, base_index
+    )
     return SupportingGraph(
-        n=n, nodes=tuple(nodes), index=index, base_index=base_index,
-        multinodes=multinodes, slot=slot,
-        level_steps=tuple(_level_steps(n, slot, i) for i in range(1, n + 1)),
-        switch_pairs=switch_pairs,
+        n=n, nodes=tuple(nodes), index=MappingProxyType(index), base_index=base_index,
+        multinodes=MappingProxyType(multinodes), slot=MappingProxyType(slot),
+        level_steps=level_steps, switch_pairs=MappingProxyType(switch_pairs),
+        level_scans=level_scans, switch_ranges=MappingProxyType(switch_ranges),
+        constants_of=constants_of,
     )
 
 
@@ -166,13 +207,68 @@ def _level_steps(n: int, slot: dict, i: int) -> tuple:
     v_i^k(j-1).  A slot on both sides cancels; what is left has as many plus as
     minus terms, paired up in sorted order.
     """
+    colors = range(1, n + 1)
     steps = []
     for j in range(1, i + 2):
-        plus = Counter()
-        minus = Counter()
-        for k in range(1, n + 1):
-            plus.update((slot[k, i - 1, j - 1], slot[k, i + 1, j]))
-            minus.update((slot[k, i, j], slot[k, i, j - 1]))
+        plus = Counter(
+            [slot[k, i - 1, j - 1] for k in colors] + [slot[k, i + 1, j] for k in colors]
+        )
+        minus = Counter([slot[k, i, j] for k in colors] + [slot[k, i, j - 1] for k in colors])
         pairs = zip(sorted((plus - minus).elements()), sorted((minus - plus).elements()))
         steps.append(tuple(pairs))
     return tuple(steps)
+
+
+# Level-step pairs per generated line.  A sum nests as deep as it has terms,
+# so this bound, not n, sets the depth of every generated sum.
+_PAIRS_PER_LINE = 8
+
+
+def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -> tuple:
+    """``(level_scans, switch_ranges, constants_of)`` of a graph (see
+    ``SupportingGraph``), generated as one source text and compiled once.
+
+    Sums are cut into lines of at most ``_PAIRS_PER_LINE`` pairs, and the
+    ``or`` chains, comparison chains and displays are flat, so the source
+    grows with n but no expression in it nests deeper.
+    """
+
+    def x(p):  # position p of values + c + d, read from the tuple that holds it
+        if p < size:
+            return f"v[{p}]"
+        return f"c[{p - size}]" if p < size + n else f"d[{p - size - n}]"
+
+    lines = []
+    for i, steps in enumerate(level_steps, 1):
+        lines.append(f"def scan_{i}(v, c, d):")
+        prev = []
+        for j, step in enumerate(steps, 1):
+            terms = [f"{x(plus)} - {x(minus)}" for plus, minus in step]
+            head = prev + terms[:_PAIRS_PER_LINE]
+            lines.append(f"    a{j} = {' + '.join(head) or '0'}")
+            for s in range(_PAIRS_PER_LINE, len(terms), _PAIRS_PER_LINE):
+                lines.append(f"    a{j} += {' + '.join(terms[s:s + _PAIRS_PER_LINE])}")
+            prev = [f"a{j}"]
+        lines.append(f"    return [0, {', '.join(f'a{j}' for j in range(1, i + 2))}]")
+    for (i, j), (se, sw) in switch_pairs.items():
+        # each ``or`` chain stops at its first failed test: lo at the last
+        # member that is not SW-tight (``sw`` runs from the last member down),
+        # end one past the first that is not SE-tight; all are truthy but 0
+        lo = [f"v[{a}] != v[{b}] and {len(sw) - p}" for p, (a, b) in enumerate(sw)]
+        end = [f"v[{a}] != v[{b}] and {m + 1}" for m, (a, b) in enumerate(se)]
+        lines += [
+            f"def switch_{i}_{j}(v):",
+            f"    return {' or '.join([*lo, '0'])}, {' or '.join([*end, str(len(se) + 1)])}",
+        ]
+    lines += ["def constants_of(v):", "    return ("]
+    for first, *rest in base_index:
+        same = " == ".join(f"v[{p}]" for p in (first, *rest))
+        lines.append(f"        v[{first}] if {same} else None," if rest else f"        v[{first}],")
+    lines.append("    )")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<supporting graph n={n}>", "exec"), namespace)
+    return (
+        tuple(namespace[f"scan_{i}"] for i in range(1, n + 1)),
+        {key: namespace[f"switch_{key[0]}_{key[1]}"] for key in switch_pairs},
+        namespace["constants_of"],
+    )

@@ -76,12 +76,18 @@ class WeightFunction:
     values: tuple
 
     def value(self, v: NodeRef) -> int:
-        return self.values[self.graph.index[v]]
+        return self.values[self._position(v)]
 
     def replace(self, v: NodeRef, new_value: int) -> "WeightFunction":
         vals = list(self.values)
-        vals[self.graph.index[v]] = new_value
+        vals[self._position(v)] = new_value
         return WeightFunction(self.graph, self.bounds, tuple(vals))
+
+    def _position(self, v: NodeRef) -> int:
+        try:
+            return self.graph.index[v]
+        except KeyError:
+            raise ParameterError(f"{v} is not a node of G for n={self.graph.n}") from None
 
     def subgraph_values(self, k: int) -> tuple:
         values = self.values
@@ -139,37 +145,7 @@ class WeightFunction:
 def base_constants(g: SupportingGraph, values) -> tuple:
     """Per color k, the value a canonical-order value tuple takes on all of
     G^k, or None where it is not constant on G^k."""
-    out = []
-    for positions in g.base_index:
-        x = values[positions[0]]
-        for p in positions:
-            if values[p] != x:
-                x = None
-                break
-        out.append(x)
-    return tuple(out)
-
-
-def _switch_range(values, se, sw) -> tuple:
-    """(lo, hi): the members of a multinode allowed as its switch node are
-    exactly lo..hi, none when lo > hi.
-
-    Member m is allowed iff every member before it is SE-tight and every member
-    after it is SW-tight, so lo is the last SW break and hi the first SE break.
-    ``se``/``sw`` are the multinode's ``SupportingGraph.switch_pairs``;
-    ``values`` is in canonical node order.
-    """
-    lo = 0
-    for p, (a, b) in enumerate(sw):
-        if values[a] != values[b]:
-            lo = len(sw) - p
-            break
-    hi = len(se)
-    for m, (a, b) in enumerate(se):
-        if values[a] != values[b]:
-            hi = m
-            break
-    return lo, hi
+    return g.constants_of(values)
 
 
 def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
@@ -189,8 +165,8 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
             if g.is_node(head) and x < values[g.index[head]]:
                 return FeasibilityReport(False, Violation("monotone", v.i, v.j, v.k))
     for (i, j) in sorted(g.multinodes):
-        lo, hi = _switch_range(values, *g.switch_pairs[(i, j)])
-        if lo > hi:
+        lo, end = g.switch_ranges[i, j](values)
+        if lo >= end:
             return FeasibilityReport(False, Violation("switch", i, j, None))
     return FeasibilityReport(True)
 
@@ -209,10 +185,14 @@ def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
     """Switch-node of multinode V_i(j): first qualifying member going forward,
     last one going backward."""
     g = f.graph
-    lo, hi = _switch_range(f.values, *g.switch_pairs[i, j])
-    if lo > hi:
+    try:
+        switch_range = g.switch_ranges[i, j]
+    except KeyError:
+        raise ParameterError(f"no multinode V_{i}({j}) for n={g.n}") from None
+    lo, end = switch_range(f.values)
+    if lo >= end:
         raise InfeasibleError(f"no switch-node in V_{i}({j}); function is not feasible")
-    return g.multinodes[i, j].members[lo if direction == FORWARD else hi]
+    return g.multinodes[i, j].members[lo if direction == FORWARD else end - 1]
 
 
 def principal_function(g: SupportingGraph, a, b: Bounds) -> WeightFunction:

@@ -1,8 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ancrystal import NodeRef, ParameterError, build_supporting_graph
+from ancrystal import (
+    Bounds,
+    NodeRef,
+    ParameterError,
+    WeightFunction,
+    base_constants,
+    build_supporting_graph,
+    slack_dicts,
+)
+from conftest import allowed_switch_members
 
 
 def test_rejects_nonpositive_n():
@@ -16,6 +26,35 @@ def test_rejects_nonpositive_n():
 def test_rejects_a_non_integer_n_by_its_value(n):
     with pytest.raises(ParameterError, match=repr(n)):
         build_supporting_graph(n)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, 0, "1"])
+def test_a_cached_graph_does_not_let_a_bad_n_through(n):
+    build_supporting_graph(1)  # True and 1.0 hash like 1, the cached key
+    with pytest.raises(ParameterError, match=repr(n)):
+        build_supporting_graph(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_every_caller_of_an_n_shares_one_graph(n):
+    assert build_supporting_graph(n) is build_supporting_graph(n)
+
+
+@pytest.mark.parametrize("table", ["index", "multinodes", "slot", "switch_pairs", "switch_ranges"])
+def test_the_shared_tables_are_read_only(table):
+    g = build_supporting_graph(2)
+    mapping = getattr(g, table)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = mapping[key]
+    with pytest.raises(TypeError):
+        del mapping[key]
+
+
+@pytest.mark.parametrize("i, j", [(4, 4), (2, 3), (0, 0), (3, 1)])
+def test_a_multinode_outside_g_is_a_parameter_error(i, j):
+    with pytest.raises(ParameterError, match=rf"^no multinode V_{i}\({j}\) for n=2$"):
+        build_supporting_graph(2).multinode(i, j)
 
 
 def test_n1_is_a_single_node():
@@ -172,3 +211,43 @@ def test_canonical_order_is_by_level_position_subgraph():
     keys = [v.canonical_key for v in g.nodes]
     assert keys == sorted(keys)
     assert g.index[g.nodes[0]] == 0
+
+
+def value_vectors(n):
+    """n, a value sequence in canonical node order that ignores every
+    feasibility condition, and per color a lower bound and a width."""
+    size = len(build_supporting_graph(n).nodes)
+    return st.tuples(
+        st.just(n),
+        st.lists(st.integers(-2, 2), min_size=size, max_size=size),
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 2)), min_size=n, max_size=n),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(value_vectors))
+def test_compiled_kernels_match_their_plain_restatements(params):
+    """The generated level scans, switch ranges and constants agree with the
+    slack dicts, the member-by-member switch rule and a per-subgraph set of
+    values, on any integer vector, feasible or not."""
+    n, values, bounds = params
+    g = build_supporting_graph(n)
+    values = tuple(values)
+    d = tuple(lo for lo, _ in bounds)
+    c = tuple(lo + width for lo, width in bounds)
+    f = WeightFunction(g, Bounds(c, d), values)
+    for i in range(1, n + 1):
+        eps, delta, _, _ = slack_dicts(f, i)
+        prefix = [0]
+        for j in range(1, i + 2):
+            prefix.append(prefix[-1] + eps[j] - delta[j - 1])
+        assert g.level_scans[i - 1](values, c, d) == prefix
+    value = dict(zip(g.nodes, values)).__getitem__
+    for key, mn in g.multinodes.items():
+        lo, end = g.switch_ranges[key](values)
+        assert list(range(lo, end)) == allowed_switch_members(value, mn.members), key
+    expected = []
+    for k in range(1, n + 1):
+        on_k = {x for v, x in zip(g.nodes, values) if v.k == k}
+        expected.append(on_k.pop() if len(on_k) == 1 else None)
+    assert g.constants_of(values) == base_constants(g, values) == tuple(expected)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -111,6 +112,23 @@ def test_switch_nodes_in_the_first_multinode():
     assert switch_node(f, 1, 1, BACKWARD) == NodeRef(2, 1, 1)
     # singleton multinode: both directions agree
     assert switch_node(f, 2, 1, FORWARD) == switch_node(f, 2, 1, BACKWARD) == NodeRef(2, 2, 1)
+
+
+def test_a_multinode_outside_g_has_no_switch_node():
+    f = principal_function(build_supporting_graph(2), (0, 0), zero_bounds((1, 2)))
+    for direction in (FORWARD, BACKWARD):
+        with pytest.raises(ParameterError, match=r"^no multinode V_3\(1\) for n=2$"):
+            switch_node(f, 3, 1, direction)
+
+
+@pytest.mark.parametrize("v", [NodeRef(3, 1, 1), NodeRef(1, 2, 1), (1, 0, 0)])
+def test_a_node_outside_g_has_no_value(v):
+    f = principal_function(build_supporting_graph(2), (0, 0), zero_bounds((1, 2)))
+    message = rf"^{re.escape(str(v))} is not a node of G for n=2$"
+    with pytest.raises(ParameterError, match=message):
+        f.value(v)
+    with pytest.raises(ParameterError, match=message):
+        f.replace(v, 1)
 
 
 def test_switch_members_form_a_contiguous_range():
