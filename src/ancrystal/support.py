@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -229,8 +230,8 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
     ``SupportingGraph``), generated as one source text and compiled once.
 
     Sums are cut into lines of at most ``_PAIRS_PER_LINE`` pairs, and the
-    ``or`` chains, comparison chains and displays are flat, so the source
-    grows with n but no expression in it nests deeper.
+    ``or`` chains, comparison chains, unpackings and displays are flat, so the
+    source grows with n but no expression in it nests deeper.
     """
 
     def x(p):  # position p of values + c + d, read from the tuple that holds it
@@ -250,15 +251,24 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
                 lines.append(f"    a{j} += {' + '.join(terms[s:s + _PAIRS_PER_LINE])}")
             prev = [f"a{j}"]
         lines.append(f"    return [0, {', '.join(f'a{j}' for j in range(1, i + 2))}]")
-    for (i, j), (se, sw) in switch_pairs.items():
-        # each ``or`` chain stops at its first failed test: lo at the last
-        # member that is not SW-tight (``sw`` runs from the last member down),
-        # end one past the first that is not SE-tight; all are truthy but 0
-        lo = [f"v[{a}] != v[{b}] and {len(sw) - p}" for p, (a, b) in enumerate(sw)]
-        end = [f"v[{a}] != v[{b}] and {m + 1}" for m, (a, b) in enumerate(se)]
+    # A switch chain depends only on the member count, so the source holds one
+    # factory per count, and each multinode's function closes over its own
+    # ``switch_pairs`` positions (SE pairs s, t; SW pairs u, w).  Each ``or``
+    # chain stops at its first failed test: lo at the last member that is not
+    # SW-tight (``sw`` runs from the last member down), end one past the first
+    # that is not SE-tight; every member number it yields but 0 is truthy.
+    for members in sorted({len(se) + 1 for se, _ in switch_pairs.values()}):
+        tests = range(members - 1)
+        lo = [f"v[u{p}] != v[w{p}] and {members - 1 - p}" for p in tests]
+        end = [f"v[s{m}] != v[t{m}] and {m + 1}" for m in tests]
+        names = [f"s{m}, t{m}, " for m in tests] + [f"u{p}, w{p}, " for p in tests]
+        lines.append(f"def switch_for_{members}(positions):")
+        if names:
+            lines.append(f"    {''.join(names)}= positions")
         lines += [
-            f"def switch_{i}_{j}(v):",
-            f"    return {' or '.join([*lo, '0'])}, {' or '.join([*end, str(len(se) + 1)])}",
+            "    def switch(v):",
+            f"        return {' or '.join([*lo, '0'])}, {' or '.join([*end, str(members)])}",
+            "    return switch",
         ]
     lines += ["def constants_of(v):", "    return ("]
     for first, *rest in base_index:
@@ -269,6 +279,9 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
     exec(compile("\n".join(lines), f"<supporting graph n={n}>", "exec"), namespace)
     return (
         tuple(namespace[f"scan_{i}"] for i in range(1, n + 1)),
-        {key: namespace[f"switch_{key[0]}_{key[1]}"] for key in switch_pairs},
+        {
+            key: namespace[f"switch_for_{len(se) + 1}"](tuple(chain.from_iterable(se + sw)))
+            for key, (se, sw) in switch_pairs.items()
+        },
         namespace["constants_of"],
     )
