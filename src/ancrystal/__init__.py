@@ -15,7 +15,6 @@ from .weights import (
     FORWARD,
     Bounds,
     WeightFunction,
-    base_constants,
     is_feasible,
     make_weight_function,
     principal_function,

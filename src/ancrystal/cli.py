@@ -219,8 +219,10 @@ def cmd_gt(args) -> int:
     else:
         if args.n is None or args.c is None:
             raise ParameterError("gt --direction from-pattern needs --n and --c")
-        g = build_supporting_graph(args.n)
-        f = from_gt(g, GTPattern.from_json(data), args.c)
+        pattern = GTPattern.from_json(data)
+        if pattern.n != args.n:  # before the graph of a wrong n is built
+            raise ParameterError(f"pattern has {pattern.n} rows, expected n={args.n}")
+        f = from_gt(build_supporting_graph(args.n), pattern, args.c)
         text = json.dumps(f.to_json(), indent=2) + "\n"
     _write(args.out, text)
     return EXIT_OK

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Tuple
 from .errors import CapExceededError, ModelError, ParameterError
 from .gt import weyl_dimension
 from .moves import forward_move, string_lengths
-from .support import SupportingGraph, build_supporting_graph
+from .support import SupportingGraph, build_supporting_graph, check_color_count
 from .weights import Bounds, WeightFunction, principal_function
 
 DEFAULT_CAP = 2_000_000
@@ -89,9 +89,9 @@ class CrystalGraph:
 
     @cached_property
     def constants(self) -> tuple:
-        """Per vertex id, ``base_constants`` of its key (the graph's compiled
-        ``constants_of``), computed once per crystal; equal tuples are one
-        object."""
+        """Per vertex id, the graph's compiled ``constants_of`` of its key:
+        per color k, the value it takes on all of G^k, or None.  Computed once
+        per crystal; equal tuples are one object."""
         interned = {}
         return tuple(interned.setdefault(a, a) for a in map(self.graph.constants_of, self.keys))
 
@@ -285,15 +285,15 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     """Crystal digraph K(c, d): closure of the constant-d function under all
     forward moves, vertices deduplicated by their value tuples.
 
-    The Weyl dimension gives the exact size first, so a crystal above ``cap``
-    fails before any move is made.  The size is also the closure's only
-    bound: the columns are allocated once at that length, and a closure that
-    finds more or fewer vertices is a ``ModelError``."""
+    The parameters and the exact size, the Weyl dimension, are checked before
+    the supporting graph is built, so a crystal above ``cap`` costs no work.
+    The size is also the closure's only bound: the columns are allocated once
+    at that length, and a closure that finds more or fewer is a ModelError."""
     if isinstance(cap, bool) or not isinstance(cap, int):
         raise ParameterError(f"vertex cap must be an integer, got {cap!r}")
     if cap < 1:
         raise ParameterError(f"vertex cap must be positive, got {cap}")
-    g = build_supporting_graph(n)  # validates n before it is used
+    check_color_count(n)
     c = tuple(c)
     d = (0,) * n if d is None else tuple(d)
     if len(c) != n or len(d) != n:
@@ -302,6 +302,7 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     size = weyl_dimension(b.c, b.d)
     if size > cap:
         raise CapExceededError(cap, size)
+    g = build_supporting_graph(n)
     colors = tuple(range(1, n + 1))
     f0 = principal_function(g, d, b)
     keys = [f0.values]

@@ -15,13 +15,13 @@ def _color_error(g, i: int) -> ParameterError:
 def level_slacks(f: WeightFunction, i: int) -> list:
     """Prefix sums A(0), ..., A(i+1) of the level-i slack sums, as a new list.
 
-    One call of the compiled scan ``f.graph.level_scans[i - 1]``, which sums
-    the steps ``level_steps[i - 1]`` with A(0) = 0 and
-    A(j) = A(j-1) + eps(j) - delta(j-1).  The residual slacks telescope over
-    them: the residual upper slacks sum to h = max A and the residual lower
-    slacks to t = h - A(i+1).  The forward multinode is the first argmax j of A
-    and the backward one the least j >= 1 with A(j) > max_{q>j} A(q), that is
-    the last argmax of A(1..i+1); either is taken only when 1 <= j <= i.
+    One call of the compiled scan ``f.graph.level_scans[i - 1]``, whose
+    generated sums give A(0) = 0 and A(j) = A(j-1) + eps(j) - delta(j-1).
+    The residual slacks telescope over them: the residual upper slacks sum to
+    h = max A and the residual lower slacks to t = h - A(i+1).  The forward
+    multinode is the first argmax j of A and the backward one the least
+    j >= 1 with A(j) > max_{q>j} A(q), that is the last argmax of
+    A(1..i+1); either is taken only when 1 <= j <= i.
     """
     g = f.graph
     if not 1 <= i <= g.n:  # i = 0 would read level n
@@ -109,9 +109,11 @@ def active_multinode(f: WeightFunction, i: int, direction: str) -> Optional[Tupl
     prefix = level_slacks(f, i)
     if direction == FORWARD:
         j = prefix.index(max(prefix))
-    else:
+    elif direction == BACKWARD:
         tail = prefix[:0:-1]  # A(i+1), ..., A(1)
         j = i + 1 - tail.index(max(tail))
+    else:
+        raise ParameterError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
     return (i, j) if 1 <= j <= i else None
 
 

@@ -16,7 +16,7 @@ from .crystal import (
 )
 from .errors import ModelError, ParameterError, integer_tuple
 from .support import build_supporting_graph
-from .weights import base_constants, principal_function
+from .weights import principal_function
 
 UPPER = "upper"
 LOWER = "lower"
@@ -301,7 +301,7 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     m = find_isomorphism(subgraph(K, comp, colors), ref, color_map)
     if m is None:
         raise ModelError(f"{side} subcrystal at {a} does not match its reference crystal")
-    located = base_constants(ref.graph, ref.keys[m[comp.index(v)]])
+    located = ref.graph.constants_of(ref.keys[m[comp.index(v)]])
     if located != formula:
         raise ModelError(
             f"principal vertex {a}: located at {located} in its {side} subcrystal, "

@@ -7,7 +7,7 @@ subgraph, which carry the bound ``c_k`` on the left of ``G^k`` and ``d_k`` on it
 right.  ``build_supporting_graph`` precomputes the whole extension once as the
 ``slot`` table, so a value on the extended graph is a single lookup, compiles
 the move layer's sums and tests into index tables over that layout, and turns
-those tables into generated loop-free functions with one ``compile()`` call.
+those tables into generated loop-free functions, one ``compile()`` per kernel.
 It builds each graph once per process and hands every caller the same one.
 """
 
@@ -58,31 +58,18 @@ class SupportingGraph:
     extra node left of G^k to ``c_k`` and one right of G^k to ``d_k``.  Its keys
     are exactly the extended nodes.
 
-    ``level_steps[i - 1]`` compiles level ``i`` from ``slot``: its entry ``j - 1``
-    (j = 1..i+1) holds the prefix step ``A(j) - A(j-1) = eps(j) - delta(j-1)``
-    of the slack sums as ``(plus, minus)`` pairs of positions in
-    ``x = values + c + d``: the step is the sum of ``x[plus] - x[minus]`` over
-    its pairs (see ``moves.level_slacks``).
-
-    ``switch_pairs[(i, j)]`` compiles the switch condition of V_i(j) as
-    ``(se, sw)``: member ``m`` is compared with its SE neighbor v_{i+1}^k(j+1)
-    unless it is the last member and with its SW neighbor v_{i+1}^k(j) unless
-    it is the first.  ``se`` holds those tests as ``(member, neighbor)`` pairs
-    of canonical indices for m = 0, 1, ... and ``sw`` for m = last, last - 1,
-    ..., 1.
-
-    Three of those tables are also compiled into loop-free functions of a
-    canonical-order value sequence ``v``:
+    Three kernels are generated as loop-free functions of a canonical-order
+    value sequence ``v``:
 
     - ``level_scans[i - 1](v, c, d)`` returns the new list ``[A(0), ...,
-      A(i+1)]`` of level ``i``, summing ``level_steps[i - 1]`` with the
-      positions of ``c`` and ``d`` read from those tuples;
+      A(i+1)]`` of level ``i``: A(0) = 0 and A(j) = A(j-1) + eps(j) -
+      delta(j-1), the prefix sums of the slack sums (see ``_level_steps``);
     - ``switch_ranges[(i, j)](v)`` returns ``(lo, end)``: the members of
       V_i(j) allowed as its switch node are exactly ``range(lo, end)``, as a
       member is allowed iff every member before it is SE-tight and every
       member after it is SW-tight.  So lo is the last member that is not
       SW-tight (0 if none) and end - 1 the first that is not SE-tight (the
-      last member if none), read from ``switch_pairs[(i, j)]``;
+      last member if none);
     - ``constants_of(v)`` returns, per color k, the value ``v`` takes on all
       of G^k (``base_index[k - 1]``), or None where it is not constant there.
 
@@ -96,8 +83,6 @@ class SupportingGraph:
     base_index: tuple = field(compare=False, repr=False)
     multinodes: Mapping = field(compare=False, repr=False)
     slot: Mapping = field(compare=False, repr=False)
-    level_steps: tuple = field(compare=False, repr=False)
-    switch_pairs: Mapping = field(compare=False, repr=False)
     level_scans: tuple = field(compare=False, repr=False)
     switch_ranges: Mapping = field(compare=False, repr=False)
     constants_of: Callable = field(compare=False, repr=False)
@@ -142,13 +127,18 @@ class SupportingGraph:
                 yield (u, se)
 
 
+def check_color_count(n) -> int:
+    """``n`` when it is a positive int; anything else is a ParameterError."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ParameterError(f"number of colors must be a positive integer, got {n!r}")
+    return n
+
+
 def build_supporting_graph(n: int) -> SupportingGraph:
     """The supporting graph for ``n`` colors (n >= 1).  It is cached for the
     life of the process, so every caller of an ``n`` shares one object."""
     # checked before the cache, where True and 1.0 would hash like 1
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ParameterError(f"number of colors must be a positive integer, got {n!r}")
-    return _build(n)
+    return _build(check_color_count(n))
 
 
 @cache
@@ -165,6 +155,9 @@ def _build(n: int) -> SupportingGraph:
         base_index[v.k - 1].append(p)
     base_index = tuple(map(tuple, base_index))
     multinodes = {}
+    # The switch tests of V_i(j) as (se, sw), (member, neighbor) index pairs:
+    # se compares members m = 0, 1, ..., last - 1 with their SE neighbors
+    # v_{i+1}^k(j+1), sw members m = last, ..., 1 with their SW ones v_{i+1}^k(j).
     switch_pairs = {}
     for i in range(1, n + 1):
         for j in range(1, i + 1):
@@ -194,7 +187,6 @@ def _build(n: int) -> SupportingGraph:
     return SupportingGraph(
         n=n, nodes=tuple(nodes), index=MappingProxyType(index), base_index=base_index,
         multinodes=MappingProxyType(multinodes), slot=MappingProxyType(slot),
-        level_steps=level_steps, switch_pairs=MappingProxyType(switch_pairs),
         level_scans=level_scans, switch_ranges=MappingProxyType(switch_ranges),
         constants_of=constants_of,
     )
@@ -203,10 +195,12 @@ def _build(n: int) -> SupportingGraph:
 def _level_steps(n: int, slot: dict, i: int) -> tuple:
     """The prefix steps of level i as ``(plus, minus)`` slot pairs.
 
-    Summed over the colors k, ``eps(j) - delta(j-1)`` adds the values at
-    v_{i-1}^k(j-1) and v_{i+1}^k(j) and subtracts those at v_i^k(j) and
-    v_i^k(j-1).  A slot on both sides cancels; what is left has as many plus as
-    minus terms, paired up in sorted order.
+    Entry j - 1 (j = 1..i+1) is the step A(j) - A(j-1) = eps(j) - delta(j-1),
+    the sum of ``x[plus] - x[minus]`` over its pairs in ``x = values + c + d``.
+    Summed over the colors k, it adds the values at v_{i-1}^k(j-1) and
+    v_{i+1}^k(j) and subtracts those at v_i^k(j) and v_i^k(j-1).  A slot on
+    both sides cancels; what is left has as many plus as minus terms, paired
+    up in sorted order.
     """
     colors = range(1, n + 1)
     steps = []
@@ -220,18 +214,21 @@ def _level_steps(n: int, slot: dict, i: int) -> tuple:
     return tuple(steps)
 
 
-# Level-step pairs per generated line.  A sum nests as deep as it has terms,
-# so this bound, not n, sets the depth of every generated sum.
-_PAIRS_PER_LINE = 8
+def _compiled(lines: list, n: int) -> Callable:
+    """The one function that the source ``lines`` define, compiled on its own."""
+    defined = {}
+    exec(compile("\n".join(lines), f"<supporting graph n={n}>", "exec"), {}, defined)
+    (function,) = defined.values()
+    return function
 
 
 def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -> tuple:
     """``(level_scans, switch_ranges, constants_of)`` of a graph (see
-    ``SupportingGraph``), generated as one source text and compiled once.
+    ``SupportingGraph``), each kernel compiled from its own source.
 
-    Sums are cut into lines of at most ``_PAIRS_PER_LINE`` pairs, and the
-    ``or`` chains, comparison chains, unpackings and displays are flat, so the
-    source grows with n but no expression in it nests deeper.
+    A step has at most 2n - 2 pairs, and the ``or`` chains, comparison chains,
+    unpackings and displays are flat, so a source grows with n but stays
+    short, and the parser never holds more than one kernel's tokens.
     """
 
     def x(p):  # position p of values + c + d, read from the tuple that holds it
@@ -239,30 +236,29 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
             return f"v[{p}]"
         return f"c[{p - size}]" if p < size + n else f"d[{p - size - n}]"
 
-    lines = []
+    level_scans = []
     for i, steps in enumerate(level_steps, 1):
-        lines.append(f"def scan_{i}(v, c, d):")
+        lines = [f"def scan_{i}(v, c, d):"]
         prev = []
         for j, step in enumerate(steps, 1):
-            terms = [f"{x(plus)} - {x(minus)}" for plus, minus in step]
-            head = prev + terms[:_PAIRS_PER_LINE]
-            lines.append(f"    a{j} = {' + '.join(head) or '0'}")
-            for s in range(_PAIRS_PER_LINE, len(terms), _PAIRS_PER_LINE):
-                lines.append(f"    a{j} += {' + '.join(terms[s:s + _PAIRS_PER_LINE])}")
+            terms = prev + [f"{x(plus)} - {x(minus)}" for plus, minus in step]
+            lines.append(f"    a{j} = {' + '.join(terms) or '0'}")
             prev = [f"a{j}"]
         lines.append(f"    return [0, {', '.join(f'a{j}' for j in range(1, i + 2))}]")
-    # A switch chain depends only on the member count, so the source holds one
-    # factory per count, and each multinode's function closes over its own
+        level_scans.append(_compiled(lines, n))
+    # A switch chain depends only on the member count, so there is one factory
+    # per count, and each multinode's function closes over its own
     # ``switch_pairs`` positions (SE pairs s, t; SW pairs u, w).  Each ``or``
     # chain stops at its first failed test: lo at the last member that is not
     # SW-tight (``sw`` runs from the last member down), end one past the first
     # that is not SE-tight; every member number it yields but 0 is truthy.
-    for members in sorted({len(se) + 1 for se, _ in switch_pairs.values()}):
+    factories = {}
+    for members in {len(se) + 1 for se, _ in switch_pairs.values()}:
         tests = range(members - 1)
         lo = [f"v[u{p}] != v[w{p}] and {members - 1 - p}" for p in tests]
         end = [f"v[s{m}] != v[t{m}] and {m + 1}" for m in tests]
         names = [f"s{m}, t{m}, " for m in tests] + [f"u{p}, w{p}, " for p in tests]
-        lines.append(f"def switch_for_{members}(positions):")
+        lines = [f"def switch_for_{members}(positions):"]
         if names:
             lines.append(f"    {''.join(names)}= positions")
         lines += [
@@ -270,18 +266,17 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
             f"        return {' or '.join([*lo, '0'])}, {' or '.join([*end, str(members)])}",
             "    return switch",
         ]
-    lines += ["def constants_of(v):", "    return ("]
+        factories[members] = _compiled(lines, n)
+    lines = ["def constants_of(v):", "    return ("]
     for first, *rest in base_index:
         same = " == ".join(f"v[{p}]" for p in (first, *rest))
         lines.append(f"        v[{first}] if {same} else None," if rest else f"        v[{first}],")
     lines.append("    )")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<supporting graph n={n}>", "exec"), namespace)
     return (
-        tuple(namespace[f"scan_{i}"] for i in range(1, n + 1)),
+        tuple(level_scans),
         {
-            key: namespace[f"switch_for_{len(se) + 1}"](tuple(chain.from_iterable(se + sw)))
+            key: factories[len(se) + 1](tuple(chain.from_iterable(se + sw)))
             for key, (se, sw) in switch_pairs.items()
         },
-        namespace["constants_of"],
+        _compiled(lines, n),
     )

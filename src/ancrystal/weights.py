@@ -96,7 +96,7 @@ class WeightFunction:
     def constants(self) -> tuple:
         """Per color k, the value f takes on all of G^k, or None where f is not
         constant on G^k."""
-        return base_constants(self.graph, self.values)
+        return self.graph.constants_of(self.values)
 
     def is_principal(self) -> bool:
         return None not in self.constants()
@@ -140,12 +140,6 @@ class WeightFunction:
             if v not in raw:
                 raise ParameterError(f"weight-function JSON has no value for {v}")
         return make_weight_function(g, raw, b)
-
-
-def base_constants(g: SupportingGraph, values) -> tuple:
-    """Per color k, the value a canonical-order value tuple takes on all of
-    G^k, or None where it is not constant on G^k."""
-    return g.constants_of(values)
 
 
 def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
@@ -192,7 +186,12 @@ def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
     lo, end = switch_range(f.values)
     if lo >= end:
         raise InfeasibleError(f"no switch-node in V_{i}({j}); function is not feasible")
-    return g.multinodes[i, j].members[lo if direction == FORWARD else end - 1]
+    if direction == FORWARD:
+        return g.multinodes[i, j].members[lo]
+    elif direction == BACKWARD:
+        return g.multinodes[i, j].members[end - 1]
+    else:
+        raise ParameterError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
 
 
 def principal_function(g: SupportingGraph, a, b: Bounds) -> WeightFunction:

@@ -320,6 +320,21 @@ def test_gt_rejects_a_node_given_twice(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_gt_checks_the_pattern_rows_before_building_the_graph(capsys, tmp_path, monkeypatch):
+    def refuse_to_build(n):
+        raise AssertionError(f"built the supporting graph for n={n}")
+
+    monkeypatch.setattr(cli, "build_supporting_graph", refuse_to_build)
+    pat = tmp_path / "p.json"
+    pat.write_text("[[1], [1, 0]]")
+    code, stdout, err = run(
+        capsys, "gt", "--direction", "from-pattern", "--n", "50", "--c", "1",
+        "--in", str(pat),
+    )
+    assert code == EXIT_USAGE and stdout == ""
+    assert err == "error: pattern has 2 rows, expected n=50\n"
+
+
 def test_gt_rejects_an_unbounded_pattern(capsys, tmp_path):
     pat = tmp_path / "p.json"
     pat.write_text("[[9], [9, 0]]")

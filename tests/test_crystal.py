@@ -141,6 +141,25 @@ def test_an_oversized_crystal_fails_before_the_closure():
     assert time.perf_counter() - start < 1.0
 
 
+def refuse_to_build(n):
+    raise AssertionError(f"built the supporting graph for n={n}")
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: generate(50, (1,)), ParameterError),
+        (lambda: generate(0, ()), ParameterError),
+        (lambda: generate(40, (1,) + (0,) * 39, cap=10), CapExceededError),
+    ],
+    ids=["short-bounds", "bad-n", "over-cap"],
+)
+def test_generate_checks_its_parameters_before_building_the_graph(monkeypatch, call, error):
+    monkeypatch.setattr(crystal, "build_supporting_graph", refuse_to_build)
+    with pytest.raises(error):
+        call()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_weyl_dimension_is_the_pattern_count(n):
     for c in itertools.product(range(3), repeat=n):

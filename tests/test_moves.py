@@ -125,6 +125,14 @@ def test_active_multinodes_at_the_ends():
     assert active_multinode(fc, 2, FORWARD) is None
 
 
+@pytest.mark.parametrize("direction", ["Forward", "up", None])
+def test_active_multinode_rejects_an_unknown_direction(direction):
+    f0 = source_function(2, (1, 2))
+    message = f"^direction must be 'forward' or 'backward', got {direction!r}$"
+    with pytest.raises(ParameterError, match=message):
+        active_multinode(f0, 1, direction)
+
+
 def test_forward_moves_from_the_source():
     f0 = source_function(2, (1, 2))
     assert active_multinode(f0, 1, FORWARD) == (1, 1)

@@ -11,7 +11,6 @@ from ancrystal import (
     ModelError,
     ParameterError,
     apply_string,
-    base_constants,
     base_crystal,
     branching_multiplicity,
     build_supporting_graph,
@@ -52,7 +51,7 @@ def test_the_constants_column_is_computed_once_per_crystal(crystals):
     K = crystals(3, (2, 1, 2))
     column = K.constants
     assert column is K.constants
-    assert column == tuple(base_constants(K.graph, key) for key in K.keys)
+    assert column == tuple(map(K.graph.constants_of, K.keys))
     # equal tuples are one object
     assert len({id(a) for a in column}) == len(set(column))
     assert principal_lattice(K).by_tuple == {

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,10 @@ from ancrystal import (
     NodeRef,
     ParameterError,
     WeightFunction,
-    base_constants,
     build_supporting_graph,
     slack_dicts,
 )
+from ancrystal import support
 from conftest import allowed_switch_members
 
 
@@ -40,7 +42,7 @@ def test_every_caller_of_an_n_shares_one_graph(n):
     assert build_supporting_graph(n) is build_supporting_graph(n)
 
 
-@pytest.mark.parametrize("table", ["index", "multinodes", "slot", "switch_pairs", "switch_ranges"])
+@pytest.mark.parametrize("table", ["index", "multinodes", "slot", "switch_ranges"])
 def test_the_shared_tables_are_read_only(table):
     g = build_supporting_graph(2)
     mapping = getattr(g, table)
@@ -250,4 +252,20 @@ def test_compiled_kernels_match_their_plain_restatements(params):
     for k in range(1, n + 1):
         on_k = {x for v, x in zip(g.nodes, values) if v.k == k}
         expected.append(on_k.pop() if len(on_k) == 1 else None)
-    assert g.constants_of(values) == base_constants(g, values) == tuple(expected)
+    assert g.constants_of(values) == tuple(expected)
+
+
+def test_compiling_the_kernels_does_not_spike_memory():
+    # each kernel is parsed from its own source, so the parser never holds
+    # the tokens of the whole graph at once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = support._build.__wrapped__(12)  # uncached: a fresh build
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 12
+    assert peak - before <= 4 * (retained - before)

@@ -121,6 +121,14 @@ def test_a_multinode_outside_g_has_no_switch_node():
             switch_node(f, 3, 1, direction)
 
 
+@pytest.mark.parametrize("direction", ["Forward", "up", None])
+def test_switch_node_rejects_an_unknown_direction(direction):
+    f = principal_function(build_supporting_graph(2), (0, 0), zero_bounds((1, 2)))
+    message = f"^direction must be 'forward' or 'backward', got {direction!r}$"
+    with pytest.raises(ParameterError, match=message):
+        switch_node(f, 1, 1, direction)
+
+
 @pytest.mark.parametrize("v", [NodeRef(3, 1, 1), NodeRef(1, 2, 1), (1, 0, 0)])
 def test_a_node_outside_g_has_no_value(v):
     f = principal_function(build_supporting_graph(2), (0, 0), zero_bounds((1, 2)))
