@@ -7,7 +7,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterator, Optional, Tuple
 
@@ -64,8 +64,17 @@ class CrystalGraph:
     def vertex_ids(self) -> range:
         return range(self.num_vertices)
 
+    def check_vertex_id(self, v: int) -> int:
+        """v itself when it is an id of this crystal, else a ParameterError:
+        a negative id would index from the end, and -1 is a column's "none"."""
+        if not 0 <= v < len(self.keys):
+            raise ParameterError(
+                f"vertex id {v} out of range for a crystal of {len(self.keys)} vertices"
+            )
+        return v
+
     def function(self, v: int) -> WeightFunction:
-        return WeightFunction(self.graph, self.bounds, self.keys[v])
+        return WeightFunction(self.graph, self.bounds, self.keys[self.check_vertex_id(v)])
 
     def vertex_by_function(self, f: WeightFunction) -> int:
         return self.key_to_id[f.values]
@@ -74,10 +83,22 @@ class CrystalGraph:
     def key_to_id(self) -> dict:
         return {key: v for v, key in enumerate(self.keys)}
 
+    def _end_flags(self, columns, colors=None) -> bytes:
+        """Per vertex id, 1 when its entry is -1 in the column of every color
+        (by default the graph's colors), else 0: the sources when ``columns``
+        is ``prv``, the sinks when it is ``nxt``.  Without colors every vertex
+        is an end."""
+        colors = self.colors if colors is None else colors
+        if not colors:
+            return b"\1" * self.num_vertices
+        # a row's max is -1 exactly when the id has no entry in any column
+        return bytes(map((0).__gt__, map(max, zip(*(columns[c] for c in colors)))))
+
     def _unique_end(self, columns) -> Optional[int]:
         """The one id that is -1 in every column, or None when there is not one."""
-        ends = [v for v, row in enumerate(self._rows(columns)) if max(row, default=-1) < 0]
-        return ends[0] if len(ends) == 1 else None
+        ends = compress(self.vertex_ids(), self._end_flags(columns))
+        first = next(ends, None)
+        return first if next(ends, None) is None else None
 
     @cached_property
     def source(self) -> Optional[int]:
@@ -96,6 +117,7 @@ class CrystalGraph:
         return tuple(interned.setdefault(a, a) for a in map(self.graph.constants_of, self.keys))
 
     def wt(self, v: int) -> dict:
+        self.check_vertex_id(v)
         return {c: self.h[c][v] - self.t[c][v] for c in self.colors}
 
     def edges(self) -> Iterator[Tuple[int, int, int]]:
@@ -358,14 +380,23 @@ def subgraph(K: CrystalGraph, vertex_ids, colors=None) -> CrystalGraph:
         colors = K.colors
     colors = tuple(colors)
     ids = sorted(set(vertex_ids))
-    # -1, the "none" entry, is not an id, so it maps to itself
+    if ids:
+        K.check_vertex_id(ids[0])
+        K.check_vertex_id(ids[-1])
+    # -1, the "none" entry, is not an id, so it maps to itself, and so does
+    # the end of an edge that leaves the subgraph
     new_id = {v: p for p, v in enumerate(ids)}.get
-    nxt = {c: array("i", [new_id(K.nxt[c][v], -1) for v in ids]) for c in colors}
-    prv = {c: array("i", [new_id(K.prv[c][v], -1) for v in ids]) for c in colors}
+    none = repeat(-1)
+
+    def remap(col):
+        return array("i", map(new_id, map(col.__getitem__, ids), none))
+
+    nxt = {c: remap(K.nxt[c]) for c in colors}
+    prv = {c: remap(K.prv[c]) for c in colors}
     h, t = _measured_strings(len(ids), nxt, prv, colors)
     return CrystalGraph(
         graph=K.graph, bounds=K.bounds, colors=colors,
-        keys=tuple(K.keys[v] for v in ids), nxt=nxt, prv=prv, h=h, t=t,
+        keys=tuple(map(K.keys.__getitem__, ids)), nxt=nxt, prv=prv, h=h, t=t,
     )
 
 
@@ -374,25 +405,32 @@ def dual(K: CrystalGraph) -> CrystalGraph:
     return replace(K, nxt=K.prv, prv=K.nxt, h=K.t, t=K.h)
 
 
-def _reachable(start: int, columns) -> set:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
+def _mark_reachable(start: int, columns, mark: bytearray) -> list:
+    """Mark ``start`` and every unmarked id reachable from it along the id
+    ``columns`` (-1 for none) in ``mark``; return those ids in visit order.
+
+    The caller supplies ``mark`` (one byte per id, ``start`` unmarked), so
+    one array serves every component of a graph."""
+    mark[start] = 1
+    found = [start]
+    for v in found:  # breadth first: the list is the queue
         for col in columns:
             w = col[v]
-            if w >= 0 and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+            if w >= 0 and not mark[w]:
+                mark[w] = 1
+                found.append(w)
+    return found
 
 
 def interval(K: CrystalGraph, u: int, v: int) -> CrystalGraph:
     """Subgraph of vertices and edges lying on directed paths from u to v."""
-    ids = _reachable(u, K.nxt.values()) & _reachable(v, K.prv.values())
-    if u not in ids or v not in ids:
-        ids = set()
-    return subgraph(K, ids)
+    K.check_vertex_id(u)
+    K.check_vertex_id(v)
+    from_u = _mark_reachable(u, K.nxt.values(), bytearray(K.num_vertices))
+    to_v = bytearray(K.num_vertices)
+    _mark_reachable(v, K.prv.values(), to_v)
+    # u reaches v exactly when u is marked in the backward search from v
+    return subgraph(K, compress(from_u, map(to_v.__getitem__, from_u)) if to_v[u] else ())
 
 
 def find_isomorphism(K1: CrystalGraph, K2: CrystalGraph, color_map=None) -> Optional[dict]:
@@ -445,7 +483,7 @@ def isomorphic(K1: CrystalGraph, K2: CrystalGraph, color_map=None) -> bool:
 def find_sink_by_operators(K: CrystalGraph, start: int) -> int:
     """Reach a zero-outdegree vertex by saturating colors in the fixed schedule
     1; 2,1; 3,2,1; ...; the result must be the crystal's sink."""
-    v = start
+    v = K.check_vertex_id(start)
     for i in range(1, K.n + 1):
         for c in range(i, 0, -1):
             col = K.nxt.get(c)

@@ -4,11 +4,13 @@ fundamental strings, subcrystal decompositions, branching multiplicities."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import contains, not_
 from typing import Dict, List, Optional, Tuple
 
 from .crystal import (
     CrystalGraph,
-    _reachable,
+    _mark_reachable,
     find_isomorphism,
     generate,
     interval,
@@ -175,6 +177,7 @@ def canonical_string(n: int, k: int) -> FundamentalString:
 
 def apply_string(K: CrystalGraph, v: int, string: FundamentalString) -> Optional[int]:
     """Follow the string's moves from vertex v; None when some move is missing."""
+    K.check_vertex_id(v)
     for i in string.application_order:
         heads = K.nxt.get(i)
         if heads is None or heads[v] < 0:
@@ -208,9 +211,14 @@ def _side_colors(n: int, side: str) -> tuple:
     raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
 
 
+def _side_columns(K: CrystalGraph, colors) -> list:
+    """The id columns along which a component of the given colors spreads."""
+    return [K.nxt[c] for c in colors] + [K.prv[c] for c in colors]
+
+
 def _component(K: CrystalGraph, start: int, colors) -> list:
     """Sorted ids of the component of ``start`` along edges of the given colors."""
-    return sorted(_reachable(start, [K.nxt[c] for c in colors] + [K.prv[c] for c in colors]))
+    return sorted(_mark_reachable(start, _side_columns(K, colors), bytearray(K.num_vertices)))
 
 
 def _line_length(K: CrystalGraph, v: int, color: int) -> int:
@@ -249,34 +257,36 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     ends = [g.index[g.bottom(k) if side == UPPER else g.top(k)] for k in range(1, n + 1)]
     parameter = upper_parameter if side == UPPER else lower_parameter
     c, d = K.bounds.width, K.bounds.d
-    prv = [K.prv[col] for col in colors]
-    constants = K.constants
+    columns = _side_columns(K, colors)
+    # per vertex: no incoming edge of a kept color, and constant on every G^k
+    is_source = K._end_flags(K.prv, colors)
+    is_principal = bytes(map(not_, map(contains, K.constants, repeat(None))))
     records = []
-    seen = set()
-    for start in K.vertex_ids():
-        if start in seen:
-            continue
-        comp = _component(K, start, colors)
-        seen.update(comp)
-        key = K.keys[comp[0]]
+    mark = bytearray(K.num_vertices)
+    # each start is the least unmarked id, so the least id of its component
+    start = mark.find(0)
+    while start >= 0:
+        comp = sorted(_mark_reachable(start, columns, mark))
+        key = K.keys[start]
         anchor = tuple(key[p] for p in ends)
         formula = parameter(c, _minus(anchor, d))
-        sources = [v for v in comp if all(tails[v] < 0 for tails in prv)]
+        sources = list(compress(comp, map(is_source.__getitem__, comp)))
         if len(sources) != 1:
-            raise ModelError(f"{side} component through vertex {comp[0]} has no unique source")
+            raise ModelError(f"{side} component through vertex {start} has no unique source")
         measured = tuple(_line_length(K, sources[0], col) for col in colors)
         if measured != formula:
             raise ModelError(
                 f"{side} subcrystal at anchor {anchor}: measured parameter "
                 f"{measured} differs from formula {formula}"
             )
-        principals = [v for v in comp if None not in constants[v]]
+        principals = list(compress(comp, map(is_principal.__getitem__, comp)))
         if len(principals) != 1:
             raise ModelError(
                 f"{side} subcrystal at anchor {anchor} contains "
                 f"{len(principals)} principal vertices"
             )
         records.append(SubcrystalRecord(side, anchor, tuple(comp), formula, principals[0]))
+        start = mark.find(0, start + 1)
     records.sort(key=lambda r: r.anchor)
     return records
 

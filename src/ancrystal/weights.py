@@ -63,17 +63,37 @@ class FeasibilityReport:
     violation: Optional[Violation] = None
 
 
-@dataclass(frozen=True)
 class WeightFunction:
     """Feasible integer weighting of the supporting graph, stored densely.
 
     ``values[p]`` is the weight of ``graph.nodes[p]`` (canonical node order), so
     the tuple doubles as a hashable vertex key for crystal generation.
+
+    A plain ``__slots__`` class rather than a frozen dataclass: one is built
+    per accepted move, and a frozen dataclass's ``__init__`` costs about three
+    times this one.  Equality and the hash follow the three fields.
     """
 
-    graph: SupportingGraph
-    bounds: Bounds
-    values: tuple
+    __slots__ = ("graph", "bounds", "values")
+
+    def __init__(self, graph: SupportingGraph, bounds: Bounds, values: tuple):
+        self.graph = graph
+        self.bounds = bounds
+        self.values = values
+
+    def _fields(self) -> tuple:
+        return (self.graph, self.bounds, self.values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"WeightFunction(graph={self.graph!r}, bounds={self.bounds!r}, values={self.values!r})"
 
     def value(self, v: NodeRef) -> int:
         return self.values[self._position(v)]

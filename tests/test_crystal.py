@@ -17,8 +17,10 @@ from ancrystal import (
     GTPattern,
     ModelError,
     ParameterError,
+    apply_string,
     branching_multiplicity,
     build_supporting_graph,
+    canonical_string,
     count_bounded_patterns,
     dual,
     find_isomorphism,
@@ -202,6 +204,81 @@ def test_a_copy_derives_its_source_and_sink_from_its_columns(crystals):
     assert J.source is None and J.sink == K.sink
     assert dual(J).sink is None and dual(J).source == K.sink
     assert K.source == 0
+
+
+def restated_end(K, columns):
+    """The one id whose entry is -1 in the column of every color, per vertex
+    with ``all``; every vertex of a colorless graph is an end."""
+    ends = [v for v in K.vertex_ids() if all(columns[c][v] < 0 for c in K.colors)]
+    return ends[0] if len(ends) == 1 else None
+
+
+def edge_deleted_copies(K):
+    """One copy of K per edge, with that edge deleted."""
+    for (u, w, color) in K.edges():
+        nxt = {c: array("i", col) for c, col in K.nxt.items()}
+        prv = {c: array("i", col) for c, col in K.prv.items()}
+        nxt[color][u] = prv[color][w] = -1
+        yield dataclasses.replace(K, nxt=nxt, prv=prv)
+
+
+@pytest.mark.parametrize("n,c", [(1, (0,)), (1, (3,)), (2, (1, 1)), (3, (1, 0, 1))])
+def test_source_and_sink_match_a_per_vertex_restatement(n, c, crystals):
+    K = crystals(n, c)
+    graphs = [K, dual(K), *edge_deleted_copies(K)]
+    graphs += [subgraph(K, ids, colors=()) for ids in ([], [0], [0, K.num_vertices - 1])]
+    graphs += [subgraph(K, K.vertex_ids(), colors=K.colors[:1])]
+    for J in graphs:
+        assert (J.source, J.sink) == (restated_end(J, J.prv), restated_end(J, J.nxt))
+    assert K.source == 0 and K.sink is not None
+    if n == 1:  # one line, discovered from its start
+        assert K.sink == K.num_vertices - 1
+    assert (dual(K).source, dual(K).sink) == (K.sink, K.source)
+    # without colors every vertex is both a source and a sink
+    assert subgraph(K, [0], colors=()).source == subgraph(K, [0], colors=()).sink == 0
+    if K.num_vertices > 1:
+        two = subgraph(K, [0, 1], colors=())
+        assert two.source is None and two.sink is None
+
+
+CRYSTAL_OF_8 = (2, (1, 1))
+
+
+@pytest.mark.parametrize(
+    "call,bad",
+    [
+        (lambda K: subgraph(K, [0, -1]), -1),
+        (lambda K: subgraph(K, [0, 99]), 99),
+        (lambda K: subgraph(K, [-1, 0, 8]), -1),
+        (lambda K: interval(K, -1, 7), -1),
+        (lambda K: interval(K, 0, 99), 99),
+        (lambda K: find_sink_by_operators(K, 99), 99),
+        (lambda K: find_sink_by_operators(K, -1), -1),
+        (lambda K: K.function(-1), -1),
+        (lambda K: K.wt(-1), -1),
+        (lambda K: K.wt(8), 8),
+        (lambda K: apply_string(K, -1, canonical_string(2, 1)), -1),
+    ],
+    ids=[
+        "subgraph-minus-one", "subgraph-99", "subgraph-both-ends", "interval-minus-one",
+        "interval-99", "sink-99", "sink-minus-one", "function", "wt-minus-one", "wt-8",
+        "apply-string",
+    ],
+)
+def test_a_vertex_id_out_of_range_is_a_parameter_error(call, bad, crystals):
+    K = crystals(*CRYSTAL_OF_8)
+    assert K.num_vertices == 8
+    with pytest.raises(ParameterError) as exc:
+        call(K)
+    assert str(exc.value) == f"vertex id {bad} out of range for a crystal of 8 vertices"
+
+
+def test_the_vertex_id_check_passes_every_id(crystals):
+    K = crystals(*CRYSTAL_OF_8)
+    assert [K.check_vertex_id(v) for v in K.vertex_ids()] == list(K.vertex_ids())
+    assert subgraph(K, [0, 7]).keys == (K.keys[0], K.keys[7])
+    assert interval(K, 7, 7).num_vertices == 1
+    assert find_sink_by_operators(K, 7) == K.sink == 7
 
 
 def test_interval_between_source_and_sink_is_everything(crystals):

@@ -4,12 +4,14 @@ import re
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ancrystal import (
     LOWER,
     UPPER,
     ModelError,
     ParameterError,
+    SubcrystalRecord,
     apply_string,
     base_crystal,
     branching_multiplicity,
@@ -272,6 +274,99 @@ def test_subcrystals_reject_a_crystal_missing_one_kept_edge(n, c, side, edge, me
         subcrystals(without_edge(K, *edge), side)
     assert str(exc.value) == message
     assert len(subcrystals(K, side)) == lattice_size(c)
+
+
+def restated_subcrystals(K, side):
+    """``subcrystals`` restated with a set-based search per component and an
+    ``all`` test per vertex: its sorted records, or its ModelError's message."""
+    n = K.n
+    colors = tuple(range(1, n)) if side == UPPER else tuple(range(2, n + 1))
+    g = K.graph
+    ends = [g.index[g.bottom(k) if side == UPPER else g.top(k)] for k in range(1, n + 1)]
+    parameter = upper_parameter if side == UPPER else lower_parameter
+    adjacent = [K.nxt[col] for col in colors] + [K.prv[col] for col in colors]
+    seen = set()
+    records = []
+    for start in K.vertex_ids():
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for col in adjacent:
+                if col[v] >= 0 and col[v] not in comp:
+                    comp.add(col[v])
+                    stack.append(col[v])
+        seen |= comp
+        comp = sorted(comp)
+        anchor = tuple(K.keys[comp[0]][p] for p in ends)
+        formula = parameter(K.bounds.width, tuple(a - x for a, x in zip(anchor, K.bounds.d)))
+        sources = [v for v in comp if all(K.prv[col][v] < 0 for col in colors)]
+        if len(sources) != 1:
+            return f"{side} component through vertex {comp[0]} has no unique source"
+        measured = []
+        for col in colors:
+            v, m = sources[0], 0
+            while K.nxt[col][v] >= 0:
+                v, m = K.nxt[col][v], m + 1
+            measured.append(m)
+        if tuple(measured) != formula:
+            return (
+                f"{side} subcrystal at anchor {anchor}: measured parameter "
+                f"{tuple(measured)} differs from formula {formula}"
+            )
+        principals = [v for v in comp if None not in g.constants_of(K.keys[v])]
+        if len(principals) != 1:
+            return f"{side} subcrystal at anchor {anchor} contains {len(principals)} principal vertices"
+        records.append(SubcrystalRecord(side, anchor, tuple(comp), formula, principals[0]))
+    return sorted(records, key=lambda r: r.anchor)
+
+
+def subcrystals_or_message(K, side):
+    try:
+        return subcrystals(K, side)
+    except ModelError as exc:
+        return str(exc)
+
+
+# Every (n, c, d) with n <= 3, lower bounds in [-2, 2] and c_k - d_k in [0, 2].
+bounded_crystals = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bounded_crystals, st.sampled_from([UPPER, LOWER]), st.randoms(use_true_random=False))
+def test_subcrystals_match_a_set_search_restatement(params, side, rng):
+    """The same records on K(c, d), and on a copy with one kept-color edge
+    deleted the same records or the same message."""
+    d, width = params
+    n = len(d)
+    K = generate(n, tuple(dk + wk for dk, wk in zip(d, width)), d)
+    assert subcrystals(K, side) == restated_subcrystals(K, side)
+    kept = range(1, n) if side == UPPER else range(2, n + 1)
+    edges = [e for e in K.edges() if e[2] in kept]
+    if edges:
+        J = without_edge(K, *rng.choice(edges))
+        assert subcrystals_or_message(J, side) == restated_subcrystals(J, side)
+
+
+@pytest.mark.parametrize("side", [UPPER, LOWER])
+def test_subcrystals_match_the_restatement_after_every_single_edge_deletion(side, crystals):
+    K = crystals(3, (1, 1, 1))
+    errors = ("no unique source", "differs from formula", "principal vertices")
+    reached = set()
+    for edge in K.edges():
+        J = without_edge(K, *edge)
+        got = subcrystals_or_message(J, side)
+        assert got == restated_subcrystals(J, side), edge
+        if isinstance(got, str):
+            reached.add(next(e for e in errors if e in got))
+    assert reached == set(errors)
 
 
 @pytest.mark.parametrize("side", [UPPER, LOWER])

@@ -203,3 +203,18 @@ def test_json_round_trip():
     assert again == f
     data = f.to_json()
     assert data["values"] == sorted(data["values"], key=lambda r: (r[1], r[2], r[0]))
+
+
+def test_weight_function_equality_and_hash_follow_its_fields():
+    g = build_supporting_graph(2)
+    b = zero_bounds((1, 2))
+    f = principal_function(g, (0, 1), b)
+    copy = WeightFunction(g, Bounds((1, 2), (0, 0)), tuple(list(f.values)))
+    assert f == copy and hash(f) == hash(copy) and len({f, copy}) == 1
+    assert f != WeightFunction(g, zero_bounds((2, 2)), f.values)
+    assert f != principal_function(g, (0, 0), b)
+    assert f != WeightFunction(build_supporting_graph(3), b, f.values)
+    # a weight function is not its value tuple, nor the tuple of its fields
+    assert f != f.values and f.values != f
+    assert f != (g, b, f.values)
+    assert repr(f) == f"WeightFunction(graph={g!r}, bounds={b!r}, values={f.values!r})"
