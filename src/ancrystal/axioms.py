@@ -11,7 +11,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, combinations, compress, repeat
+from operator import eq, is_, is_not, itemgetter
 from typing import List, Optional
 
 from .errors import GraphFormatError
@@ -45,37 +46,45 @@ class Lines:
 
     ``nxt[k]``/``prv[k]`` is the single successor/predecessor of vertex ``k``
     (None at an end), ``t[k]``/``h[k]`` its distance to the start/end of its
-    line, ``path[k]`` that line as a list of positions, and ``starts`` the
-    first positions of the lines, ascending.  Only meaningful once A1 holds.
+    line and ``start[k]`` that line's first position (None on a cycle);
+    ``starts`` holds the first positions of the lines, ascending, and
+    ``order`` every line in turn, in the order of ``starts``, so the line
+    from ``k`` in ``starts`` fills ``h[k] + 1`` entries.  Only meaningful once
+    A1 holds.
     """
 
     nxt: list
     prv: list
     t: list
     h: list
-    path: list
+    start: list
+    order: list
     starts: list
 
     @staticmethod
-    def walk(nxt: list, prv: list) -> "Lines":
+    def walk(nxt: list, prv: list, positions) -> "Lines":
         """Lines of the given successors and predecessors, walked from every
-        vertex without a predecessor; a vertex on a cycle keeps path None."""
+        position without a predecessor; a vertex on a cycle keeps start None.
+        ``positions`` yields the positions ascending, as the int objects that
+        ``nxt`` and ``prv`` hold, so the tables share them."""
         size = len(nxt)
         t = [0] * size
         h = [0] * size
-        path = [None] * size
-        starts = [k for k in range(size) if prv[k] is None]
+        start = [None] * size
+        starts = list(compress(positions, map(is_, prv, repeat(None))))
+        order = []
         for k in starts:
-            line = []
+            first = len(order)
             w = k
-            while w is not None and path[w] is None:
-                path[w] = line
-                line.append(w)
+            while w is not None and start[w] is None:
+                start[w] = k
+                order.append(w)
                 w = nxt[w]
-            for pos, w in enumerate(line):
+            last = len(order) - 1 - first
+            for pos, w in enumerate(order[first:]):
                 t[w] = pos
-                h[w] = len(line) - 1 - pos
-        return Lines(nxt, prv, t, h, path, starts)
+                h[w] = last - pos
+        return Lines(nxt, prv, t, h, start, order, starts)
 
 
 @dataclass
@@ -97,6 +106,7 @@ class ColoredDigraph:
     prv: dict = field(init=False, repr=False)  # color -> [first tail position]
     more_out: dict = field(init=False, repr=False)  # color -> tail position -> [further heads]
     more_in: dict = field(init=False, repr=False)  # color -> head position -> [further tails]
+    edge_colors: tuple = field(init=False, repr=False)  # the colors with an edge, ascending
     _labels: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> labels()
 
     def __post_init__(self):
@@ -134,14 +144,15 @@ class ColoredDigraph:
                 tails[b] = a
             else:
                 self.more_in[c].setdefault(b, []).append(a)
+        self.edge_colors = tuple(sorted(set(map(itemgetter(2), self.edges))))
 
     @cached_property
     def lines(self) -> dict:
         """color -> Lines, built on first use; a color with a cycle raises."""
         table = {}
         for c in range(1, self.n + 1):
-            table[c] = Lines.walk(self.nxt[c], self.prv[c])
-            if None in table[c].path:
+            table[c] = Lines.walk(self.nxt[c], self.prv[c], self.index.values())
+            if None in table[c].start:
                 raise GraphFormatError(f"color {c} contains a directed cycle")
         return table
 
@@ -161,8 +172,7 @@ class ColoredDigraph:
             ])
             split = array("i", [0]) * len(label)
             # every line's labels in turn, each closed by the 3 of its last vertex
-            in_turn = chain.from_iterable(map(li.path.__getitem__, li.starts))
-            along = bytes(map(label.__getitem__, in_turn))
+            along = bytes(map(label.__getitem__, li.order))
             for k, run in zip(li.starts, along.split(b"\3")):
                 ones = run.lstrip(b"\0")
                 split[k] = -1 if ones.lstrip(b"\1") else len(run) - len(ones)
@@ -173,7 +183,9 @@ class ColoredDigraph:
 def from_edge_list_text(text: str) -> ColoredDigraph:
     """Parse the plain "tail head color" one-edge-per-line format."""
     edges = []
-    vertices = set()
+    # vertex id -> itself: every edge end holds the first int parsed for its id
+    vertices = {}
+    intern = vertices.setdefault
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -187,8 +199,7 @@ def from_edge_list_text(text: str) -> ColoredDigraph:
             raise GraphFormatError(f"line {ln}: non-integer field in {raw!r}")
         if c < 1:
             raise GraphFormatError(f"line {ln}: color must be >= 1, got {c}")
-        edges.append((u, v, c))
-        vertices.update((u, v))
+        edges.append((intern(u, u), intern(v, v), c))
     # ColoredDigraph puts the vertices in canonical order
     n = max((c for (_, _, c) in edges), default=1)
     return ColoredDigraph(tuple(vertices), tuple(edges), n)
@@ -208,6 +219,11 @@ def from_crystal_json(data: dict) -> ColoredDigraph:
         for x in values:
             if type(x) is not int:  # a bool is an int, too
                 raise GraphFormatError(f"malformed crystal JSON: {key} {x!r} is not an integer")
+    # json boxes every occurrence of an id: keep one int object per id
+    ids = {}
+    intern = ids.setdefault
+    vertices = tuple(intern(v, v) for v in vertices)
+    edges = tuple((intern(u, u), intern(v, v), c) for (u, v, c) in edges)
     return ColoredDigraph(vertices, edges, n)
 
 
@@ -219,24 +235,27 @@ def check_nonempty_connected(g: ColoredDigraph) -> Verdict:
     size = len(g.vertices)
     if not size:
         return _fail(name, "graph has no vertices")
-    # the neighbors of a position: its first head and tail in every color,
-    # then whatever the overflow holds
-    firsts = list(zip(*g.nxt.values(), *g.prv.values()))
+    # a breadth-first search, one level at a time: the next level is every
+    # first head and tail, in each color with an edge, of the level's
+    # positions, plus the overflow of those that have one, not yet reached
+    colors = g.edge_colors
+    columns = [*map(g.nxt.get, colors), *map(g.prv.get, colors)]
     extra = {}
-    for more in (*g.more_out.values(), *g.more_in.values()):
+    for more in (*map(g.more_out.get, colors), *map(g.more_in.get, colors)):
         for k, ends in more.items():
             extra.setdefault(k, []).extend(ends)
-    seen = [False] * size
-    seen[0] = True
-    todo = [0]
-    while todo:
-        k = todo.pop()
-        for w in (*firsts[k], *extra[k]) if k in extra else firsts[k]:
-            if w is not None and not seen[w]:
-                seen[w] = True
-                todo.append(w)
-    if not all(seen):
-        missing = g.vertices[seen.index(False)]
+    unseen = set(g.index.values())
+    level = {0}
+    while level:
+        unseen -= level
+        found = set()
+        for col in columns:
+            found.update(map(col.__getitem__, level))
+        for k in filter(extra.__contains__, level):
+            found.update(extra[k])
+        level = found & unseen
+    if unseen:
+        missing = g.vertices[min(unseen)]
         return _fail(name, f"vertex {missing} unreachable from {g.vertices[0]}")
     return _ok(name)
 
@@ -278,17 +297,21 @@ def _view(g: ColoredDigraph, i: int, j: int, back: bool) -> tuple:
 def check_A2(g: ColoredDigraph) -> Verdict:
     name = "A2"
     lines = g.lines
-    for i in range(1, g.n + 1):
+    # a color without edges has no i-edge to break, and all its t, h are 0,
+    # so no i-edge changes them; a neighboring one still breaks the labels
+    colors = g.edge_colors
+    for i in colors:
         nxt = lines[i].nxt
         # per color j, the first i-edge that breaks it: a neighboring color's
         # label is invalid, a distant color's line position changes
         faults = []
-        for j in range(1, g.n + 1):
-            if abs(i - j) == 1:
+        for j in (i - 1, i + 1):
+            if 1 <= j <= g.n:
                 u = g.labels(i, j)[0].find(2)
                 if u >= 0:
                     faults.append((u, j, f"has an invalid (t_{j}, h_{j}) change"))
-            elif abs(i - j) >= 2:
+        for j in colors:
+            if abs(i - j) >= 2:
                 t, h = lines[j].t, lines[j].h
                 u = next((
                     u for u, v in enumerate(nxt) if v is not None and (t[v] != t[u] or h[v] != h[u])
@@ -310,9 +333,14 @@ def check_A2(g: ColoredDigraph) -> Verdict:
 def critical_vertex(g: ColoredDigraph, v, i: int, j: int):
     """Critical vertex of the i-line through v with respect to color j, i.e. the
     vertex where the 0-labeled prefix ends; None when the labels are not split."""
-    line = g.lines[i].path[g.index[v]]
-    zeros = g.labels(i, j)[1][line[0]]
-    return None if zeros < 0 else g.vertices[line[zeros]]
+    li = g.lines[i]
+    k = li.start[g.index[v]]
+    zeros = g.labels(i, j)[1][k]
+    if zeros < 0:
+        return None
+    for _ in range(zeros):
+        k = li.nxt[k]
+    return g.vertices[k]
 
 
 def check_A3(g: ColoredDigraph) -> Verdict:
@@ -385,18 +413,20 @@ def check_A5(g: ColoredDigraph) -> Verdict:
     """Full commutation of the operators of colors at distance two or more."""
     name = "A5"
     lines = g.lines
-    for i in range(1, g.n + 1):
-        for j in range(i + 2, g.n + 1):
-            li, lj = lines[i], lines[j]
-            for v, name_v in enumerate(g.vertices):
-                for fi in (li.nxt, li.prv):
-                    for fj in (lj.nxt, lj.prv):
-                        a, b = fi[v], fj[v]
-                        if a is None or b is None:
-                            continue
-                        w = fj[a]
-                        if w is None or w != fi[b]:
-                            return _fail(name, f"colors {i},{j} do not commute at vertex {name_v}")
+    # a color without edges has no operator to fail
+    for i, j in combinations(g.edge_colors, 2):
+        if j - i < 2:
+            continue
+        li, lj = lines[i], lines[j]
+        for v, name_v in enumerate(g.vertices):
+            for fi in (li.nxt, li.prv):
+                for fj in (lj.nxt, lj.prv):
+                    a, b = fi[v], fj[v]
+                    if a is None or b is None:
+                        continue
+                    w = fj[a]
+                    if w is None or w != fi[b]:
+                        return _fail(name, f"colors {i},{j} do not commute at vertex {name_v}")
     return _ok(name)
 
 
@@ -409,14 +439,16 @@ def check_equal_criticals(g: ColoredDigraph) -> Verdict:
         li, lj = g.lines[i], g.lines[j]
         split, back = g.labels(i, j)[1], g.labels(j, i)[1]
         # the starts of the i-lines without a critical vertex r, or whose r is
-        # not critical on its j-line, which holds r at t_j[r]
-        faults = [
-            k for k in li.starts
-            if split[k] < 0 or back[lj.path[r := li.path[k][split[k]]][0]] != lj.t[r]
-        ]
+        # not critical on its j-line, which starts at start_j[r]; the i-line
+        # from k fills order[first:first + h_i[k] + 1]
+        firsts = accumulate((li.h[k] + 1 for k in li.starts), initial=0)
+        faults = {
+            k for k, first in zip(li.starts, firsts)
+            if split[k] < 0 or back[lj.start[r := li.order[first + split[k]]]] != lj.t[r]
+        }
         if faults:
             # the line met first in canonical order
-            k = min(faults, key=lambda k: min(li.path[k]))
+            k = next(filter(faults.__contains__, li.start))
             r = critical_vertex(g, g.vertices[k], i, j)
             if r is None:
                 return _fail(name, f"no critical vertex on the {i}-line through {g.vertices[k]}")
@@ -430,11 +462,13 @@ def check_graded(g: ColoredDigraph) -> Verdict:
     A breadth-first search from each not yet reached vertex in canonical order
     gives every vertex its depth vector: how many edges of each color, counted
     forward minus backward, lead to it from the root.  The vector is stored as
-    one int, ``sum(d_c * B**(c - 1))`` with ``B = 2|V| + 3``, so one step is a
+    one int, ``sum(d_c * B**r_c)`` with ``B = 2|V| + 3``, so one step is a
     single add.  A search path has fewer than |V| edges, so every coordinate
     met, even one step past a stored vector, lies in ``[-|V|, |V|]``.  Two such
     vectors differ in each coordinate by at most 2|V| < B, so equal codes mean
-    equal vectors.
+    equal vectors.  Only colors with an edge have a coordinate, and any
+    distinct powers of B keep the codes exact, so color c's unit is
+    ``B**r_c``, r_c its rank among those colors.
     """
     name = "graded"
     size = len(g.vertices)
@@ -443,8 +477,8 @@ def check_graded(g: ColoredDigraph) -> Verdict:
     base = 2 * size + 3
     # at each vertex: colors ascending, out-heads before in-tails
     steps = []
-    for c in range(1, g.n + 1):
-        unit = base ** (c - 1)
+    for rank, c in enumerate(g.edge_colors):
+        unit = base ** rank
         steps += [(g.nxt[c], g.more_out[c], unit), (g.prv[c], g.more_in[c], -unit)]
     depth = [None] * size
     for root in range(size):
@@ -471,7 +505,16 @@ def check_graded(g: ColoredDigraph) -> Verdict:
 
 
 def check_no_parallel_edges(g: ColoredDigraph) -> Verdict:
+    """Two edges share their ends only when a tail has an overflow head or two
+    colors' first heads agree somewhere; only then are the edges scanned in
+    order, to name the first repeat."""
     name = "no-parallel-edges"
+    heads = list(map(g.nxt.get, g.edge_colors))
+    if not any(map(g.more_out.get, g.edge_colors)) and not any(
+        any(map(is_not, compress(a, map(eq, a, b)), repeat(None)))
+        for a, b in combinations(heads, 2)
+    ):
+        return _ok(name)
     size = len(g.vertices)
     index = g.index
     seen = set()

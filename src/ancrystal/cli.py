@@ -132,7 +132,10 @@ def _load_graph(args):
     if args.n is None or args.c is None:
         raise ParameterError("verify needs either --in or --n/--c")
     K = generate(args.n, args.c, args.d, args.cap)
-    return axioms.ColoredDigraph(tuple(K.vertex_ids()), tuple(K.edges()), K.n)
+    # an array read boxes a new int each time: keep one int object per id
+    ids = tuple(K.vertex_ids())
+    edges = tuple((ids[u], ids[v], c) for (u, v, c) in K.edges())
+    return axioms.ColoredDigraph(ids, edges, K.n)
 
 
 def cmd_verify(args) -> int:

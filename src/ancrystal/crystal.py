@@ -11,7 +11,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterator, Optional, Tuple
 
-from .errors import CapExceededError, ModelError, ParameterError
+from .errors import CapExceededError, ModelError, ParameterError, check_integer
 from .gt import weyl_dimension
 from .moves import forward_move, string_lengths
 from .support import SupportingGraph, build_supporting_graph, check_color_count
@@ -66,7 +66,9 @@ class CrystalGraph:
 
     def check_vertex_id(self, v: int) -> int:
         """v itself when it is an id of this crystal, else a ParameterError:
-        a negative id would index from the end, and -1 is a column's "none"."""
+        a bool or non-int would read another vertex or fail in the columns, a
+        negative id would index from the end, and -1 is a column's "none"."""
+        check_integer(v, "vertex id")
         if not 0 <= v < len(self.keys):
             raise ParameterError(
                 f"vertex id {v} out of range for a crystal of {len(self.keys)} vertices"
@@ -379,6 +381,11 @@ def subgraph(K: CrystalGraph, vertex_ids, colors=None) -> CrystalGraph:
     if colors is None:
         colors = K.colors
     colors = tuple(colors)
+    vertex_ids = list(vertex_ids)
+    # every id's type, before the set merges True into 1 or 1.0 into 1
+    if set(map(type, vertex_ids)) - {int}:
+        for v in vertex_ids:
+            K.check_vertex_id(v)
     ids = sorted(set(vertex_ids))
     if ids:
         K.check_vertex_id(ids[0])

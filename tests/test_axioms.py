@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from ancrystal import GraphFormatError
@@ -67,6 +70,41 @@ def test_crystal_json_parser_rejects_malformed_input():
             from_crystal_json({"n": n, "vertices": [{"id": 0}], "edges": []})
 
 
+def test_parsers_keep_one_int_object_per_vertex_id(crystals):
+    K = crystals(2, (1, 2))
+    # CPython caches the ints up to 256, so larger ids show whether the parser
+    # shares one int object per id
+    text = "".join(f"{1000 + u} {1000 + v} {c}\n" for (u, v, c) in K.edges())
+    data = K.to_json()
+    data = {
+        "n": data["n"],
+        "vertices": [{"id": 1000 + v["id"]} for v in data["vertices"]],
+        "edges": [dict(e, **{"from": 1000 + e["from"], "to": 1000 + e["to"]}) for e in data["edges"]],
+    }
+    for g in (from_edge_list_text(text), from_crystal_json(data)):
+        assert g.vertices == tuple(range(1000, 1015)) and len(g.edges) == 18
+        ids = set(map(id, g.vertices))
+        assert {id(x) for (u, v, _) in g.edges for x in (u, v)} <= ids
+        assert all_pass(verify_graph(g, strict_a4=True))
+
+
+def test_verifier_peaks_under_700_bytes_per_vertex(crystals):
+    """Parsing K(4;1^4) and a strict full verify of it, under tracemalloc: one
+    int per vertex id, line tables without per-line lists and no whole-graph
+    transients keep the peak near 500 bytes per vertex (about 1 000 without)."""
+    text = crystals(4, (1, 1, 1, 1)).to_edge_list_text()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = from_edge_list_text(text)
+        verdicts = verify_graph(g, strict_a4=True, fail_fast=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == 1024 and all_pass(verdicts)
+    assert peak / len(g.vertices) <= 700
+
+
 def test_round_trip_through_the_edge_list(crystals):
     K = crystals(2, (1, 2))
     g = from_edge_list_text(K.to_edge_list_text())
@@ -108,7 +146,11 @@ def test_a2_position_bookkeeping(crystals):
     for c, (t, h) in ((1, (0, 1)), (2, (0, 2))):
         lines = g.lines[c]
         assert (lines.t[k], lines.h[k]) == (t, h)
-        assert len(lines.path[k]) == t + h + 1 and lines.path[k][t] == k
+        # k's line starts at start[k] and fills t + h + 1 entries of order
+        first = lines.order.index(lines.start[k])
+        line = lines.order[first:first + t + h + 1]
+        assert line[t] == k and {lines.start[w] for w in line} == {line[0]}
+        assert lines.prv[line[0]] is None and lines.nxt[line[-1]] is None
     assert check_A2(g).ok
 
 

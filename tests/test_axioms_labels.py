@@ -54,8 +54,19 @@ def ref_zeros(lines, line):
     return zeros
 
 
+def ref_line(lines, k):
+    """The positions of the line through k, walked back along ``prv`` to its
+    start and then forward along ``nxt``."""
+    while lines.prv[k] is not None:
+        k = lines.prv[k]
+    line = [k]
+    while lines.nxt[line[-1]] is not None:
+        line.append(lines.nxt[line[-1]])
+    return line
+
+
 def ref_critical_vertex(g, v, i, j):
-    line = g.lines[i].path[g.index[v]]
+    line = ref_line(g.lines[i], g.index[v])
     zeros = ref_zeros(g.lines[j], line)
     return None if zeros is None else g.vertices[line[zeros]]
 
@@ -78,8 +89,8 @@ def ref_A2(g):
         for j in (i - 1, i + 1):
             if not 1 <= j <= g.n:
                 continue
-            for k, line in enumerate(lines[i].path):
-                if line[0] == k and ref_zeros(lines[j], line) is None:
+            for k in range(len(g.vertices)):
+                if lines[i].prv[k] is None and ref_zeros(lines[j], ref_line(lines[i], k)) is None:
                     return (
                         f"A2: fail: labels along the {i}-line through {g.vertices[k]}"
                         f" are not monotone in color {j}"
@@ -141,7 +152,8 @@ def ref_equal_criticals(g):
     for i in range(1, g.n):
         j = i + 1
         done = set()
-        for v, line in zip(g.vertices, g.lines[i].path):
+        for v, k in g.index.items():
+            line = ref_line(g.lines[i], k)
             if line[0] in done:
                 continue
             done.add(line[0])

@@ -132,6 +132,41 @@ def test_verify_reports_skipped_checks_and_fails(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text,a2,a5,criticals",
+    [
+        ("0 1 300\n", "fail: 300-edge (0, 1) has an invalid (t_299, h_299) change", "pass",
+         "fail: vertex 0: critical for color 299 w.r.t. 300 but not conversely"),
+        ("0 1 1\n1 2 3\n", "fail: 1-edge (0, 1) has an invalid (t_2, h_2) change",
+         "fail: colors 1,3 do not commute at vertex 1",
+         "fail: no critical vertex on the 1-line through 0"),
+        # A2's distant colors, A5 and graded visit only the colors with an
+        # edge; scans over every color pair took seconds here
+        ("0 1 3000\n", "fail: 3000-edge (0, 1) has an invalid (t_2999, h_2999) change", "pass",
+         "fail: vertex 0: critical for color 2999 w.r.t. 3000 but not conversely"),
+    ],
+    ids=["one-edge-of-color-300", "colors-1-and-3", "one-edge-of-color-3000"],
+)
+def test_verify_next_to_colors_without_edges(capsys, tmp_path, text, a2, a5, criticals):
+    e = tmp_path / "sparse.edges"
+    e.write_text(text)
+    code, stdout, _ = run(capsys, "verify", "--in", str(e))
+    assert code == EXIT_VERDICT
+    assert stdout.splitlines() == [
+        "connected: pass", "A1: pass", "graded: pass", "no-parallel-edges: pass",
+        f"A2: {a2}", "A3: pass", "A4: pass", f"A5: {a5}", f"equal-criticals: {criticals}",
+        "unique-source-sink: pass",
+    ]
+
+
+def test_verify_from_parameters_keeps_one_int_object_per_vertex_id():
+    args = SimpleNamespace(infile=None, n=2, c=[6, 6], d=None, cap=1000)
+    g = cli._load_graph(args)
+    assert len(g.vertices) == 343
+    ids = set(map(id, g.vertices))
+    assert {id(x) for (u, v, _) in g.edges for x in (u, v)} <= ids
+
+
+@pytest.mark.parametrize(
     "graph,message",
     [
         ({"n": 1, "vertices": [{"id": 0}, {"id": 0}, {"id": 1}],

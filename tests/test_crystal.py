@@ -258,11 +258,22 @@ CRYSTAL_OF_8 = (2, (1, 1))
         (lambda K: K.wt(-1), -1),
         (lambda K: K.wt(8), 8),
         (lambda K: apply_string(K, -1, canonical_string(2, 1)), -1),
+        # a bool or non-int id is rejected for its type, not read as another id
+        (lambda K: K.wt(True), True),
+        (lambda K: K.function(True), True),
+        (lambda K: K.wt(1.5), 1.5),
+        (lambda K: interval(K, 0.0, 7), 0.0),
+        (lambda K: subgraph(K, [0, 0.5, 1]), 0.5),
+        (lambda K: subgraph(K, ["a", 1]), "a"),
+        (lambda K: subgraph(K, [1, True]), True),
+        (lambda K: subgraph(K, [1.0, 1]), 1.0),
     ],
     ids=[
         "subgraph-minus-one", "subgraph-99", "subgraph-both-ends", "interval-minus-one",
         "interval-99", "sink-99", "sink-minus-one", "function", "wt-minus-one", "wt-8",
-        "apply-string",
+        "apply-string", "wt-bool", "function-bool", "wt-float", "interval-float",
+        "subgraph-float-inside", "subgraph-str", "subgraph-bool-equal-to-an-id",
+        "subgraph-float-equal-to-an-id",
     ],
 )
 def test_a_vertex_id_out_of_range_is_a_parameter_error(call, bad, crystals):
@@ -270,7 +281,10 @@ def test_a_vertex_id_out_of_range_is_a_parameter_error(call, bad, crystals):
     assert K.num_vertices == 8
     with pytest.raises(ParameterError) as exc:
         call(K)
-    assert str(exc.value) == f"vertex id {bad} out of range for a crystal of 8 vertices"
+    if type(bad) is int:
+        assert str(exc.value) == f"vertex id {bad} out of range for a crystal of 8 vertices"
+    else:
+        assert str(exc.value) == f"the caller gives vertex id the non-integer value {bad!r}"
 
 
 def test_the_vertex_id_check_passes_every_id(crystals):
