@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
-from operator import eq, is_, is_not, itemgetter
+from operator import is_, is_not, itemgetter
 from typing import List, Optional
 
 from .errors import GraphFormatError
@@ -95,11 +95,12 @@ class ColoredDigraph:
     first head of tail ``k`` is ``nxt[c][k]`` and the first tail of head ``k``
     is ``prv[c][k]`` (None without one); any further heads and tails go, in
     edge order, to ``more_out[c][k]`` and ``more_in[c][k]``, which stay empty
-    exactly when A1's degree conditions hold.
+    exactly when A1's degree conditions hold.  The colors without an edge
+    read one shared, read-only table: ``nxt[c] is prv[c]`` exactly for them.
     """
 
     vertices: tuple
-    edges: tuple  # (tail, head, color) triples, possibly with repeats
+    edges: InitVar[tuple]  # (tail, head, color) triples, possibly with repeats; not kept
     n: int
     index: dict = field(init=False, repr=False)  # vertex -> position in ``vertices``
     nxt: dict = field(init=False, repr=False)  # color -> [first head position]
@@ -107,9 +108,10 @@ class ColoredDigraph:
     more_out: dict = field(init=False, repr=False)  # color -> tail position -> [further heads]
     more_in: dict = field(init=False, repr=False)  # color -> head position -> [further tails]
     edge_colors: tuple = field(init=False, repr=False)  # the colors with an edge, ascending
+    first_repeat: Optional[tuple] = field(init=False, repr=False, default=None)  # first repeated (tail, head)
     _labels: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> labels()
 
-    def __post_init__(self):
+    def __post_init__(self, edges):
         if self.n < 1:
             raise GraphFormatError(f"color count n must be at least 1, got {self.n}")
         try:
@@ -117,7 +119,7 @@ class ColoredDigraph:
         except TypeError:
             order = sorted(self.vertices, key=str)
         self.vertices = tuple(order)
-        self.edges = tuple(self.edges)
+        edges = tuple(edges)
         self.index = index = {v: k for k, v in enumerate(self.vertices)}
         if len(index) != len(order):
             seen = set()
@@ -127,31 +129,47 @@ class ColoredDigraph:
                 seen.add(v)
         size = len(order)
         colors = range(1, self.n + 1)
-        self.nxt = nxt = {c: [None] * size for c in colors}
-        self.prv = prv = {c: [None] * size for c in colors}
-        self.more_out = {c: {} for c in colors}
-        self.more_in = {c: {} for c in colors}
-        for (u, v, c) in self.edges:
+        used = set(map(itemgetter(2), edges))
+        self.edge_colors = tuple(c for c in colors if c in used)
+        blank, empty = ([None] * size, {}) if len(self.edge_colors) < self.n else (None, None)
+        self.nxt = nxt = {c: [None] * size if c in used else blank for c in colors}
+        self.prv = prv = {c: [None] * size if c in used else blank for c in colors}
+        self.more_out = more_out = {c: {} if c in used else empty for c in colors}
+        self.more_in = {c: {} if c in used else empty for c in colors}
+        for (u, v, c) in edges:
             a, b, heads = index.get(u), index.get(v), nxt.get(c)
             if a is None or b is None or heads is None:
                 raise GraphFormatError(f"edge ({u}, {v}, {c}) references unknown vertex or color")
             if heads[a] is None:
                 heads[a] = b
             else:
-                self.more_out[c].setdefault(a, []).append(b)
+                more_out[c].setdefault(a, []).append(b)
             tails = prv[c]
             if tails[b] is None:
                 tails[b] = a
             else:
                 self.more_in[c].setdefault(b, []).append(a)
-        self.edge_colors = tuple(sorted(set(map(itemgetter(2), self.edges))))
+        # a repeat needs an overflow head or two colors whose first heads are one
+        # position (the same ``index`` int); only then are the edges scanned in order
+        if any(map(more_out.get, self.edge_colors)) or any(
+            any(map(is_not, compress(a, map(is_, a, b)), repeat(None)))
+            for a, b in combinations(map(nxt.get, self.edge_colors), 2)
+        ):
+            seen = set()  # tail position * |V| + head position; add() returns None
+            self.first_repeat = next((
+                (u, v) for (u, v, _) in edges if (key := index[u] * size + index[v]) in seen or seen.add(key)
+            ), None)
 
     @cached_property
     def lines(self) -> dict:
         """color -> Lines, built on first use; a color with a cycle raises."""
-        table = {}
+        table, blank = {}, None
         for c in range(1, self.n + 1):
-            table[c] = Lines.walk(self.nxt[c], self.prv[c], self.index.values())
+            nxt, prv = self.nxt[c], self.prv[c]
+            if nxt is prv:  # no edge: every such color reads one Lines
+                table[c] = blank = blank or Lines.walk(nxt, prv, self.index.values())
+                continue
+            table[c] = Lines.walk(nxt, prv, self.index.values())
             if None in table[c].start:
                 raise GraphFormatError(f"color {c} contains a directed cycle")
         return table
@@ -219,11 +237,6 @@ def from_crystal_json(data: dict) -> ColoredDigraph:
         for x in values:
             if type(x) is not int:  # a bool is an int, too
                 raise GraphFormatError(f"malformed crystal JSON: {key} {x!r} is not an integer")
-    # json boxes every occurrence of an id: keep one int object per id
-    ids = {}
-    intern = ids.setdefault
-    vertices = tuple(intern(v, v) for v in vertices)
-    edges = tuple((intern(u, u), intern(v, v), c) for (u, v, c) in edges)
     return ColoredDigraph(vertices, edges, n)
 
 
@@ -263,7 +276,7 @@ def check_nonempty_connected(g: ColoredDigraph) -> Verdict:
 def check_A1(g: ColoredDigraph) -> Verdict:
     """Each monochromatic component must be a finite simple directed path."""
     name = "A1"
-    for c in range(1, g.n + 1):
+    for c in g.edge_colors:
         more_out, more_in = g.more_out[c], g.more_in[c]
         if more_out or more_in:
             k = min([*more_out, *more_in])
@@ -297,10 +310,8 @@ def _view(g: ColoredDigraph, i: int, j: int, back: bool) -> tuple:
 def check_A2(g: ColoredDigraph) -> Verdict:
     name = "A2"
     lines = g.lines
-    # a color without edges has no i-edge to break, and all its t, h are 0,
-    # so no i-edge changes them; a neighboring one still breaks the labels
-    colors = g.edge_colors
-    for i in colors:
+    # a color without edges has no i-edge and keeps all t, h at 0; as a neighbor it breaks labels
+    for i in g.edge_colors:
         nxt = lines[i].nxt
         # per color j, the first i-edge that breaks it: a neighboring color's
         # label is invalid, a distant color's line position changes
@@ -310,7 +321,7 @@ def check_A2(g: ColoredDigraph) -> Verdict:
                 u = g.labels(i, j)[0].find(2)
                 if u >= 0:
                     faults.append((u, j, f"has an invalid (t_{j}, h_{j}) change"))
-        for j in colors:
+        for j in g.edge_colors:
             if abs(i - j) >= 2:
                 t, h = lines[j].t, lines[j].h
                 u = next((
@@ -343,6 +354,13 @@ def critical_vertex(g: ColoredDigraph, v, i: int, j: int):
     return g.vertices[k]
 
 
+def _neighbors(g: ColoredDigraph, both: bool) -> list:
+    """The pairs (i, i + 1), ascending, in which one color has an edge; with ``both``, both do."""
+    have = set(g.edge_colors)
+    firsts = sorted({i for c in have for i in (c - 1, c) if 0 < i < g.n})
+    return [(i, i + 1) for i in firsts if not both or i in have and i + 1 in have]
+
+
 def check_A3(g: ColoredDigraph) -> Verdict:
     """Squares on 0-labeled outgoing edges; the same on the reversed view
     covers 1-labeled incoming edges and backward squares."""
@@ -353,8 +371,7 @@ def check_A3(g: ColoredDigraph) -> Verdict:
         (True, "at {u}: 1-labeled incoming {a}-edge with non-0-labeled {b}-edge",
          "backward square at {u} for colors {a},{b} does not close"),
     )
-    for i in range(1, g.n):
-        j = i + 1
+    for i, j in _neighbors(g, both=True):
         # per view and color order, the first position whose square fails
         faults = []
         for rank, (back, mismatch, square) in enumerate(views):
@@ -389,8 +406,7 @@ def check_A4(g: ColoredDigraph, strict: bool = False) -> Verdict:
     inverse relation (it is derivable from the other axioms)."""
     name = "A4"
     views = ((False, "Verma"), (True, "inverse Verma"))[: 2 if strict else 1]
-    for i in range(1, g.n):
-        j = i + 1
+    for i, j in _neighbors(g, both=True):
         # per view, the first position where the relation fails
         faults = []
         for rank, (back, relation) in enumerate(views):
@@ -434,8 +450,7 @@ def check_equal_criticals(g: ColoredDigraph) -> Verdict:
     """The critical vertex of an i-line w.r.t. j must be critical on its own
     j-line w.r.t. i, for neighboring i, j."""
     name = "equal-criticals"
-    for i in range(1, g.n):
-        j = i + 1
+    for i, j in _neighbors(g, both=False):
         li, lj = g.lines[i], g.lines[j]
         split, back = g.labels(i, j)[1], g.labels(j, i)[1]
         # the starts of the i-lines without a critical vertex r, or whose r is
@@ -505,33 +520,18 @@ def check_graded(g: ColoredDigraph) -> Verdict:
 
 
 def check_no_parallel_edges(g: ColoredDigraph) -> Verdict:
-    """Two edges share their ends only when a tail has an overflow head or two
-    colors' first heads agree somewhere; only then are the edges scanned in
-    order, to name the first repeat."""
-    name = "no-parallel-edges"
-    heads = list(map(g.nxt.get, g.edge_colors))
-    if not any(map(g.more_out.get, g.edge_colors)) and not any(
-        any(map(is_not, compress(a, map(eq, a, b)), repeat(None)))
-        for a, b in combinations(heads, 2)
-    ):
-        return _ok(name)
-    size = len(g.vertices)
-    index = g.index
-    seen = set()
-    for (u, v, _) in g.edges:
-        key = index[u] * size + index[v]
-        if key in seen:
-            return _fail(name, f"two edges from {u} to {v}")
-        seen.add(key)
-    return _ok(name)
+    if g.first_repeat is None:
+        return _ok("no-parallel-edges")
+    return _fail("no-parallel-edges", "two edges from {} to {}".format(*g.first_repeat))
 
 
 def check_unique_source_sink(g: ColoredDigraph) -> Verdict:
     """Exactly one vertex without incoming and one without outgoing edges; a
     position has an edge of color c exactly when its first one is recorded."""
     name = "unique-source-sink"
-    sources = sum(1 for tails in zip(*g.prv.values()) if tails.count(None) == g.n)
-    sinks = sum(1 for heads in zip(*g.nxt.values()) if heads.count(None) == g.n)
+    colors = g.edge_colors or (1,)  # without edges, color 1's table stands for all
+    sources = sum(1 for tails in zip(*map(g.prv.get, colors)) if tails.count(None) == len(colors))
+    sinks = sum(1 for heads in zip(*map(g.nxt.get, colors)) if heads.count(None) == len(colors))
     if sources != 1:
         return _fail(name, f"expected one zero-indegree vertex, found {sources}")
     if sinks != 1:

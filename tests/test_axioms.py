@@ -30,6 +30,14 @@ def digraph_of(K):
     return from_crystal_json(K.to_json())
 
 
+def edge_count(g):
+    """The edges of ``g``, counted from its per-color tables."""
+    return sum(
+        len(g.vertices) - g.nxt[c].count(None) + sum(map(len, g.more_out[c].values()))
+        for c in g.edge_colors
+    )
+
+
 @pytest.mark.parametrize("n,c", [p for p in DESK_PARAMS if sum(p[1]) > 0])
 def test_generated_crystals_pass_the_whole_battery(n, c, crystals):
     g = digraph_of(crystals(n, c))
@@ -72,8 +80,7 @@ def test_crystal_json_parser_rejects_malformed_input():
 
 def test_parsers_keep_one_int_object_per_vertex_id(crystals):
     K = crystals(2, (1, 2))
-    # CPython caches the ints up to 256, so larger ids show whether the parser
-    # shares one int object per id
+    # ids past CPython's cache of small ints, through both parsers
     text = "".join(f"{1000 + u} {1000 + v} {c}\n" for (u, v, c) in K.edges())
     data = K.to_json()
     data = {
@@ -82,9 +89,7 @@ def test_parsers_keep_one_int_object_per_vertex_id(crystals):
         "edges": [dict(e, **{"from": 1000 + e["from"], "to": 1000 + e["to"]}) for e in data["edges"]],
     }
     for g in (from_edge_list_text(text), from_crystal_json(data)):
-        assert g.vertices == tuple(range(1000, 1015)) and len(g.edges) == 18
-        ids = set(map(id, g.vertices))
-        assert {id(x) for (u, v, _) in g.edges for x in (u, v)} <= ids
+        assert g.vertices == tuple(range(1000, 1015)) and edge_count(g) == 18
         assert all_pass(verify_graph(g, strict_a4=True))
 
 
@@ -105,10 +110,54 @@ def test_verifier_peaks_under_700_bytes_per_vertex(crystals):
     assert peak / len(g.vertices) <= 700
 
 
+def test_verifier_retains_under_400_bytes_per_vertex(crystals):
+    """What a parsed K(4;1^4) still holds after a strict full verify, under
+    tracemalloc: the per-color tables, line tables and label cache, but not
+    the edge triples (about 500 bytes per vertex with them)."""
+    text = crystals(4, (1, 1, 1, 1)).to_edge_list_text()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = from_edge_list_text(text)
+        verdicts = verify_graph(g, strict_a4=True, fail_fast=False)
+        gc.collect()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(g.vertices) == 1024 and all_pass(verdicts)
+    assert current / len(g.vertices) <= 400
+
+
+def test_colors_without_edges_cost_no_tables():
+    """A 1 001-vertex path of color 1 plus the one edge 0 -> 1000 of color
+    2000: the 1 998 colors without an edge share one table, so the verify
+    stays small and fast (it took seconds and 130 MB with a table per color)."""
+    text = "".join(f"{k} {k + 1} 1\n" for k in range(1000)) + "0 1000 2000\n"
+    tracemalloc.start()
+    try:
+        verdicts = verify_graph(from_edge_list_text(text), fail_fast=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(map(str, verdicts)) == [
+        "connected: pass",
+        "A1: pass",
+        "graded: fail: inconsistent color counts on routes to 501",
+        "no-parallel-edges: pass",
+        "A2: fail: 1-edge (0, 1) has an invalid (t_2, h_2) change",
+        "A3: pass",
+        "A4: pass",
+        "A5: fail: colors 1,2000 do not commute at vertex 0",
+        "equal-criticals: fail: no critical vertex on the 1-line through 0",
+        "unique-source-sink: pass",
+    ]
+    assert peak <= 5_000_000
+
+
 def test_round_trip_through_the_edge_list(crystals):
     K = crystals(2, (1, 2))
     g = from_edge_list_text(K.to_edge_list_text())
-    assert len(g.edges) == 18 and len(g.vertices) == 15
+    assert edge_count(g) == 18 and len(g.vertices) == 15
     assert all_pass(verify_graph(g))
 
 
@@ -130,6 +179,20 @@ def test_connectivity_and_degree_checks():
     assert not check_no_parallel_edges(par).ok
     two_sinks = ColoredDigraph((0, 1, 2), ((0, 1, 1), (0, 2, 2)), 2)
     assert not check_unique_source_sink(two_sinks).ok
+
+
+def test_first_repeat_is_the_earliest_repeated_pair_in_edge_order():
+    # past position 256 equal ints need not be one object, and the table test
+    # compares first heads by identity: it relies on the tables sharing the
+    # ``index`` ints
+    path = [(k, k + 1, 1) for k in range(300)]
+    g = ColoredDigraph(tuple(range(301)), tuple(path + [(299, 300, 2)]), 2)
+    assert g.first_repeat == (299, 300)
+    assert str(check_no_parallel_edges(g)) == "no-parallel-edges: fail: two edges from 299 to 300"
+    # of two repeats, the one whose second edge comes first; a fork is none
+    g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (1, 2, 1), (1, 2, 2), (0, 1, 2)), 2)
+    assert g.first_repeat == (1, 2)
+    assert ColoredDigraph((0, 1, 2), ((0, 1, 1), (0, 2, 1)), 1).first_repeat is None
 
 
 def test_graded_check_detects_unbalanced_squares():

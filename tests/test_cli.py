@@ -158,14 +158,6 @@ def test_verify_next_to_colors_without_edges(capsys, tmp_path, text, a2, a5, cri
     ]
 
 
-def test_verify_from_parameters_keeps_one_int_object_per_vertex_id():
-    args = SimpleNamespace(infile=None, n=2, c=[6, 6], d=None, cap=1000)
-    g = cli._load_graph(args)
-    assert len(g.vertices) == 343
-    ids = set(map(id, g.vertices))
-    assert {id(x) for (u, v, _) in g.edges for x in (u, v)} <= ids
-
-
 @pytest.mark.parametrize(
     "graph,message",
     [
