@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
-from operator import is_, is_not, itemgetter
+from operator import add, is_, is_not, itemgetter
 from typing import List, Optional
 
 from .errors import GraphFormatError
@@ -95,8 +95,8 @@ class ColoredDigraph:
     first head of tail ``k`` is ``nxt[c][k]`` and the first tail of head ``k``
     is ``prv[c][k]`` (None without one); any further heads and tails go, in
     edge order, to ``more_out[c][k]`` and ``more_in[c][k]``, which stay empty
-    exactly when A1's degree conditions hold.  The colors without an edge
-    read one shared, read-only table: ``nxt[c] is prv[c]`` exactly for them.
+    exactly when A1's degree conditions hold.  Only the colors with an edge
+    are keys of these dicts and of ``lines``; ``line(c)`` reads any color.
     """
 
     vertices: tuple
@@ -112,8 +112,8 @@ class ColoredDigraph:
     _labels: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> labels()
 
     def __post_init__(self, edges):
-        if self.n < 1:
-            raise GraphFormatError(f"color count n must be at least 1, got {self.n}")
+        if type(self.n) is not int or self.n < 1:  # a bool is an int, too
+            raise GraphFormatError(f"color count n must be an integer of at least 1, got {self.n!r}")
         try:
             order = sorted(self.vertices)
         except TypeError:
@@ -128,17 +128,17 @@ class ColoredDigraph:
                     raise GraphFormatError(f"vertex {v} is listed twice")
                 seen.add(v)
         size = len(order)
-        colors = range(1, self.n + 1)
-        used = set(map(itemgetter(2), edges))
-        self.edge_colors = tuple(c for c in colors if c in used)
-        blank, empty = ([None] * size, {}) if len(self.edge_colors) < self.n else (None, None)
-        self.nxt = nxt = {c: [None] * size if c in used else blank for c in colors}
-        self.prv = prv = {c: [None] * size if c in used else blank for c in colors}
-        self.more_out = more_out = {c: {} if c in used else empty for c in colors}
-        self.more_in = {c: {} if c in used else empty for c in colors}
+        colors = self.edge_colors = tuple(sorted(
+            c for c in set(map(itemgetter(2), edges)) if type(c) is int and 0 < c <= self.n
+        ))
+        self.nxt = nxt = {c: [None] * size for c in colors}
+        self.prv = prv = {c: [None] * size for c in colors}
+        self.more_out = more_out = {c: {} for c in colors}
+        self.more_in = {c: {} for c in colors}
         for (u, v, c) in edges:
             a, b, heads = index.get(u), index.get(v), nxt.get(c)
-            if a is None or b is None or heads is None:
+            # 1.0 and True would read color 1's table
+            if a is None or b is None or heads is None or type(c) is not int:
                 raise GraphFormatError(f"edge ({u}, {v}, {c}) references unknown vertex or color")
             if heads[a] is None:
                 heads[a] = b
@@ -162,17 +162,23 @@ class ColoredDigraph:
 
     @cached_property
     def lines(self) -> dict:
-        """color -> Lines, built on first use; a color with a cycle raises."""
-        table, blank = {}, None
-        for c in range(1, self.n + 1):
-            nxt, prv = self.nxt[c], self.prv[c]
-            if nxt is prv:  # no edge: every such color reads one Lines
-                table[c] = blank = blank or Lines.walk(nxt, prv, self.index.values())
-                continue
-            table[c] = Lines.walk(nxt, prv, self.index.values())
+        """color with an edge -> Lines, built on first use; a color with a cycle raises."""
+        table = {}
+        for c in self.edge_colors:
+            table[c] = Lines.walk(self.nxt[c], self.prv[c], self.index.values())
             if None in table[c].start:
                 raise GraphFormatError(f"color {c} contains a directed cycle")
         return table
+
+    @cached_property
+    def blank(self) -> Lines:
+        """The Lines of every color without an edge: each vertex a line of its own."""
+        none = [None] * len(self.vertices)
+        return Lines.walk(none, none, self.index.values())
+
+    def line(self, c: int) -> Lines:
+        """The Lines of color c in 1..n; a color without an edge reads ``blank``."""
+        return self.lines.get(c) or self.blank
 
     def labels(self, i: int, j: int) -> tuple:
         """Per position, the label w.r.t. color j of its i-edge: 0 when t_j drops
@@ -181,7 +187,7 @@ class ColoredDigraph:
         and, at the start of each i-line, how many 0-labels open it when its
         labels are 0s followed by 1s, else -1.  Built on first use."""
         if (i, j) not in self._labels:
-            li, lj = self.lines[i], self.lines[j]
+            li, lj = self.line(i), self.line(j)
             t, h = lj.t, lj.h
             label = bytes([
                 3 if v is None else 0 if t[v] == t[u] - 1 and h[v] == h[u]
@@ -313,6 +319,7 @@ def check_A2(g: ColoredDigraph) -> Verdict:
     # a color without edges has no i-edge and keeps all t, h at 0; as a neighbor it breaks labels
     for i in g.edge_colors:
         nxt = lines[i].nxt
+        tails = list(compress(range(len(nxt)), lines[i].h))  # the positions with an i-edge out
         # per color j, the first i-edge that breaks it: a neighboring color's
         # label is invalid, a distant color's line position changes
         faults = []
@@ -324,9 +331,7 @@ def check_A2(g: ColoredDigraph) -> Verdict:
         for j in g.edge_colors:
             if abs(i - j) >= 2:
                 t, h = lines[j].t, lines[j].h
-                u = next((
-                    u for u, v in enumerate(nxt) if v is not None and (t[v] != t[u] or h[v] != h[u])
-                ), -1)
+                u = next((u for u in tails if t[nxt[u]] != t[u] or h[nxt[u]] != h[u]), -1)
                 if u >= 0:
                     faults.append((u, j, f"changes the color-{j} line position"))
         if faults:
@@ -344,7 +349,7 @@ def check_A2(g: ColoredDigraph) -> Verdict:
 def critical_vertex(g: ColoredDigraph, v, i: int, j: int):
     """Critical vertex of the i-line through v with respect to color j, i.e. the
     vertex where the 0-labeled prefix ends; None when the labels are not split."""
-    li = g.lines[i]
+    li = g.line(i)
     k = li.start[g.index[v]]
     zeros = g.labels(i, j)[1][k]
     if zeros < 0:
@@ -429,12 +434,14 @@ def check_A5(g: ColoredDigraph) -> Verdict:
     """Full commutation of the operators of colors at distance two or more."""
     name = "A5"
     lines = g.lines
-    # a color without edges has no operator to fail
+    # a color without edges has no operator to fail, and a fault needs an edge
+    # of both colors at the vertex: only the positions on a line are visited
+    on = {c: list(compress(range(len(g.vertices)), map(add, ln.t, ln.h))) for c, ln in lines.items()}
     for i, j in combinations(g.edge_colors, 2):
         if j - i < 2:
             continue
         li, lj = lines[i], lines[j]
-        for v, name_v in enumerate(g.vertices):
+        for v in min(on[i], on[j], key=len):
             for fi in (li.nxt, li.prv):
                 for fj in (lj.nxt, lj.prv):
                     a, b = fi[v], fj[v]
@@ -442,7 +449,7 @@ def check_A5(g: ColoredDigraph) -> Verdict:
                         continue
                     w = fj[a]
                     if w is None or w != fi[b]:
-                        return _fail(name, f"colors {i},{j} do not commute at vertex {name_v}")
+                        return _fail(name, f"colors {i},{j} do not commute at vertex {g.vertices[v]}")
     return _ok(name)
 
 
@@ -451,7 +458,7 @@ def check_equal_criticals(g: ColoredDigraph) -> Verdict:
     j-line w.r.t. i, for neighboring i, j."""
     name = "equal-criticals"
     for i, j in _neighbors(g, both=False):
-        li, lj = g.lines[i], g.lines[j]
+        li, lj = g.line(i), g.line(j)
         split, back = g.labels(i, j)[1], g.labels(j, i)[1]
         # the starts of the i-lines without a critical vertex r, or whose r is
         # not critical on its j-line, which starts at start_j[r]; the i-line
@@ -529,9 +536,11 @@ def check_unique_source_sink(g: ColoredDigraph) -> Verdict:
     """Exactly one vertex without incoming and one without outgoing edges; a
     position has an edge of color c exactly when its first one is recorded."""
     name = "unique-source-sink"
-    colors = g.edge_colors or (1,)  # without edges, color 1's table stands for all
-    sources = sum(1 for tails in zip(*map(g.prv.get, colors)) if tails.count(None) == len(colors))
-    sinks = sum(1 for heads in zip(*map(g.nxt.get, colors)) if heads.count(None) == len(colors))
+    colors = g.edge_colors
+    sources = sinks = len(g.vertices)  # without edges, every vertex is both
+    if colors:
+        sources = sum(1 for tails in zip(*map(g.prv.get, colors)) if tails.count(None) == len(colors))
+        sinks = sum(1 for heads in zip(*map(g.nxt.get, colors)) if heads.count(None) == len(colors))
     if sources != 1:
         return _fail(name, f"expected one zero-indegree vertex, found {sources}")
     if sinks != 1:

@@ -129,29 +129,50 @@ def test_verifier_retains_under_400_bytes_per_vertex(crystals):
 
 
 def test_colors_without_edges_cost_no_tables():
-    """A 1 001-vertex path of color 1 plus the one edge 0 -> 1000 of color
-    2000: the 1 998 colors without an edge share one table, so the verify
-    stays small and fast (it took seconds and 130 MB with a table per color)."""
-    text = "".join(f"{k} {k + 1} 1\n" for k in range(1000)) + "0 1000 2000\n"
-    tracemalloc.start()
-    try:
-        verdicts = verify_graph(from_edge_list_text(text), fail_fast=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert list(map(str, verdicts)) == [
-        "connected: pass",
-        "A1: pass",
-        "graded: fail: inconsistent color counts on routes to 501",
-        "no-parallel-edges: pass",
-        "A2: fail: 1-edge (0, 1) has an invalid (t_2, h_2) change",
-        "A3: pass",
-        "A4: pass",
-        "A5: fail: colors 1,2000 do not commute at vertex 0",
-        "equal-criticals: fail: no critical vertex on the 1-line through 0",
-        "unique-source-sink: pass",
+    """Colors without an edge get no table: a 1 001-vertex path of color 1
+    plus the one edge 0 -> 1000 of color 2000 took seconds and 130 MB with a
+    table per color; the one edge ``0 1 1000000000`` and one vertex with
+    n = 10**20 could not be built at all with an entry per color."""
+    path = "".join(f"{k} {k + 1} 1\n" for k in range(1000)) + "0 1000 2000\n"
+    cases = [
+        (lambda: from_edge_list_text(path), [
+            "connected: pass",
+            "A1: pass",
+            "graded: fail: inconsistent color counts on routes to 501",
+            "no-parallel-edges: pass",
+            "A2: fail: 1-edge (0, 1) has an invalid (t_2, h_2) change",
+            "A3: pass",
+            "A4: pass",
+            "A5: fail: colors 1,2000 do not commute at vertex 0",
+            "equal-criticals: fail: no critical vertex on the 1-line through 0",
+            "unique-source-sink: pass",
+        ]),
+        (lambda: from_edge_list_text("0 1 1000000000\n"), [
+            "connected: pass",
+            "A1: pass",
+            "graded: pass",
+            "no-parallel-edges: pass",
+            "A2: fail: 1000000000-edge (0, 1) has an invalid (t_999999999, h_999999999) change",
+            "A3: pass",
+            "A4: pass",
+            "A5: pass",
+            "equal-criticals: fail: vertex 0: critical for color 999999999 w.r.t. 1000000000 but not conversely",
+            "unique-source-sink: pass",
+        ]),
+        (lambda: from_crystal_json({"n": 10**20, "vertices": [{"id": 0}], "edges": []}), None),
     ]
-    assert peak <= 5_000_000
+    for read, expected in cases:
+        tracemalloc.start()
+        try:
+            g = read()
+            verdicts = verify_graph(g, fail_fast=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = list(map(str, verdicts))
+        assert lines == (expected or [f"{v.check}: pass" for v in verdicts]) and len(lines) == 10
+        assert peak <= 5_000_000
+        assert set(g.nxt) == set(g.prv) == set(g.more_out) == set(g.more_in) == set(g.lines) == set(g.edge_colors)
 
 
 def test_round_trip_through_the_edge_list(crystals):

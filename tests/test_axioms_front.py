@@ -190,10 +190,21 @@ def test_repeated_vertex_is_a_format_error():
         ColoredDigraph((0, 0, 1), ((0, 1, 1),), 1)
 
 
-@pytest.mark.parametrize("n", [0, -2])
+@pytest.mark.parametrize("n", [0, -2, 2.5, 1.0, True])
 def test_color_count_below_one_is_a_format_error(n):
+    # a non-int or bool n is no color count either
     with pytest.raises(GraphFormatError, match=f"got {n}"):
         ColoredDigraph((0,), (), n)
+
+
+@pytest.mark.parametrize("color", [1.0, True, 2.5, "1", 0, 3])
+def test_a_color_that_is_no_int_in_1_to_n_is_unknown(color):
+    # 1.0 and True equal color 1 and would have read its tables
+    with pytest.raises(GraphFormatError, match=rf"edge \(0, 1, {color}\) references unknown vertex or color"):
+        ColoredDigraph((0, 1), ((0, 1, color),), 2)
+    # also after an edge of color 1 itself, and reported at the first bad edge
+    with pytest.raises(GraphFormatError, match=rf"edge \(1, 0, {color}\) references"):
+        ColoredDigraph((0, 1), ((0, 1, 1), (1, 0, color), (0, 1, 4)), 2)
 
 
 def test_label_tables_are_built_once():

@@ -1,13 +1,14 @@
 """The checks that read the digraph's label tables (A2, A3, A4, equal criticals
-and ``critical_vertex``) against a restatement that labels every edge on its
-own, on random mutants of small generated crystals that pass A1.
+and ``critical_vertex``), and A5, against a restatement that labels every edge
+on its own, on random mutants of small generated crystals that pass A1.
 
-The restatement reads only ``ColoredDigraph.lines``: it labels an edge by the
-change of ``(t, h)`` along it, finds a line's critical vertex by labeling the
-whole line, and gets the incoming-edge halves of A3 and A4 by running the
-outgoing-edge checks on line tables with every edge reversed.  It visits every
-color, so the mutants that sit among colors without an edge check which color
-pairs the checks may skip."""
+The restatement reads only the line tables, each color in ``1..n`` through
+``ColoredDigraph.line``: it labels an edge by the change of ``(t, h)`` along
+it, finds a line's critical vertex by labeling the whole line, and gets the
+incoming-edge halves of A3 and A4 by running the outgoing-edge checks on line
+tables with every edge reversed.  It visits every color, and A5's restatement
+every vertex, so the mutants that sit among colors without an edge check
+which color pairs and positions the checks may skip."""
 
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from ancrystal.axioms import (
     check_A2,
     check_A3,
     check_A4,
+    check_A5,
     check_equal_criticals,
     critical_vertex,
 )
@@ -35,8 +37,12 @@ class Reversed:
     h: list
 
 
+def every_line(g):
+    return {c: g.line(c) for c in range(1, g.n + 1)}
+
+
 def backward(g):
-    return {c: Reversed(ln.prv, ln.h, ln.t) for c, ln in g.lines.items()}
+    return {c: Reversed(ln.prv, ln.h, ln.t) for c, ln in every_line(g).items()}
 
 
 def ref_label(lines, u, v):
@@ -68,13 +74,13 @@ def ref_line(lines, k):
 
 
 def ref_critical_vertex(g, v, i, j):
-    line = ref_line(g.lines[i], g.index[v])
-    zeros = ref_zeros(g.lines[j], line)
+    line = ref_line(g.line(i), g.index[v])
+    zeros = ref_zeros(g.line(j), line)
     return None if zeros is None else g.vertices[line[zeros]]
 
 
 def ref_A2(g):
-    lines = g.lines
+    lines = every_line(g)
     for i in range(1, g.n + 1):
         for u, v in enumerate(lines[i].nxt):
             if v is None:
@@ -102,7 +108,7 @@ def ref_A2(g):
 
 def ref_A3(g):
     views = (
-        (g.lines, "0-labeled {}-edge with non-1-labeled {}-edge", "square"),
+        (every_line(g), "0-labeled {}-edge with non-1-labeled {}-edge", "square"),
         (backward(g), "1-labeled incoming {}-edge with non-0-labeled {}-edge", "backward square"),
     )
     for i in range(1, g.n):
@@ -132,7 +138,7 @@ def ref_chain(lines, v, colors):
 
 
 def ref_A4(g, strict):
-    views = [(g.lines, "Verma")]
+    views = [(every_line(g), "Verma")]
     if strict:
         views.append((backward(g), "inverse Verma"))
     for i in range(1, g.n):
@@ -150,12 +156,27 @@ def ref_A4(g, strict):
     return "A4: pass"
 
 
+def ref_A5(g):
+    lines = every_line(g)
+    for i in range(1, g.n + 1):
+        for j in range(i + 2, g.n + 1):
+            for u, name_u in enumerate(g.vertices):
+                for fi in (lines[i].nxt, lines[i].prv):
+                    for fj in (lines[j].nxt, lines[j].prv):
+                        if fi[u] is None or fj[u] is None:
+                            continue
+                        w = fj[fi[u]]
+                        if w is None or w != fi[fj[u]]:
+                            return f"A5: fail: colors {i},{j} do not commute at vertex {name_u}"
+    return "A5: pass"
+
+
 def ref_equal_criticals(g):
     for i in range(1, g.n):
         j = i + 1
         done = set()
         for v, k in g.index.items():
-            line = ref_line(g.lines[i], k)
+            line = ref_line(g.line(i), k)
             if line[0] in done:
                 continue
             done.add(line[0])
@@ -218,6 +239,7 @@ def test_label_table_checks_match_the_per_edge_restatement(mutant):
     assert str(check_A3(g)) == ref_A3(g)
     for strict in (False, True):
         assert str(check_A4(g, strict=strict)) == ref_A4(g, strict)
+    assert str(check_A5(g)) == ref_A5(g)
     assert str(check_equal_criticals(g)) == ref_equal_criticals(g)
     for i in range(1, g.n + 1):
         for j in (i - 1, i + 1):
