@@ -2,7 +2,8 @@
 
 Works on a bare edge-list representation on purpose: it shares no code with the
 generator it is used to check.  All checks return verdicts with a first
-counterexample in canonical vertex order instead of raising.
+counterexample in canonical vertex order instead of raising; no-parallel-edges
+names the first repeat in edge order.
 """
 
 from __future__ import annotations
@@ -171,6 +172,59 @@ class ColoredDigraph:
         return table
 
     @cached_property
+    def search(self) -> tuple:
+        """(unreached, uneven): the least position that no route from position
+        0 reaches and the first position that two routes reach with different
+        depth codes, each None when there is none.  Built on first use.
+
+        A breadth-first search from each not yet reached position in canonical
+        order gives every vertex its depth vector: how many edges of each color,
+        counted forward minus backward, lead to it from the root.  The search
+        from 0 runs to its end, so the next root is the least unreached
+        position; it stops there once both answers are known.  The vector is
+        stored as one int, ``sum(d_c * B**r_c)`` with ``B = 2|V| + 3``, so one
+        step is a single add.  A search path has fewer than |V| edges, so every
+        coordinate met, even one step past a stored vector, lies in
+        ``[-|V|, |V|]``.  Two such vectors differ in each coordinate by at most
+        2|V| < B, so equal codes mean equal vectors.  Only colors with an edge
+        have a coordinate, and any distinct powers of B keep the codes exact,
+        so color c's unit is ``B**r_c``, r_c its rank among those colors.
+        """
+        depth = [None] * len(self.vertices)
+        base = 2 * len(depth) + 3
+        # at each vertex: colors ascending, out-heads before in-tails
+        steps = []
+        for rank, c in enumerate(self.edge_colors):
+            unit = base ** rank
+            steps += [(self.nxt[c], self.more_out[c], unit), (self.prv[c], self.more_in[c], -unit)]
+        unreached = uneven = None
+        for root in range(len(depth)):
+            if depth[root] is not None:
+                continue
+            if unreached is None and root:
+                unreached = root
+            if uneven is not None:
+                break
+            depth[root] = 0
+            queue = deque([root])
+            while queue:
+                k = queue.popleft()
+                here = depth[k]
+                for first, more, unit in steps:
+                    w = first[k]
+                    if w is None:
+                        continue
+                    step = here + unit
+                    for w in (w, *more[k]) if k in more else (w,):
+                        there = depth[w]
+                        if there is None:
+                            depth[w] = step
+                            queue.append(w)
+                        elif there != step and uneven is None:
+                            uneven = w
+        return unreached, uneven
+
+    @cached_property
     def blank(self) -> Lines:
         """The Lines of every color without an edge: each vertex a line of its own."""
         none = [None] * len(self.vertices)
@@ -251,31 +305,11 @@ def from_crystal_json(data: dict) -> ColoredDigraph:
 
 def check_nonempty_connected(g: ColoredDigraph) -> Verdict:
     name = "connected"
-    size = len(g.vertices)
-    if not size:
+    if not g.vertices:
         return _fail(name, "graph has no vertices")
-    # a breadth-first search, one level at a time: the next level is every
-    # first head and tail, in each color with an edge, of the level's
-    # positions, plus the overflow of those that have one, not yet reached
-    colors = g.edge_colors
-    columns = [*map(g.nxt.get, colors), *map(g.prv.get, colors)]
-    extra = {}
-    for more in (*map(g.more_out.get, colors), *map(g.more_in.get, colors)):
-        for k, ends in more.items():
-            extra.setdefault(k, []).extend(ends)
-    unseen = set(g.index.values())
-    level = {0}
-    while level:
-        unseen -= level
-        found = set()
-        for col in columns:
-            found.update(map(col.__getitem__, level))
-        for k in filter(extra.__contains__, level):
-            found.update(extra[k])
-        level = found & unseen
-    if unseen:
-        missing = g.vertices[min(unseen)]
-        return _fail(name, f"vertex {missing} unreachable from {g.vertices[0]}")
+    missing = g.search[0]
+    if missing is not None:
+        return _fail(name, f"vertex {g.vertices[missing]} unreachable from {g.vertices[0]}")
     return _ok(name)
 
 
@@ -479,50 +513,13 @@ def check_equal_criticals(g: ColoredDigraph) -> Verdict:
 
 
 def check_graded(g: ColoredDigraph) -> Verdict:
-    """Consistent per-color edge counts along all routes; implies acyclicity.
-
-    A breadth-first search from each not yet reached vertex in canonical order
-    gives every vertex its depth vector: how many edges of each color, counted
-    forward minus backward, lead to it from the root.  The vector is stored as
-    one int, ``sum(d_c * B**r_c)`` with ``B = 2|V| + 3``, so one step is a
-    single add.  A search path has fewer than |V| edges, so every coordinate
-    met, even one step past a stored vector, lies in ``[-|V|, |V|]``.  Two such
-    vectors differ in each coordinate by at most 2|V| < B, so equal codes mean
-    equal vectors.  Only colors with an edge have a coordinate, and any
-    distinct powers of B keep the codes exact, so color c's unit is
-    ``B**r_c``, r_c its rank among those colors.
-    """
+    """Consistent per-color edge counts along all routes; implies acyclicity."""
     name = "graded"
-    size = len(g.vertices)
-    if not size:
+    if not g.vertices:
         return _fail(name, "graph has no vertices")
-    base = 2 * size + 3
-    # at each vertex: colors ascending, out-heads before in-tails
-    steps = []
-    for rank, c in enumerate(g.edge_colors):
-        unit = base ** rank
-        steps += [(g.nxt[c], g.more_out[c], unit), (g.prv[c], g.more_in[c], -unit)]
-    depth = [None] * size
-    for root in range(size):
-        if depth[root] is not None:
-            continue
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            k = queue.popleft()
-            here = depth[k]
-            for first, more, unit in steps:
-                w = first[k]
-                if w is None:
-                    continue
-                step = here + unit
-                for w in (w, *more[k]) if k in more else (w,):
-                    there = depth[w]
-                    if there is None:
-                        depth[w] = step
-                        queue.append(w)
-                    elif there != step:
-                        return _fail(name, f"inconsistent color counts on routes to {g.vertices[w]}")
+    uneven = g.search[1]
+    if uneven is not None:
+        return _fail(name, f"inconsistent color counts on routes to {g.vertices[uneven]}")
     return _ok(name)
 
 

@@ -17,7 +17,7 @@ from .errors import (
     ModelError,
     ParameterError,
 )
-from .gt import GTPattern, count_bounded_patterns, from_gt, sigma_bound, to_gt
+from .gt import GTPattern, count_bounded_patterns, from_gt, sigma_bound, to_gt, weyl_dimension
 from .structure import (
     LOWER,
     UPPER,
@@ -45,7 +45,8 @@ def _int_list(text: str) -> list:
 def _add_model_args(p, require_c=True):
     p.add_argument("--n", type=int, required=require_c, help="number of colors")
     p.add_argument("--c", type=_int_list, required=require_c, help="upper bounds, comma-separated")
-    p.add_argument("--d", type=_int_list, default=None, help="lower bounds (default zeros)")
+    p.add_argument("--d", type=_int_list, default=None,
+                   help="lower bounds (default zeros); a negative list as --d=-1,0,-1")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="vertex cap for generation")
 
 
@@ -211,6 +212,8 @@ def cmd_gt(args) -> int:
             raise ParameterError(
                 f"gt --count needs n >= 1 and n nonnegative bounds, got --n {args.n} --c {c}"
             )
+        if (size := weyl_dimension(c)) > DEFAULT_CAP:  # before an enumeration of days
+            raise CapExceededError(DEFAULT_CAP, size)
         print(count_bounded_patterns(args.n, sigma_bound(c)))
         return EXIT_OK
     if args.direction is None or args.infile is None:

@@ -168,6 +168,38 @@ def test_graded_tells_a_long_line_from_a_step_of_the_next_color(length):
     assert str(verdict) == ref_graded(list(range(length + 1)), edges, 2)
 
 
+@pytest.mark.parametrize("edges, search", [
+    # both components ungraded: component 0 is {0, 1, 2, 3, 5}, where routes
+    # 0 -1-> 1 -1-> 2 and 0 -2-> 2 disagree and 3 and 5 lie past that fault;
+    # in component 1, {4, 6, 7}, routes 4 -1-> 6 -1-> 7 and 4 -2-> 7 disagree
+    ([(0, 1, 1), (1, 2, 1), (0, 2, 2), (2, 3, 1), (3, 5, 2), (4, 6, 1), (6, 7, 1), (4, 7, 2)], (4, 2)),
+    # component 0 is the graded path 0 -1-> 2 -2-> 3; in component 1 the
+    # routes 1 -1-> 4 -1-> 5 and 1 -2-> 5 disagree
+    ([(0, 2, 1), (2, 3, 2), (1, 4, 1), (4, 5, 1), (1, 5, 2)], (1, 5)),
+], ids=["both-ungraded", "graded-beside-ungraded"])
+def test_two_components_name_the_least_unreached_vertex_and_the_first_fault(edges, search):
+    vertices = sorted({v for (u, w, _) in edges for v in (u, w)})
+    g = ColoredDigraph(tuple(vertices), tuple(edges), 2)
+    assert g.search == search
+    unreached, uneven = search
+    assert [str(check_nonempty_connected(g)), str(check_graded(g))] == [
+        ref_connected(vertices, edges, 2), ref_graded(vertices, edges, 2)
+    ] == [
+        f"connected: fail: vertex {unreached} unreachable from 0",
+        f"graded: fail: inconsistent color counts on routes to {uneven}",
+    ]
+
+
+def test_connected_and_graded_read_one_search():
+    g = ColoredDigraph((0, 1, 2), ((0, 1, 1),), 1)
+    assert g.search is g.search
+    assert g.search == (2, None)
+    # a planted result is all that either check reads
+    g.__dict__["search"] = (1, 2)
+    assert str(check_nonempty_connected(g)) == "connected: fail: vertex 1 unreachable from 0"
+    assert str(check_graded(g)) == "graded: fail: inconsistent color counts on routes to 2"
+
+
 def test_a1_reports_the_least_faulty_vertex_whatever_the_direction():
     # vertex 0 has two incoming 1-edges, vertex 3 two outgoing ones
     g = ColoredDigraph((0, 1, 2, 3), ((1, 0, 1), (2, 0, 1), (3, 1, 1), (3, 2, 1)), 1)

@@ -266,6 +266,21 @@ def test_gt_count_names_the_bad_bounds(capsys):
     assert code == EXIT_USAGE and "--n 0" in err
 
 
+def test_gt_count_above_the_cap_fails_before_enumerating(capsys):
+    # about 1.06e12 patterns: days of enumeration, refused from the Weyl dimension
+    code, stdout, err = run(capsys, "gt", "--count", "--n", "3", "--c", "100,100,100")
+    assert code == EXIT_CAP and stdout == ""
+    assert err == "error: vertex cap 2000000 exceeded: the crystal has 1061520150601 vertices\n"
+    code, stdout, _ = run(capsys, "gt", "--count", "--n", "3", "--c", "8,8,8")
+    assert code == EXIT_OK and stdout == "531441\n"
+
+
+def test_negative_lower_bounds_are_given_with_an_equals_sign(capsys):
+    code, stdout, _ = run(capsys, "build", "--n", "3", "--c", "1,2,1", "--d=-1,0,-1")
+    assert code == EXIT_OK
+    assert stdout == "vertices=729 edges=1512 length=20 principal=27\n"
+
+
 def test_seed_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--seed", "1", "gt", "--count", "--n", "2", "--c", "1,2"])
