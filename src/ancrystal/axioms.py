@@ -2,8 +2,7 @@
 
 Works on a bare edge-list representation on purpose: it shares no code with the
 generator it is used to check.  All checks return verdicts with a first
-counterexample in canonical vertex order instead of raising; no-parallel-edges
-names the first repeat in edge order.
+counterexample in canonical vertex order instead of raising.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from collections import deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
-from operator import add, is_, is_not, itemgetter
+from operator import add, is_, itemgetter
 from typing import List, Optional
 
 from .errors import GraphFormatError
@@ -109,7 +108,6 @@ class ColoredDigraph:
     more_out: dict = field(init=False, repr=False)  # color -> tail position -> [further heads]
     more_in: dict = field(init=False, repr=False)  # color -> head position -> [further tails]
     edge_colors: tuple = field(init=False, repr=False)  # the colors with an edge, ascending
-    first_repeat: Optional[tuple] = field(init=False, repr=False, default=None)  # first repeated (tail, head)
     _labels: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> labels()
 
     def __post_init__(self, edges):
@@ -150,16 +148,6 @@ class ColoredDigraph:
                 tails[b] = a
             else:
                 self.more_in[c].setdefault(b, []).append(a)
-        # a repeat needs an overflow head or two colors whose first heads are one
-        # position (the same ``index`` int); only then are the edges scanned in order
-        if any(map(more_out.get, self.edge_colors)) or any(
-            any(map(is_not, compress(a, map(is_, a, b)), repeat(None)))
-            for a, b in combinations(map(nxt.get, self.edge_colors), 2)
-        ):
-            seen = set()  # tail position * |V| + head position; add() returns None
-            self.first_repeat = next((
-                (u, v) for (u, v, _) in edges if (key := index[u] * size + index[v]) in seen or seen.add(key)
-            ), None)
 
     @cached_property
     def lines(self) -> dict:
@@ -524,9 +512,22 @@ def check_graded(g: ColoredDigraph) -> Verdict:
 
 
 def check_no_parallel_edges(g: ColoredDigraph) -> Verdict:
-    if g.first_repeat is None:
-        return _ok("no-parallel-edges")
-    return _fail("no-parallel-edges", "two edges from {} to {}".format(*g.first_repeat))
+    """Two edges with the same ends leave a second head of one color in
+    ``more_out`` or, of two colors, an uneven position in the search; given
+    either sign, the tables name the least repeated (tail, head)."""
+    name = "no-parallel-edges"
+    if not any(g.more_out.values()) and g.search[1] is None:
+        return _ok(name)
+    size = len(g.vertices)
+    keys = []  # tail position * |V| + head position, one per edge
+    for c in g.edge_colors:
+        keys += [k * size + w for k, w in enumerate(g.nxt[c]) if w is not None]
+        keys += [k * size + w for k, heads in g.more_out[c].items() for w in heads]
+    keys.sort()
+    for a, b in zip(keys, keys[1:]):
+        if a == b:
+            return _fail(name, f"two edges from {g.vertices[a // size]} to {g.vertices[a % size]}")
+    return _ok(name)
 
 
 def check_unique_source_sink(g: ColoredDigraph) -> Verdict:
@@ -553,7 +554,8 @@ NEEDS_A1 = ("A2", "A3", "A4", "A5", "equal-criticals")
 def verify_graph(g: ColoredDigraph, strict_a4: bool = False, fail_fast: bool = True) -> List[Verdict]:
     """Run the whole battery in dependency order; later checks assume earlier
     ones, so with fail_fast the list ends at the first failure.  Without it,
-    the checks in NEEDS_A1 are reported as skipped once A1 has failed."""
+    the checks in NEEDS_A1 are reported as skipped once A1 has failed.  No
+    check raises: check_A1 catches what ``lines`` raises before they read it."""
     verdicts = []
     checks = [
         ("connected", check_nonempty_connected),
@@ -572,10 +574,7 @@ def verify_graph(g: ColoredDigraph, strict_a4: bool = False, fail_fast: bool = T
         if not a1_ok and name in NEEDS_A1:
             verdicts.append(Verdict(None, name, "needs A1"))
             continue
-        try:
-            v = chk(g)
-        except GraphFormatError as exc:
-            v = _fail("structure", str(exc))
+        v = chk(g)
         verdicts.append(v)
         if fail_fast and not v.ok:
             break

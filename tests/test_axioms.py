@@ -202,18 +202,22 @@ def test_connectivity_and_degree_checks():
     assert not check_unique_source_sink(two_sinks).ok
 
 
-def test_first_repeat_is_the_earliest_repeated_pair_in_edge_order():
-    # past position 256 equal ints need not be one object, and the table test
-    # compares first heads by identity: it relies on the tables sharing the
-    # ``index`` ints
+def test_no_parallel_edges_names_the_least_repeated_pair_in_canonical_order():
+    # past position 256 equal ints need not be one object: positions are
+    # compared by value
     path = [(k, k + 1, 1) for k in range(300)]
     g = ColoredDigraph(tuple(range(301)), tuple(path + [(299, 300, 2)]), 2)
-    assert g.first_repeat == (299, 300)
     assert str(check_no_parallel_edges(g)) == "no-parallel-edges: fail: two edges from 299 to 300"
-    # of two repeats, the one whose second edge comes first; a fork is none
+    # of two repeats, the one with the least tail, though its second edge comes last
     g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (1, 2, 1), (1, 2, 2), (0, 1, 2)), 2)
-    assert g.first_repeat == (1, 2)
-    assert ColoredDigraph((0, 1, 2), ((0, 1, 1), (0, 2, 1)), 1).first_repeat is None
+    assert str(check_no_parallel_edges(g)) == "no-parallel-edges: fail: two edges from 0 to 1"
+    # of one tail's repeats, the least head; ids in canonical order are 2 < 5 < 7
+    g = ColoredDigraph((7, 2, 5), ((2, 7, 1), (2, 7, 2), (2, 5, 1), (2, 5, 2)), 2)
+    assert str(check_no_parallel_edges(g)) == "no-parallel-edges: fail: two edges from 2 to 5"
+    # a fork overflows and an unbalanced square is uneven, yet neither repeats a pair
+    assert check_no_parallel_edges(ColoredDigraph((0, 1, 2), ((0, 1, 1), (0, 2, 1)), 1)).ok
+    square = ColoredDigraph((0, 1, 2, 3), ((0, 1, 1), (1, 3, 2), (0, 2, 2), (2, 3, 2)), 2)
+    assert square.search[1] is not None and check_no_parallel_edges(square).ok
 
 
 def test_graded_check_detects_unbalanced_squares():
@@ -347,6 +351,17 @@ def test_verdict_string_form():
     assert str(v) == "connected: pass"
     bad = check_unique_source_sink(ColoredDigraph((), (), 1))
     assert str(bad).startswith("unique-source-sink: fail:")
+
+
+def test_graded_fails_an_empty_graph_by_its_own_guard():
+    # the search of an empty graph finds no uneven position
+    g = ColoredDigraph((), (), 1)
+    assert g.search == (None, None)
+    verdicts = verify_graph(g, fail_fast=False)
+    assert [str(v) for v in verdicts[:4]] == [
+        "connected: fail: graph has no vertices", "A1: pass", "graded: fail: graph has no vertices",
+        "no-parallel-edges: pass",
+    ]
 
 
 def _mutant(K, n, old, new):

@@ -98,11 +98,13 @@ def ref_graded(vertices, edges, n):
 
 
 def ref_no_parallel_edges(vertices, edges, n):
-    seen = set()
-    for (u, v, _) in edges:
-        if (u, v) in seen:
-            return f"no-parallel-edges: fail: two edges from {u} to {v}"
-        seen.add((u, v))
+    """The least tail, then the least head, in canonical order, of a repeated pair."""
+    out, _ = adjacency(vertices, edges, n)
+    for u in vertices:
+        heads = [w for c in range(1, n + 1) for w in out[c][u]]
+        for w in vertices:
+            if heads.count(w) > 1:
+                return f"no-parallel-edges: fail: two edges from {u} to {w}"
     return "no-parallel-edges: pass"
 
 
@@ -154,6 +156,30 @@ def test_position_array_checks_match_the_dict_restatements(case):
     canonical = sorted(vertices)
     for check, ref in PAIRS:
         assert str(check(g)) == ref(canonical, edges, n), check.__name__
+
+
+@st.composite
+def multigraphs_with_repeats(draw):
+    """``multigraphs``, half of them with a copy of one edge, in any color, put anywhere."""
+    n, vertices, edges = draw(multigraphs())
+    if edges and draw(st.booleans()):
+        u, v, _ = draw(st.sampled_from(edges))
+        k = draw(st.integers(0, len(edges)))
+        edges = edges[:k] + [(u, v, draw(st.integers(1, n)))] + edges[k:]
+    return n, vertices, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(multigraphs_with_repeats())
+def test_a_repeat_leaves_an_overflow_or_an_uneven_position(case):
+    # two edges with the same ends: of one color, the second overflows; of
+    # two colors, the search reaches the head with two depth codes
+    n, vertices, edges = case
+    g = ColoredDigraph(tuple(vertices), tuple(edges), n)
+    repeated = len({(u, v) for (u, v, _) in edges}) < len(edges)
+    if repeated:
+        assert any(g.more_out.values()) or g.search[1] is not None
+    assert check_no_parallel_edges(g).ok is not repeated
 
 
 @pytest.mark.parametrize("length", range(1, 7))

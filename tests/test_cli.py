@@ -65,6 +65,11 @@ def test_build_is_deterministic(capsys, tmp_path):
 def test_build_rejects_bad_bounds(capsys):
     code, _, err = run(capsys, "build", "--n", "2", "--c", "1,2,3")
     assert code == EXIT_USAGE and "error:" in err
+    # argparse rejects a non-integer entry itself
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--n", "2", "--c", "1,x"])
+    assert e.value.code == EXIT_USAGE
+    assert "expected a comma-separated integer list, got '1,x'" in capsys.readouterr().err
 
 
 def test_build_cap_exit_code(capsys):
@@ -375,6 +380,23 @@ def test_gt_checks_the_pattern_rows_before_building_the_graph(capsys, tmp_path, 
     )
     assert code == EXIT_USAGE and stdout == ""
     assert err == "error: pattern has 2 rows, expected n=50\n"
+
+
+def test_gt_from_pattern_needs_n_and_c(capsys, tmp_path):
+    pat = tmp_path / "p.json"
+    pat.write_text("[[1], [1, 0]]")
+    code, stdout, err = run(capsys, "gt", "--direction", "from-pattern", "--c", "1,0", "--in", str(pat))
+    assert code == EXIT_USAGE and stdout == ""
+    assert err == "error: gt --direction from-pattern needs --n and --c\n"
+
+
+def test_gt_to_pattern_without_out_writes_to_stdout(capsys, tmp_path):
+    f = principal_function(build_supporting_graph(2), (1, 1), zero_bounds((1, 2)))
+    fin = tmp_path / "f.json"
+    fin.write_text(json.dumps(f.to_json()))
+    code, stdout, err = run(capsys, "gt", "--direction", "to-pattern", "--in", str(fin))
+    assert code == EXIT_OK and err == ""
+    assert stdout == json.dumps(to_gt(f).to_json(), indent=2) + "\n"
 
 
 def test_gt_rejects_an_unbounded_pattern(capsys, tmp_path):

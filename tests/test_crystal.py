@@ -331,6 +331,40 @@ def test_isomorphism_with_a_color_map(crystals):
     assert isomorphic(K, K2, color_map={1: 2, 2: 1})
 
 
+def hand_built(K, size, edges, colors=(1, 2)):
+    """K with its columns replaced: ``size`` vertices and the given
+    (tail, head, color) edges, at most one per color each way."""
+    nxt = {c: array("i", [-1]) * size for c in colors}
+    prv = {c: array("i", [-1]) * size for c in colors}
+    for u, v, c in edges:
+        nxt[c][u], prv[c][v] = v, u
+    return dataclasses.replace(K, colors=colors, keys=tuple((v,) for v in range(size)), nxt=nxt, prv=prv, h={}, t={})
+
+
+def test_find_isomorphism_refusals(crystals):
+    K = crystals(2, (1, 1))
+    # the closed square 0 -> 3 and a 5-vertex graph whose 1-edge from 2 misses it
+    square = hand_built(K, 5, [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1), (3, 4, 1)])
+    open_square = hand_built(K, 5, [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 4, 1), (3, 4, 2)])
+    assert find_isomorphism(square, square) == {v: v for v in range(5)}
+    # color sets differ, also through a color map
+    assert find_isomorphism(square, hand_built(K, 5, [(0, 1, 1)], colors=(1,))) is None
+    assert find_isomorphism(square, square, color_map={1: 1, 2: 1}) is None
+    # two empty graphs match by the empty map
+    assert find_isomorphism(hand_built(K, 0, []), hand_built(K, 0, [])) == {}
+    # vertices 0 and 1 are both sources
+    with pytest.raises(ParameterError, match="unique sources"):
+        find_isomorphism(hand_built(K, 5, [(0, 2, 1), (1, 2, 2), (2, 3, 1), (3, 4, 1)]), square)
+    # vertex 3 is matched through 1; the 1-edge from 2 leads to 3 in one graph, to 4 in the other
+    assert find_isomorphism(square, open_square) is None
+    # the 2-edge from 0 leads to a new vertex in one graph, to the matched 1 in the other
+    fork = hand_built(K, 3, [(0, 1, 1), (0, 2, 2)])
+    assert find_isomorphism(fork, hand_built(K, 3, [(0, 1, 1), (0, 1, 2), (1, 2, 1)])) is None
+    # 2 and 3 form a cycle that no edge from the source reaches
+    unreached = hand_built(K, 4, [(0, 1, 1), (2, 3, 1), (3, 2, 2)])
+    assert find_isomorphism(unreached, unreached) is None
+
+
 @pytest.mark.parametrize("n,c,d", [(2, (2, 2), (1, 0)), (3, (2, 1, 1), (1, 1, 0))])
 def test_shifted_bounds_reduce_to_zero_based_crystals(n, c, d):
     K = generate(n, c, d)
