@@ -8,14 +8,13 @@ counterexample in canonical vertex order instead of raising.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
-from operator import add, is_, itemgetter
+from operator import add, is_, itemgetter, sub
 from typing import List, Optional
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -69,21 +68,20 @@ class Lines:
         ``nxt`` and ``prv`` hold, so the tables share them."""
         size = len(nxt)
         t = [0] * size
-        h = [0] * size
         start = [None] * size
         starts = list(compress(positions, map(is_, prv, repeat(None))))
         order = []
+        last = {None: 0}  # line start -> its last t; a vertex on a cycle keeps t = h = 0
         for k in starts:
-            first = len(order)
-            w = k
+            w, pos = k, 0
             while w is not None and start[w] is None:
                 start[w] = k
-                order.append(w)
-                w = nxt[w]
-            last = len(order) - 1 - first
-            for pos, w in enumerate(order[first:]):
                 t[w] = pos
-                h[w] = last - pos
+                order.append(w)
+                pos += 1
+                w = nxt[w]
+            last[k] = pos - 1
+        h = list(map(sub, map(last.__getitem__, start), t))
         return Lines(nxt, prv, t, h, start, order, starts)
 
 
@@ -109,6 +107,7 @@ class ColoredDigraph:
     more_in: dict = field(init=False, repr=False)  # color -> head position -> [further tails]
     edge_colors: tuple = field(init=False, repr=False)  # the colors with an edge, ascending
     _labels: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> labels()
+    _reversed: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> _view(back=True)
 
     def __post_init__(self, edges):
         if type(self.n) is not int or self.n < 1:  # a bool is an int, too
@@ -180,36 +179,54 @@ class ColoredDigraph:
         """
         depth = [None] * len(self.vertices)
         base = 2 * len(depth) + 3
-        # at each vertex: colors ascending, out-heads before in-tails
+        # at each vertex: colors ascending, out-heads before in-tails, and a
+        # step's further heads or tails right after its first one
         steps = []
         for rank, c in enumerate(self.edge_colors):
             unit = base ** rank
             steps += [(self.nxt[c], self.more_out[c], unit), (self.prv[c], self.more_in[c], -unit)]
+        firsts = [(first, unit) for first, _, unit in steps]
+        overflow = set().union(*self.more_out.values(), *self.more_in.values())
         unreached = uneven = None
-        for root in range(len(depth)):
-            if depth[root] is not None:
-                continue
+        root = 0
+        while True:
+            # the least unreached position lies at or after the last root
+            try:
+                root = depth.index(None, root)
+            except ValueError:  # every position is reached
+                break
             if unreached is None and root:
                 unreached = root
             if uneven is not None:
                 break
             depth[root] = 0
-            queue = deque([root])
-            while queue:
-                k = queue.popleft()
+            queue = [root]
+            for k in queue:  # the list is its own queue: the loop reads what it appends
                 here = depth[k]
-                for first, more, unit in steps:
+                if k in overflow:
+                    for first, more, unit in steps:
+                        w = first[k]
+                        if w is None:
+                            continue
+                        step = here + unit
+                        for w in (w, *more[k]) if k in more else (w,):
+                            there = depth[w]
+                            if there is None:
+                                depth[w] = step
+                                queue.append(w)
+                            elif there != step and uneven is None:
+                                uneven = w
+                    continue
+                for first, unit in firsts:
                     w = first[k]
                     if w is None:
                         continue
-                    step = here + unit
-                    for w in (w, *more[k]) if k in more else (w,):
-                        there = depth[w]
-                        if there is None:
-                            depth[w] = step
-                            queue.append(w)
-                        elif there != step and uneven is None:
-                            uneven = w
+                    there = depth[w]
+                    if there is None:
+                        depth[w] = here + unit
+                        queue.append(w)
+                    elif there != here + unit and uneven is None:
+                        uneven = w
         return unreached, uneven
 
     @cached_property
@@ -326,12 +343,17 @@ def _view(g: ColoredDigraph, i: int, j: int, back: bool) -> tuple:
     """The successors of the neighboring colors i, j and, per ordered pair
     (a, b) of them, the label w.r.t. b of the a-edge out of each position.
     With ``back``, of the digraph with every edge reversed: ``prv`` in place of
-    ``nxt``, and the a-edge out of u is the one into u in ``g``, its label flipped."""
+    ``nxt``, and the a-edge out of u is the one into u in ``g``, its label
+    flipped; built once per (i, j), so A3 and strict A4 share it."""
+    if back and (i, j) in g._reversed:
+        return g._reversed[i, j]
     step = {c: g.lines[c].prv if back else g.lines[c].nxt for c in (i, j)}
     label = {}
     for a, b in ((i, j), (j, i)):
         x = g.labels(a, b)[0]
         label[a, b] = bytes([3 if p is None else FLIP[x[p]] for p in step[a]]) if back else x
+    if back:
+        g._reversed[i, j] = step, label
     return step, label
 
 
@@ -370,9 +392,18 @@ def check_A2(g: ColoredDigraph) -> Verdict:
 
 def critical_vertex(g: ColoredDigraph, v, i: int, j: int):
     """Critical vertex of the i-line through v with respect to color j, i.e. the
-    vertex where the 0-labeled prefix ends; None when the labels are not split."""
+    vertex where the 0-labeled prefix ends; None when the labels are not split.
+    A v that is no vertex of g, or an i or j that is no int in 1..n, is a
+    ParameterError."""
+    try:
+        k = g.index[v]
+    except (KeyError, TypeError):  # TypeError: v is unhashable
+        raise ParameterError(f"{v!r} is not a vertex of the graph") from None
+    for c in (i, j):
+        if type(c) is not int or not 1 <= c <= g.n:  # a bool is an int, too
+            raise ParameterError(f"color {c!r} is not one of the colors 1..{g.n}")
     li = g.line(i)
-    k = li.start[g.index[v]]
+    k = li.start[k]
     zeros = g.labels(i, j)[1][k]
     if zeros < 0:
         return None
@@ -456,22 +487,24 @@ def check_A5(g: ColoredDigraph) -> Verdict:
     """Full commutation of the operators of colors at distance two or more."""
     name = "A5"
     lines = g.lines
+    distant = [(i, j) for i, j in combinations(g.edge_colors, 2) if j - i >= 2]
     # a color without edges has no operator to fail, and a fault needs an edge
     # of both colors at the vertex: only the positions on a line are visited
-    on = {c: list(compress(range(len(g.vertices)), map(add, ln.t, ln.h))) for c, ln in lines.items()}
-    for i, j in combinations(g.edge_colors, 2):
-        if j - i < 2:
-            continue
+    on = {
+        c: list(compress(range(len(g.vertices)), map(add, lines[c].t, lines[c].h)))
+        for c in {c for pair in distant for c in pair}
+    }
+    for i, j in distant:
         li, lj = lines[i], lines[j]
+        moves = [(fi, fj) for fi in (li.nxt, li.prv) for fj in (lj.nxt, lj.prv)]
         for v in min(on[i], on[j], key=len):
-            for fi in (li.nxt, li.prv):
-                for fj in (lj.nxt, lj.prv):
-                    a, b = fi[v], fj[v]
-                    if a is None or b is None:
-                        continue
-                    w = fj[a]
-                    if w is None or w != fi[b]:
-                        return _fail(name, f"colors {i},{j} do not commute at vertex {g.vertices[v]}")
+            for fi, fj in moves:
+                a, b = fi[v], fj[v]
+                if a is None or b is None:
+                    continue
+                w = fj[a]
+                if w is None or w != fi[b]:
+                    return _fail(name, f"colors {i},{j} do not commute at vertex {g.vertices[v]}")
     return _ok(name)
 
 

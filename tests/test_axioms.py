@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from ancrystal import GraphFormatError
+from ancrystal import GraphFormatError, ParameterError
 from ancrystal.axioms import (
     ColoredDigraph,
     all_pass,
@@ -259,6 +259,8 @@ def test_reversed_view_swaps_ends_and_flips_labels(crystals):
         assert (2 in g.labels(2, 1)[0]) == invalid
         back = ColoredDigraph(g.vertices, tuple((v, u, c) for (u, v, c) in edges), 2)
         assert _view(g, 1, 2, back=True) == _view(back, 1, 2, back=False)
+        # built once: A3's backward square and strict A4's inverse relation share it
+        assert _view(g, 1, 2, back=True) is _view(g, 1, 2, back=True)
         for i, j in ((1, 2), (2, 1)):
             label, prv = g.labels(i, j)[0], g.lines[i].prv
             flipped = [3 if p is None else (1, 0, 2)[label[p]] for p in prv]
@@ -280,6 +282,20 @@ def test_critical_vertices_match_across_colors(crystals):
         r = critical_vertex(g, v, 1, 2)
         assert r is not None
         assert critical_vertex(g, r, 2, 1) == r
+
+
+@pytest.mark.parametrize("v, i, j, message", [
+    (7, 1, 2, "7 is not a vertex of the graph"),  # was a bare KeyError: 7
+    ([0], 1, 2, r"\[0\] is not a vertex of the graph"),
+    # colors outside 1..n read the blank table and gave vertex 0
+    (0, 5, 2, "color 5 is not one of the colors 1..2"),
+    (0, 1, 0, "color 0 is not one of the colors 1..2"),
+    (0, True, 2, "color True is not one of the colors 1..2"),
+])
+def test_critical_vertex_rejects_an_unknown_vertex_or_color(v, i, j, message):
+    g = ColoredDigraph((0, 1, 2), ((0, 1, 1), (1, 2, 2)), 2)
+    with pytest.raises(ParameterError, match=message):
+        critical_vertex(g, v, i, j)
 
 
 def test_a4_strict_mode_checks_the_inverse_relation(crystals):

@@ -1,16 +1,18 @@
 """The checks that read the digraph's per-color position arrays (connected, A1,
-graded, no parallel edges, unique source and sink) against plain restatements
-over per-vertex dicts and depth tuples, on random small multigraphs."""
+graded, no parallel edges, unique source and sink), and the line walk, against
+plain restatements over per-vertex dicts, depth tuples and lists, on random
+small multigraphs."""
 
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ancrystal import GraphFormatError
 from ancrystal.axioms import (
     ColoredDigraph,
+    Lines,
     check_A1,
     check_graded,
     check_no_parallel_edges,
@@ -202,7 +204,11 @@ def test_graded_tells_a_long_line_from_a_step_of_the_next_color(length):
     # component 0 is the graded path 0 -1-> 2 -2-> 3; in component 1 the
     # routes 1 -1-> 4 -1-> 5 and 1 -2-> 5 disagree
     ([(0, 2, 1), (2, 3, 2), (1, 4, 1), (4, 5, 1), (1, 5, 2)], (1, 5)),
-], ids=["both-ungraded", "graded-beside-ungraded"])
+    # four components, {0, 3}, {1, 4}, {2, 5, 6, 7} and {8, 9}: the search
+    # resumes at 1, then 2, where routes 2 -1-> 5 -1-> 6 and 2 -2-> 6
+    # disagree, and stops at 8 with both answers known
+    ([(0, 3, 1), (1, 4, 2), (2, 5, 1), (5, 6, 1), (2, 6, 2), (6, 7, 2), (8, 9, 1)], (1, 6)),
+], ids=["both-ungraded", "graded-beside-ungraded", "four-components"])
 def test_two_components_name_the_least_unreached_vertex_and_the_first_fault(edges, search):
     vertices = sorted({v for (u, w, _) in edges for v in (u, w)})
     g = ColoredDigraph(tuple(vertices), tuple(edges), 2)
@@ -214,6 +220,55 @@ def test_two_components_name_the_least_unreached_vertex_and_the_first_fault(edge
         f"connected: fail: vertex {unreached} unreachable from 0",
         f"graded: fail: inconsistent color counts on routes to {uneven}",
     ]
+
+
+def test_further_heads_are_searched_right_after_the_first_head_of_their_color():
+    # 0 -1-> 1 and 0 -1-> 2 (a further head, in more_out), then 0 -2-> 3; both
+    # 2 and 3 reach a vertex by a 1-edge and a 2-edge.  Visiting 2 right after
+    # 1, before the 2-step, searches 2 before 3 and meets 4 first; a search
+    # that visited further heads after all of a vertex's steps would meet 5
+    edges = [(0, 1, 1), (0, 2, 1), (0, 3, 2), (2, 4, 1), (2, 4, 2), (3, 5, 1), (3, 5, 2)]
+    g = ColoredDigraph(tuple(range(6)), tuple(edges), 2)
+    assert g.more_out == {1: {0: [2]}, 2: {}}
+    assert g.search == (None, 4)
+    assert str(check_graded(g)) == ref_graded(list(range(6)), edges, 2) == (
+        "graded: fail: inconsistent color counts on routes to 4"
+    )
+
+
+def ref_walk(nxt, prv):
+    """Lines.walk restated: from each position without a predecessor,
+    ascending, follow first heads until the line ends or meets a position
+    an earlier walk took; a position no walk takes (on a cycle) keeps
+    t = h = 0 and start None."""
+    size = len(nxt)
+    t, h, start, order = [0] * size, [0] * size, [None] * size, []
+    starts = [k for k in range(size) if prv[k] is None]
+    for k in starts:
+        line = []
+        w = k
+        while w is not None and start[w] is None:
+            start[w] = k
+            line.append(w)
+            w = nxt[w]
+        for pos, w in enumerate(line):
+            t[w], h[w] = pos, len(line) - 1 - pos
+        order += line
+    return t, h, start, order, starts
+
+
+@settings(max_examples=400, deadline=None)
+@given(multigraphs())
+@example((2, [0, 1, 2], [(0, 1, 1), (1, 0, 1), (2, 2, 2)]))  # a 1-cycle beside a start; a 2-loop
+@example((1, [0, 1, 2, 3], [(0, 2, 1), (1, 2, 1), (2, 3, 1)]))  # the walks from 0 and 1 merge at 2
+def test_line_walk_matches_a_plain_restatement(case):
+    n, vertices, edges = case
+    g = ColoredDigraph(tuple(vertices), tuple(edges), n)
+    none = [None] * len(g.vertices)
+    for c in range(1, n + 1):
+        nxt, prv = g.nxt.get(c, none), g.prv.get(c, none)
+        lines = Lines.walk(nxt, prv, g.index.values())
+        assert (lines.t, lines.h, lines.start, lines.order, lines.starts) == ref_walk(nxt, prv), c
 
 
 def test_connected_and_graded_read_one_search():
