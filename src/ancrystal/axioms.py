@@ -14,7 +14,7 @@ from itertools import accumulate, combinations, compress, repeat
 from operator import add, is_, itemgetter, sub
 from typing import List, Optional
 
-from .errors import GraphFormatError, ParameterError
+from .errors import CapExceededError, GraphFormatError, ParameterError, check_cap
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,17 @@ class ColoredDigraph:
         return self._labels[i, j]
 
 
-def from_edge_list_text(text: str) -> ColoredDigraph:
-    """Parse the plain "tail head color" one-edge-per-line format."""
+def _check_size(ids, cap) -> None:
+    """CapExceededError when the distinct ``ids`` number more than ``cap``
+    (None for no cap): the count is known once parsing has the ids, before
+    ``ColoredDigraph`` builds any table."""
+    if cap is not None and len(ids) > check_cap(cap) and (size := len(set(ids))) > cap:
+        raise CapExceededError(cap, size)
+
+
+def from_edge_list_text(text: str, cap: Optional[int] = None) -> ColoredDigraph:
+    """Parse the plain "tail head color" one-edge-per-line format; more than
+    ``cap`` distinct vertex ids raise CapExceededError."""
     edges = []
     # vertex id -> itself: every edge end holds the first int parsed for its id
     vertices = {}
@@ -283,12 +292,15 @@ def from_edge_list_text(text: str) -> ColoredDigraph:
         if c < 1:
             raise GraphFormatError(f"line {ln}: color must be >= 1, got {c}")
         edges.append((intern(u, u), intern(v, v), c))
+    _check_size(vertices, cap)
     # ColoredDigraph puts the vertices in canonical order
     n = max((c for (_, _, c) in edges), default=1)
     return ColoredDigraph(tuple(vertices), tuple(edges), n)
 
 
-def from_crystal_json(data: dict) -> ColoredDigraph:
+def from_crystal_json(data: dict, cap: Optional[int] = None) -> ColoredDigraph:
+    """The graph of a ``CrystalGraph.to_json()`` document; more than ``cap``
+    distinct vertex ids raise CapExceededError."""
     try:
         n = data["n"]
         vertices = tuple(v["id"] for v in data["vertices"])
@@ -302,6 +314,7 @@ def from_crystal_json(data: dict) -> ColoredDigraph:
         for x in values:
             if type(x) is not int:  # a bool is an int, too
                 raise GraphFormatError(f"malformed crystal JSON: {key} {x!r} is not an integer")
+    _check_size(vertices, cap)
     return ColoredDigraph(vertices, edges, n)
 
 

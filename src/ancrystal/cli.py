@@ -7,9 +7,10 @@ import csv
 import io
 import json
 import sys
+from itertools import chain
 
 from . import axioms
-from .crystal import DEFAULT_CAP, generate, json_text
+from .crystal import DEFAULT_CAP, _json_ints, _json_records, generate, json_text
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -47,7 +48,8 @@ def _add_model_args(p, require_c=True):
     p.add_argument("--c", type=_int_list, required=require_c, help="upper bounds, comma-separated")
     p.add_argument("--d", type=_int_list, default=None,
                    help="lower bounds (default zeros); a negative list as --d=-1,0,-1")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="vertex cap for generation")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                   help="vertex cap for generation, and for the graph verify --in reads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,8 +130,8 @@ def _load_graph(args):
         stripped = text.lstrip()
         if stripped.startswith("{"):
             data = _parse_json(args.infile, text, GraphFormatError)
-            return axioms.from_crystal_json(data)
-        return axioms.from_edge_list_text(text)
+            return axioms.from_crystal_json(data, args.cap)
+        return axioms.from_edge_list_text(text, args.cap)
     if args.n is None or args.c is None:
         raise ParameterError("verify needs either --in or --n/--c")
     K = generate(args.n, args.c, args.d, args.cap)
@@ -147,58 +149,70 @@ def cmd_verify(args) -> int:
     return EXIT_OK if axioms.all_pass(verdicts) else EXIT_VERDICT
 
 
+def report_text(K, principal: int, skeleton_size: int, records, branching) -> str:
+    """``json.dumps(report, indent=2) + "\n"`` for the analyze report of K,
+    written from its fixed shape with ``json_text``'s templates: every
+    subcrystal record has n anchor and n - 1 parameter entries, and every
+    branching parameter n - 1.  ``branching`` lists (parameter, multiplicity)
+    pairs in report order."""
+    n, pad = K.n, " " * 6
+    anchor, parameter = (_json_ints(["%d"] * size, pad) for size in (n, n - 1))
+    record = (
+        f'    {{\n      "side": "%s",\n      "anchor": {anchor},\n'
+        f'      "parameter": {parameter},\n      "size": %d,\n'
+        f'      "principal_vertex": %d\n    }}'
+    )
+
+    def record_values(chunk):
+        out = []
+        for r in chunk:
+            out.append(r.side)
+            out += r.anchor
+            out += r.parameter
+            out += (r.size, r.principal_vertex)
+        return tuple(out)
+
+    share = f'    {{\n      "parameter": {parameter},\n      "multiplicity": %d\n    }}'
+
+    def share_values(chunk):
+        return tuple(chain.from_iterable((*q, m) for q, m in chunk))
+
+    return (
+        f'{{\n  "n": {n},\n'
+        f'  "c": {_json_ints(K.bounds.c, "  ")},\n'
+        f'  "d": {_json_ints(K.bounds.d, "  ")},\n'
+        f'  "principal_lattice_size": {principal},\n'
+        f'  "skeleton_size": {skeleton_size},\n'
+        f'  "subcrystals": {_json_records(records, record, record_values)},\n'
+        f'  "branching": {_json_records(branching, share, share_values)}\n}}\n'
+    )
+
+
 def cmd_analyze(args) -> int:
     K = generate(args.n, args.c, args.d, args.cap)
     lattice = principal_lattice(K)
     skel = skeleton(K)
-    records = subcrystals(K, UPPER) + subcrystals(K, LOWER)
+    upper, lower = subcrystals(K, UPPER), subcrystals(K, LOWER)
     print(
         f"principal={lattice.size} skeleton={len(skel.vertex_ids)} "
-        f"upper={sum(1 for r in records if r.side == UPPER)} "
-        f"lower={sum(1 for r in records if r.side == LOWER)}"
+        f"upper={len(upper)} lower={len(lower)}"
     )
     if args.out is None:
         return EXIT_OK
-    rows = [
-        {
-            "side": r.side,
-            "anchor": list(r.anchor),
-            "parameter": list(r.parameter),
-            "size": r.size,
-            "principal_vertex": r.principal_vertex,
-        }
-        for r in records
-    ]
+    records = upper + lower
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["side", "anchor", "parameter", "size", "principal_vertex"])
-        for row in rows:
-            w.writerow(
-                [
-                    row["side"],
-                    " ".join(map(str, row["anchor"])),
-                    " ".join(map(str, row["parameter"])),
-                    row["size"],
-                    row["principal_vertex"],
-                ]
-            )
+        w.writerows(
+            [r.side, " ".join(map(str, r.anchor)), " ".join(map(str, r.parameter)),
+             r.size, r.principal_vertex]
+            for r in records
+        )
         text = buf.getvalue()
     else:
-        upper = {r.parameter for r in records if r.side == UPPER}
-        eta = {q: branching_multiplicity(K.bounds.width, q) for q in upper}
-        report = {
-            "n": K.n,
-            "c": list(K.bounds.c),
-            "d": list(K.bounds.d),
-            "principal_lattice_size": lattice.size,
-            "skeleton_size": len(skel.vertex_ids),
-            "subcrystals": rows,
-            "branching": [
-                {"parameter": list(q), "multiplicity": m} for q, m in sorted(eta.items())
-            ],
-        }
-        text = json.dumps(report, indent=2) + "\n"
+        eta = {q: branching_multiplicity(K.bounds.width, q) for q in {r.parameter for r in upper}}
+        text = report_text(K, lattice.size, len(skel.vertex_ids), records, sorted(eta.items()))
     _write(args.out, text)
     return EXIT_OK
 

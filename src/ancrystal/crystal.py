@@ -8,10 +8,10 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterator, Optional, Tuple
 
-from .errors import CapExceededError, ModelError, ParameterError, check_integer
+from .errors import CapExceededError, ModelError, ParameterError, check_cap, check_integer
 from .gt import weyl_dimension
 from .moves import forward_move, string_lengths
 from .support import SupportingGraph, build_supporting_graph, check_color_count
@@ -91,10 +91,13 @@ class CrystalGraph:
         is ``prv``, the sinks when it is ``nxt``.  Without colors every vertex
         is an end."""
         colors = self.colors if colors is None else colors
-        if not colors:
-            return b"\1" * self.num_vertices
-        # a row's max is -1 exactly when the id has no entry in any column
-        return bytes(map((0).__gt__, map(max, zip(*(columns[c] for c in colors)))))
+        num = self.num_vertices
+        # one int per color, whose byte v is 1 when v's entry is -1 (below 0):
+        # one AND per color
+        ends = int.from_bytes(b"\1" * num, "little")
+        for c in colors:
+            ends &= int.from_bytes(bytes(map(lt, columns[c], repeat(0))), "little")
+        return ends.to_bytes(num, "little")
 
     def _unique_end(self, columns) -> Optional[int]:
         """The one id that is -1 in every column, or None when there is not one."""
@@ -185,8 +188,8 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
-# Records per ``%`` format in ``json_text``, so that beyond the output text
-# the writer holds one chunk of values at a time.
+# Records per ``%`` format in ``json_text`` and the analyze report writer, so
+# that beyond the output text a writer holds one chunk of values at a time.
 JSON_CHUNK = 2048
 
 
@@ -313,10 +316,7 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     the supporting graph is built, so a crystal above ``cap`` costs no work.
     The size is also the closure's only bound: the columns are allocated once
     at that length, and a closure that finds more or fewer is a ModelError."""
-    if isinstance(cap, bool) or not isinstance(cap, int):
-        raise ParameterError(f"vertex cap must be an integer, got {cap!r}")
-    if cap < 1:
-        raise ParameterError(f"vertex cap must be positive, got {cap}")
+    check_cap(cap)
     check_color_count(n)
     c = tuple(c)
     d = (0,) * n if d is None else tuple(d)
@@ -392,7 +392,7 @@ def subgraph(K: CrystalGraph, vertex_ids, colors=None) -> CrystalGraph:
         K.check_vertex_id(ids[-1])
     # -1, the "none" entry, is not an id, so it maps to itself, and so does
     # the end of an edge that leaves the subgraph
-    new_id = {v: p for p, v in enumerate(ids)}.get
+    new_id = dict(zip(ids, range(len(ids)))).get
     none = repeat(-1)
 
     def remap(col):

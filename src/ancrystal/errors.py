@@ -30,13 +30,23 @@ class InfeasibleError(ModelError, ValueError):
 
 
 class CapExceededError(ModelError, RuntimeError):
-    """The crystal to be generated has more vertices than the cap; raised from
-    its exact ``size`` before the closure starts."""
+    """The crystal to be generated, or the graph read, has more vertices than
+    the cap; raised from its exact ``size`` before the closure starts or before
+    any table is built."""
 
     def __init__(self, cap, size):
         self.cap = cap
         self.size = size
         super().__init__(f"vertex cap {cap} exceeded: the crystal has {size} vertices")
+
+
+def check_cap(cap) -> int:
+    """``cap`` when it is a positive int, else a ParameterError."""
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ParameterError(f"vertex cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise ParameterError(f"vertex cap must be positive, got {cap}")
+    return cap
 
 
 class GraphFormatError(ModelError, ValueError):

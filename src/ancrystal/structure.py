@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import contains, not_
+from operator import contains, not_, sub
 from typing import Dict, List, Optional, Tuple
 
 from .crystal import (
@@ -98,13 +98,17 @@ def base_crystal(n: int, k: int, ck: int) -> CrystalGraph:
 
 
 def skeleton(K: CrystalGraph) -> Skeleton:
-    n = K.n
-    groups: Dict[Tuple[int, tuple], List[int]] = {}
+    # a vertex's pieces depend only on its constants tuple: group the ids by
+    # it, then cut the (k, fixed) keys once per distinct tuple
+    by_constants: Dict[tuple, List[int]] = {}
     for v, consts in enumerate(K.constants):
-        for k in range(1, n + 1):
+        by_constants.setdefault(consts, []).append(v)
+    groups: Dict[Tuple[int, tuple], List[int]] = {}
+    for consts, vs in by_constants.items():
+        for k in range(1, K.n + 1):
             fixed = consts[:k - 1] + consts[k:]
             if None not in fixed:
-                groups.setdefault((k, fixed), []).append(v)
+                groups.setdefault((k, fixed), []).extend(vs)
     pieces = []
     union = set()
     for (k, fixed) in sorted(groups):
@@ -231,7 +235,7 @@ def _line_length(K: CrystalGraph, v: int, color: int) -> int:
 
 
 def _minus(a, d) -> tuple:
-    return tuple(x - y for x, y in zip(a, d))
+    return tuple(map(sub, a, d))
 
 
 def upper_parameter(c, a) -> tuple:
@@ -267,8 +271,7 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     start = mark.find(0)
     while start >= 0:
         comp = sorted(_mark_reachable(start, columns, mark))
-        key = K.keys[start]
-        anchor = tuple(key[p] for p in ends)
+        anchor = tuple(map(K.keys[start].__getitem__, ends))
         formula = parameter(c, _minus(anchor, d))
         sources = list(compress(comp, map(is_source.__getitem__, comp)))
         if len(sources) != 1:

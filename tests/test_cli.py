@@ -1,10 +1,22 @@
 import json
-from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ancrystal import build_supporting_graph, generate, principal_function, to_gt, zero_bounds
-from ancrystal import cli
+from ancrystal import (
+    LOWER,
+    UPPER,
+    branching_multiplicity,
+    build_supporting_graph,
+    generate,
+    principal_function,
+    principal_lattice,
+    skeleton,
+    subcrystals,
+    to_gt,
+    zero_bounds,
+)
+from ancrystal import axioms, cli, crystal
 from ancrystal.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, EXIT_VERDICT, main
 
 
@@ -34,7 +46,7 @@ def refuse(*args, **kwargs):
     [
         (["build", "--n", "2", "--c", "1,2"], "json_text", refuse,
          "vertices=15 edges=18 length=6 principal=6"),
-        (["analyze", "--n", "3", "--c", "1,1,1"], "json", SimpleNamespace(dumps=refuse),
+        (["analyze", "--n", "3", "--c", "1,1,1"], "report_text", refuse,
          "principal=8 skeleton=40 upper=8 lower=8"),
     ],
     ids=["build", "analyze"],
@@ -191,6 +203,51 @@ def test_verify_rejects_an_invalid_crystal_json(capsys, tmp_path, graph, message
     assert err.startswith("error:") and message in err and len(err.splitlines()) == 1
 
 
+def path_edges(vertices):
+    """The path 0 -> 1 -> ... of color 1 on the given number of vertices."""
+    return "".join(f"{k} {k + 1} 1\n" for k in range(vertices - 1))
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("path.edges", path_edges(401)),
+        ("path.json", json.dumps({
+            "n": 1, "vertices": [{"id": k} for k in range(401)],
+            "edges": [{"from": k, "to": k + 1, "color": 1} for k in range(400)],
+        })),
+    ],
+)
+def test_verify_in_refuses_a_graph_above_the_cap(capsys, tmp_path, monkeypatch, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    assert run(capsys, "verify", "--in", str(f), "--cap", "401")[0] == EXIT_OK
+    # refused before the digraph and its tables are built
+    monkeypatch.setattr(axioms, "ColoredDigraph", refuse)
+    code, stdout, err = run(capsys, "verify", "--in", str(f), "--cap", "10")
+    assert code == EXIT_CAP and stdout == ""
+    assert err == "error: vertex cap 10 exceeded: the crystal has 401 vertices\n"
+    code, stdout, err = run(capsys, "verify", "--in", str(f), "--cap", "0")
+    assert code == EXIT_USAGE and stdout == ""
+    assert err == "error: vertex cap must be positive, got 0\n"
+
+
+def test_the_verify_cap_counts_distinct_vertex_ids(capsys, tmp_path):
+    # three records of two ids: under a cap of 2 the duplicate is what fails
+    f = tmp_path / "twice.json"
+    f.write_text(json.dumps({"n": 1, "vertices": [{"id": 0}, {"id": 0}, {"id": 1}],
+                             "edges": [{"from": 0, "to": 1, "color": 1}]}))
+    code, _, err = run(capsys, "verify", "--in", str(f), "--cap", "2")
+    assert code == EXIT_USAGE and "vertex 0 is listed twice" in err
+    code, _, err = run(capsys, "verify", "--in", str(f), "--cap", "1")
+    assert code == EXIT_CAP and err == "error: vertex cap 1 exceeded: the crystal has 2 vertices\n"
+    # an edge list's ids are the ends of its edges, each counted once
+    e = tmp_path / "path.edges"
+    e.write_text(path_edges(3) + "2 0 2\n")
+    assert run(capsys, "verify", "--in", str(e), "--cap", "2")[0] == EXIT_CAP
+    assert run(capsys, "verify", "--in", str(e), "--cap", "3")[0] == EXIT_VERDICT
+
+
 @pytest.mark.parametrize("command", [["verify"], ["gt", "--direction", "to-pattern"]])
 def test_malformed_json_input_is_a_usage_error(capsys, tmp_path, command):
     bad = tmp_path / "x.json"
@@ -241,6 +298,62 @@ def test_analyze_with_lower_bounds(capsys, tmp_path):
         row["anchor"] = [x + 1 for x in row["anchor"]]
     for key in ("subcrystals", "branching", "principal_lattice_size", "skeleton_size"):
         assert a[key] == b[key]
+
+
+def restated_report(n, c, d):
+    """The analyze report as a dict, built from the structure API."""
+    K = generate(n, c, d)
+    records = subcrystals(K, UPPER) + subcrystals(K, LOWER)
+    upper = {r.parameter for r in records if r.side == UPPER}
+    return {
+        "n": n,
+        "c": list(c),
+        "d": list(d),
+        "principal_lattice_size": principal_lattice(K).size,
+        "skeleton_size": len(skeleton(K).vertex_ids),
+        "subcrystals": [
+            {"side": r.side, "anchor": list(r.anchor), "parameter": list(r.parameter),
+             "size": r.size, "principal_vertex": r.principal_vertex}
+            for r in records
+        ],
+        "branching": [
+            {"parameter": list(q), "multiplicity": branching_multiplicity(K.bounds.width, q)}
+            for q in sorted(upper)
+        ],
+    }
+
+
+def analyze_text(path, n, c, d):
+    argv = ["analyze", "--n", str(n), "--c=" + ",".join(map(str, c)),
+            "--d=" + ",".join(map(str, d)), "--out", str(path)]
+    assert main(argv) == EXIT_OK
+    return path.read_text()
+
+
+# n = 1 (every parameter empty) to 3, lower bounds in [-2, 2], widths in [0, 2]
+analyzed_bounds = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(analyzed_bounds)
+def test_the_analyze_report_is_the_indented_dump(tmp_path_factory, params):
+    d, width = params
+    n, c = len(d), tuple(map(sum, zip(d, width)))
+    text = analyze_text(tmp_path_factory.mktemp("analyze") / "report.json", n, c, d)
+    assert text == json.dumps(restated_report(n, c, d), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+@pytest.mark.parametrize("n,c,d", [(1, (3,), (0,)), (3, (1, 2, 1), (-1, 0, -1))])
+def test_the_analyze_report_across_chunk_boundaries(capsys, tmp_path, monkeypatch, chunk, n, c, d):
+    monkeypatch.setattr(crystal, "JSON_CHUNK", chunk)
+    text = analyze_text(tmp_path / "report.json", n, c, d)
+    assert text == json.dumps(restated_report(n, c, d), indent=2) + "\n"
 
 
 def test_analyze_csv(capsys, tmp_path):

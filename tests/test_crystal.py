@@ -241,6 +241,40 @@ def test_source_and_sink_match_a_per_vertex_restatement(n, c, crystals):
         assert two.source is None and two.sink is None
 
 
+# Hand-built nxt columns, per color, over a few vertices; each graph's prv
+# columns are these reversed.  In the last two, rows 1 to 3 are -1 in all
+# colors but one, so their flags tell an AND of the colors from an OR.
+HAND_COLUMNS = [
+    {},
+    {1: []},
+    {1: [1, 2, 3, -1]},
+    {1: [-1, -1, 3, -1], 2: [-1, -1, -1, -1]},
+    {1: [-1, 2, -1, -1], 2: [-1, -1, -1, 0], 3: [-1, -1, 0, -1]},
+    {2: [-1, -1, -1, 0], 4: [-1, 3, -1, -1], 5: [-1, -1, 1, -1]},
+]
+
+
+@pytest.mark.parametrize(
+    "columns", HAND_COLUMNS,
+    ids=["no-colors", "no-vertices", "one-color", "two-colors", "three-colors", "colors-2-4-5"],
+)
+def test_end_flags_source_and_sink_match_a_per_row_restatement(columns, crystals):
+    K = crystals(3, (1, 1, 1))
+    colors = tuple(columns)
+    num = len(next(iter(columns.values()), range(4)))  # four vertices without colors
+    nxt = {c: array("i", col) for c, col in columns.items()}
+    prv = {c: array("i", reversed(col)) for c, col in columns.items()}
+    J = dataclasses.replace(K, colors=colors, keys=K.keys[:num], nxt=nxt, prv=prv)
+    for cols in (nxt, prv):
+        restated = bytes(all(cols[c][v] == -1 for c in colors) for v in range(num))
+        assert J._end_flags(cols) == restated
+        # a subset of the colors, as a subcrystal side asks for
+        assert J._end_flags(cols, colors[1:]) == bytes(
+            all(cols[c][v] == -1 for c in colors[1:]) for v in range(num)
+        )
+    assert (J.source, J.sink) == (restated_end(J, prv), restated_end(J, nxt))
+
+
 CRYSTAL_OF_8 = (2, (1, 1))
 
 

@@ -111,6 +111,36 @@ def test_skeleton_piece_counts_and_shapes(crystals):
     assert len(sk.vertex_ids) == 40
 
 
+def restated_skeleton(K):
+    """(k, fixed, vertex_ids) per skeleton piece, cut once per (vertex, color)."""
+    groups = {}
+    for v, key in enumerate(K.keys):
+        consts = K.graph.constants_of(key)
+        for k in range(1, K.n + 1):
+            fixed = consts[:k - 1] + consts[k:]
+            if None not in fixed:
+                groups.setdefault((k, fixed), []).append(v)
+    return [(k, fixed, tuple(ids)) for (k, fixed), ids in sorted(groups.items())]
+
+
+# widths up to 2, and up to 1 at n = 4: at most 1 024 vertices
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2 if n < 4 else 1), min_size=n, max_size=n),
+    )
+))
+def test_skeleton_pieces_match_a_per_vertex_restatement(params):
+    d, width = params
+    K = generate(len(d), tuple(map(sum, zip(d, width))), d)
+    sk = skeleton(K)
+    restated = restated_skeleton(K)
+    assert [(p.k, p.fixed, p.vertex_ids) for p in sk.pieces] == restated
+    assert sk.vertex_ids == tuple(sorted({v for *_, ids in restated for v in ids}))
+    assert all(p.graph == subgraph(K, p.vertex_ids) for p in sk.pieces)
+
+
 def test_fundamental_strings_for_the_middle_color():
     strings = {str(s) for s in fundamental_strings(3, 2)}
     assert strings == {"2312", "2132"}
