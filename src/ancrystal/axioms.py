@@ -268,7 +268,7 @@ def _check_size(ids, cap) -> None:
     (None for no cap): the count is known once parsing has the ids, before
     ``ColoredDigraph`` builds any table."""
     if cap is not None and len(ids) > check_cap(cap) and (size := len(set(ids))) > cap:
-        raise CapExceededError(cap, size)
+        raise CapExceededError(cap, size, "graph")
 
 
 def from_edge_list_text(text: str, cap: Optional[int] = None) -> ColoredDigraph:

@@ -10,7 +10,7 @@ import sys
 from itertools import chain
 
 from . import axioms
-from .crystal import DEFAULT_CAP, _json_ints, _json_records, generate, json_text
+from .crystal import DEFAULT_CAP, _json_ints, _json_records, generate, json_chunks
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -84,12 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _write(path, text):
+def _write(path, chunks):
+    """Write the strings of ``chunks`` to ``path`` (stdout for None), each as
+    soon as it is made, so that the whole text is never held."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_build(args) -> int:
@@ -104,7 +106,7 @@ def cmd_build(args) -> int:
         f"length={length} principal={principal}"
     )
     if args.out is not None:
-        _write(args.out, K.to_dot() if args.format == "dot" else json_text(K.to_json()))
+        _write(args.out, K.dot_chunks() if args.format == "dot" else json_chunks(K.to_json()))
     return EXIT_OK
 
 
@@ -149,12 +151,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if axioms.all_pass(verdicts) else EXIT_VERDICT
 
 
-def report_text(K, principal: int, skeleton_size: int, records, branching) -> str:
-    """``json.dumps(report, indent=2) + "\n"`` for the analyze report of K,
-    written from its fixed shape with ``json_text``'s templates: every
-    subcrystal record has n anchor and n - 1 parameter entries, and every
-    branching parameter n - 1.  ``branching`` lists (parameter, multiplicity)
-    pairs in report order."""
+def report_chunks(K, principal: int, skeleton_size: int, records, branching):
+    """``json.dumps(report, indent=2) + "\n"`` for the analyze report of K, a
+    chunk at a time, written from its fixed shape with ``json_chunks``'s
+    templates: every subcrystal record has n anchor and n - 1 parameter
+    entries, and every branching parameter n - 1.  ``branching`` lists
+    (parameter, multiplicity) pairs in report order."""
     n, pad = K.n, " " * 6
     anchor, parameter = (_json_ints(["%d"] * size, pad) for size in (n, n - 1))
     record = (
@@ -177,15 +179,18 @@ def report_text(K, principal: int, skeleton_size: int, records, branching) -> st
     def share_values(chunk):
         return tuple(chain.from_iterable((*q, m) for q, m in chunk))
 
-    return (
+    yield (
         f'{{\n  "n": {n},\n'
         f'  "c": {_json_ints(K.bounds.c, "  ")},\n'
         f'  "d": {_json_ints(K.bounds.d, "  ")},\n'
         f'  "principal_lattice_size": {principal},\n'
         f'  "skeleton_size": {skeleton_size},\n'
-        f'  "subcrystals": {_json_records(records, record, record_values)},\n'
-        f'  "branching": {_json_records(branching, share, share_values)}\n}}\n'
+        f'  "subcrystals": '
     )
+    yield from _json_records(records, record, record_values)
+    yield ',\n  "branching": '
+    yield from _json_records(branching, share, share_values)
+    yield "\n}\n"
 
 
 def cmd_analyze(args) -> int:
@@ -209,11 +214,11 @@ def cmd_analyze(args) -> int:
              r.size, r.principal_vertex]
             for r in records
         )
-        text = buf.getvalue()
+        chunks = (buf.getvalue(),)
     else:
         eta = {q: branching_multiplicity(K.bounds.width, q) for q in {r.parameter for r in upper}}
-        text = report_text(K, lattice.size, len(skel.vertex_ids), records, sorted(eta.items()))
-    _write(args.out, text)
+        chunks = report_chunks(K, lattice.size, len(skel.vertex_ids), records, sorted(eta.items()))
+    _write(args.out, chunks)
     return EXIT_OK
 
 
@@ -227,7 +232,7 @@ def cmd_gt(args) -> int:
                 f"gt --count needs n >= 1 and n nonnegative bounds, got --n {args.n} --c {c}"
             )
         if (size := weyl_dimension(c)) > DEFAULT_CAP:  # before an enumeration of days
-            raise CapExceededError(DEFAULT_CAP, size)
+            raise CapExceededError(DEFAULT_CAP, size, "crystal")
         print(count_bounded_patterns(args.n, sigma_bound(c)))
         return EXIT_OK
     if args.direction is None or args.infile is None:
@@ -244,7 +249,7 @@ def cmd_gt(args) -> int:
             raise ParameterError(f"pattern has {pattern.n} rows, expected n={args.n}")
         f = from_gt(build_supporting_graph(args.n), pattern, args.c)
         text = json.dumps(f.to_json(), indent=2) + "\n"
-    _write(args.out, text)
+    _write(args.out, (text,))
     return EXIT_OK
 
 

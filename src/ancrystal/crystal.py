@@ -7,7 +7,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, lt
 from typing import Iterator, Optional, Tuple
 
@@ -173,24 +173,36 @@ class CrystalGraph:
     def to_edge_list_text(self) -> str:
         return "".join(f"{u} {w} {c}\n" for (u, w, c) in self.edges())
 
+    def dot_chunks(self) -> Iterator[str]:
+        """The DOT text of this graph, ``JSON_CHUNK`` lines at a time."""
+
+        def lines():
+            yield "digraph crystal {\n"
+            for v, (key, a) in enumerate(zip(self.keys, self.constants)):
+                if None not in a:
+                    label = "p" + "".join(str(x) for x in a)
+                else:
+                    label = hashlib.sha1(repr(key).encode()).hexdigest()[:8]
+                yield f'  v{v} [label="{label}"];\n'
+            for (u, w, c) in self.edges():
+                color = _DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]
+                yield f'  v{u} -> v{w} [label="{c}", color="{color}"];\n'
+            yield "}\n"
+
+        text = lines()
+        while chunk := "".join(islice(text, JSON_CHUNK)):
+            yield chunk
+
     def to_dot(self) -> str:
-        lines = ["digraph crystal {"]
-        for v, (key, a) in enumerate(zip(self.keys, self.constants)):
-            if None not in a:
-                label = "p" + "".join(str(x) for x in a)
-            else:
-                label = hashlib.sha1(repr(key).encode()).hexdigest()[:8]
-            lines.append(f'  v{v} [label="{label}"];')
-        for (u, w, c) in self.edges():
-            color = _DOT_PALETTE[(c - 1) % len(_DOT_PALETTE)]
-            lines.append(f'  v{u} -> v{w} [label="{c}", color="{color}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "".join(self.dot_chunks())
 
 
-# Records per ``%`` format in ``json_text`` and the analyze report writer, so
-# that beyond the output text a writer holds one chunk of values at a time.
-JSON_CHUNK = 2048
+# Records (or DOT lines) per chunk of the writers: ``json_chunks``, the analyze
+# report and ``dot_chunks`` render, and hand over, one chunk at a time.  It
+# bounds what a writer holds beyond its input to one chunk of values and text:
+# about 100 kB of build JSON at n = 4 (200 kB at n = 6) and 12 kB of DOT, where
+# the whole text of a 200 000-vertex crystal takes over 100 MB.
+JSON_CHUNK = 256
 
 
 def _json_ints(xs, pad: str) -> str:
@@ -201,30 +213,32 @@ def _json_ints(xs, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
 
 
-def _json_records(records, template: str, flatten) -> str:
-    """A list of same-shape records at indent 2, as ``json.dumps`` prints it.
+def _json_records(records, template: str, flatten) -> Iterator[str]:
+    """A list of same-shape records at indent 2, as ``json.dumps`` prints it,
+    one chunk of ``JSON_CHUNK`` records at a time.
 
     ``template`` renders one record from the tuple of its values, and
     ``flatten(chunk)`` gives the values of a chunk of records in order; each
     chunk is rendered with one ``%`` format.
     """
     if not records:
-        return "[]"
+        yield "[]"
+        return
     size = min(JSON_CHUNK, len(records))
     full = ",\n".join([template] * size)
-    parts = []
+    opening = "[\n"
     for start in range(0, len(records), size):
         chunk = records[start:start + size]
         if len(chunk) < size:  # the last chunk
             full = ",\n".join([template] * len(chunk))
-        parts.append(full % flatten(chunk))
-    return "[\n" + ",\n".join(parts) + "\n  ]"
+        yield opening + full % flatten(chunk)
+        opening = ",\n"
+    yield "\n  ]"
 
 
-def json_text(data: dict) -> str:
-    """``json.dumps(data, indent=2) + "\n"`` for a ``CrystalGraph.to_json()``
-    dict, written from its fixed shape: with ``indent`` set, CPython's json
-    encoder falls back to pure Python, which costs several times this.
+def json_chunks(data: dict) -> Iterator[str]:
+    """The text of ``json_text(data)``, one chunk of ``JSON_CHUNK`` records at
+    a time, so that a writer never holds the whole text.
 
     Every vertex record has as many weights, ``h`` and ``t`` values as the
     first one, so one template renders them all; a record of another shape
@@ -265,17 +279,25 @@ def json_text(data: dict) -> str:
     def edge_values(chunk):
         return tuple(chain.from_iterable(map(ends, chunk)))
 
-    parts = [
+    yield (
         f'{{\n  "n": {data["n"]},\n'
         f'  "c": {_json_ints(data["c"], "  ")},\n'
         f'  "d": {_json_ints(data["d"], "  ")},\n'
-        f'  "vertices": {_json_records(vertices, vertex, vertex_values)},\n'
-        f'  "edges": {_json_records(data["edges"], edge, edge_values)}'
-    ]
+        f'  "vertices": '
+    )
+    yield from _json_records(vertices, vertex, vertex_values)
+    yield ',\n  "edges": '
+    yield from _json_records(data["edges"], edge, edge_values)
     if "colors" in data:
-        parts.append(f',\n  "colors": {_json_ints(data["colors"], "  ")}')
-    parts.append("\n}\n")
-    return "".join(parts)
+        yield f',\n  "colors": {_json_ints(data["colors"], "  ")}'
+    yield "\n}\n"
+
+
+def json_text(data: dict) -> str:
+    """``json.dumps(data, indent=2) + "\n"`` for a ``CrystalGraph.to_json()``
+    dict, written from its fixed shape: with ``indent`` set, CPython's json
+    encoder falls back to pure Python, which costs several times this."""
+    return "".join(json_chunks(data))
 
 
 def _measured_strings(num, nxt, prv, colors):
@@ -325,7 +347,7 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     b = Bounds(c, d)  # checks that every entry is an int
     size = weyl_dimension(b.c, b.d)
     if size > cap:
-        raise CapExceededError(cap, size)
+        raise CapExceededError(cap, size, "crystal")
     g = build_supporting_graph(n)
     colors = tuple(range(1, n + 1))
     f0 = principal_function(g, d, b)

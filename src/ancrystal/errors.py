@@ -32,12 +32,13 @@ class InfeasibleError(ModelError, ValueError):
 class CapExceededError(ModelError, RuntimeError):
     """The crystal to be generated, or the graph read, has more vertices than
     the cap; raised from its exact ``size`` before the closure starts or before
-    any table is built."""
+    any table is built.  ``noun`` names what has the vertices: "crystal" or
+    "graph"."""
 
-    def __init__(self, cap, size):
+    def __init__(self, cap, size, noun):
         self.cap = cap
         self.size = size
-        super().__init__(f"vertex cap {cap} exceeded: the crystal has {size} vertices")
+        super().__init__(f"vertex cap {cap} exceeded: the {noun} has {size} vertices")
 
 
 def check_cap(cap) -> int:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -44,9 +45,9 @@ def refuse(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv, renderer, stub, summary",
     [
-        (["build", "--n", "2", "--c", "1,2"], "json_text", refuse,
+        (["build", "--n", "2", "--c", "1,2"], "json_chunks", refuse,
          "vertices=15 edges=18 length=6 principal=6"),
-        (["analyze", "--n", "3", "--c", "1,1,1"], "report_text", refuse,
+        (["analyze", "--n", "3", "--c", "1,1,1"], "report_chunks", refuse,
          "principal=8 skeleton=40 upper=8 lower=8"),
     ],
     ids=["build", "analyze"],
@@ -65,6 +66,48 @@ def test_build_dot_output(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert out.read_text().startswith("digraph crystal {")
+
+
+def build_args(n, c, d):
+    return ["build", "--n", str(n), "--c", ",".join(map(str, c)), "--d=" + ",".join(map(str, d))]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("n,c,d", [(1, (0,), (0,)), (2, (1, 2), (0, 0)), (3, (1, 2, 1), (-1, 0, -1))])
+def test_build_out_across_chunk_boundaries(capsys, tmp_path, monkeypatch, chunk, n, c, d):
+    K = generate(n, c, d)
+    expected = {"json": json.dumps(K.to_json(), indent=2) + "\n", "dot": K.to_dot()}
+    monkeypatch.setattr(crystal, "JSON_CHUNK", chunk)
+    for fmt, text in expected.items():
+        out = tmp_path / f"K.{fmt}"
+        assert run(capsys, *build_args(n, c, d), "--format", fmt, "--out", str(out))[0] == EXIT_OK
+        assert out.read_text() == text
+
+
+class RecordingFile(io.TextIOWrapper):
+    """A text file that records the length of every string written to it."""
+
+    def __init__(self, path, sizes):
+        super().__init__(open(path, "wb"))
+        self.sizes = sizes
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_build_out_is_written_a_chunk_at_a_time(capsys, tmp_path, monkeypatch, fmt):
+    sizes = []
+    monkeypatch.setattr(cli, "open", lambda path, mode: RecordingFile(path, sizes), raising=False)
+    monkeypatch.setattr(crystal, "JSON_CHUNK", 64)
+    out = tmp_path / f"K.{fmt}"
+    argv = build_args(4, (1, 1, 1, 1), (0, 0, 0, 0)) + ["--format", fmt, "--out", str(out)]
+    assert run(capsys, *argv)[0] == EXIT_OK
+    # 1 024 vertices: no single write holds more than an eighth of the text
+    total = len(out.read_text())
+    assert sum(sizes) == total
+    assert max(sizes) <= total / 8, (max(sizes), total)
 
 
 def test_build_is_deterministic(capsys, tmp_path):
@@ -226,7 +269,7 @@ def test_verify_in_refuses_a_graph_above_the_cap(capsys, tmp_path, monkeypatch, 
     monkeypatch.setattr(axioms, "ColoredDigraph", refuse)
     code, stdout, err = run(capsys, "verify", "--in", str(f), "--cap", "10")
     assert code == EXIT_CAP and stdout == ""
-    assert err == "error: vertex cap 10 exceeded: the crystal has 401 vertices\n"
+    assert err == "error: vertex cap 10 exceeded: the graph has 401 vertices\n"
     code, stdout, err = run(capsys, "verify", "--in", str(f), "--cap", "0")
     assert code == EXIT_USAGE and stdout == ""
     assert err == "error: vertex cap must be positive, got 0\n"
@@ -240,7 +283,7 @@ def test_the_verify_cap_counts_distinct_vertex_ids(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(f), "--cap", "2")
     assert code == EXIT_USAGE and "vertex 0 is listed twice" in err
     code, _, err = run(capsys, "verify", "--in", str(f), "--cap", "1")
-    assert code == EXIT_CAP and err == "error: vertex cap 1 exceeded: the crystal has 2 vertices\n"
+    assert code == EXIT_CAP and err == "error: vertex cap 1 exceeded: the graph has 2 vertices\n"
     # an edge list's ids are the ends of its edges, each counted once
     e = tmp_path / "path.edges"
     e.write_text(path_edges(3) + "2 0 2\n")

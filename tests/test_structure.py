@@ -28,6 +28,7 @@ from ancrystal import (
     subcrystals,
     subgraph,
     upper_parameter,
+    weyl_dimension,
 )
 
 
@@ -423,6 +424,17 @@ def test_branching_multiplicities_count_the_parts(crystals):
         assert sum(by_q.values()) == lattice_size(c)
     with pytest.raises(ParameterError):
         branching_multiplicity((1, 1, 1), (0,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+def test_branching_multiplicities_restate_the_weyl_dimension(c):
+    # A_n -> A_{n-1}: K(c) is the sum of the K(q) of its upper parts, each
+    # taken as often as its multiplicity; no generation is needed.  Every q
+    # with a part lies in [0, sum(c)]^(n-1), so the sum covers all of them.
+    qs = itertools.product(range(sum(c) + 1), repeat=len(c) - 1)
+    total = sum(branching_multiplicity(c, q) * weyl_dimension(q) for q in qs)
+    assert total == weyl_dimension(c)
 
 
 def test_six_upper_parts_of_the_staircase_crystal(crystals):
