@@ -7,10 +7,9 @@ import csv
 import io
 import json
 import sys
-from itertools import chain
 
 from . import axioms
-from .crystal import DEFAULT_CAP, _json_ints, _json_records, generate, json_chunks
+from .crystal import DEFAULT_CAP, generate, json_chunks
 from .errors import (
     CapExceededError,
     GraphFormatError,
@@ -151,48 +150,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if axioms.all_pass(verdicts) else EXIT_VERDICT
 
 
-def report_chunks(K, principal: int, skeleton_size: int, records, branching):
-    """``json.dumps(report, indent=2) + "\n"`` for the analyze report of K, a
-    chunk at a time, written from its fixed shape with ``json_chunks``'s
-    templates: every subcrystal record has n anchor and n - 1 parameter
-    entries, and every branching parameter n - 1.  ``branching`` lists
-    (parameter, multiplicity) pairs in report order."""
-    n, pad = K.n, " " * 6
-    anchor, parameter = (_json_ints(["%d"] * size, pad) for size in (n, n - 1))
-    record = (
-        f'    {{\n      "side": "%s",\n      "anchor": {anchor},\n'
-        f'      "parameter": {parameter},\n      "size": %d,\n'
-        f'      "principal_vertex": %d\n    }}'
-    )
-
-    def record_values(chunk):
-        out = []
-        for r in chunk:
-            out.append(r.side)
-            out += r.anchor
-            out += r.parameter
-            out += (r.size, r.principal_vertex)
-        return tuple(out)
-
-    share = f'    {{\n      "parameter": {parameter},\n      "multiplicity": %d\n    }}'
-
-    def share_values(chunk):
-        return tuple(chain.from_iterable((*q, m) for q, m in chunk))
-
-    yield (
-        f'{{\n  "n": {n},\n'
-        f'  "c": {_json_ints(K.bounds.c, "  ")},\n'
-        f'  "d": {_json_ints(K.bounds.d, "  ")},\n'
-        f'  "principal_lattice_size": {principal},\n'
-        f'  "skeleton_size": {skeleton_size},\n'
-        f'  "subcrystals": '
-    )
-    yield from _json_records(records, record, record_values)
-    yield ',\n  "branching": '
-    yield from _json_records(branching, share, share_values)
-    yield "\n}\n"
-
-
 def cmd_analyze(args) -> int:
     K = generate(args.n, args.c, args.d, args.cap)
     lattice = principal_lattice(K)
@@ -216,8 +173,23 @@ def cmd_analyze(args) -> int:
         )
         chunks = (buf.getvalue(),)
     else:
-        eta = {q: branching_multiplicity(K.bounds.width, q) for q in {r.parameter for r in upper}}
-        chunks = report_chunks(K, lattice.size, len(skel.vertex_ids), records, sorted(eta.items()))
+        report = {
+            "n": K.n,
+            "c": list(K.bounds.c),
+            "d": list(K.bounds.d),
+            "principal_lattice_size": lattice.size,
+            "skeleton_size": len(skel.vertex_ids),
+            "subcrystals": [
+                {"side": r.side, "anchor": list(r.anchor), "parameter": list(r.parameter),
+                 "size": r.size, "principal_vertex": r.principal_vertex}
+                for r in records
+            ],
+            "branching": [
+                {"parameter": list(q), "multiplicity": branching_multiplicity(K.bounds.width, q)}
+                for q in sorted({r.parameter for r in upper})
+            ],
+        }
+        chunks = json_chunks(report)
     _write(args.out, chunks)
     return EXIT_OK
 

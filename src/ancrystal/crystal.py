@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
-from operator import itemgetter, lt
+from itertools import compress, islice, repeat
+from operator import lt
 from typing import Iterator, Optional, Tuple
 
 from .errors import CapExceededError, ModelError, ParameterError, check_cap, check_integer
@@ -197,11 +198,11 @@ class CrystalGraph:
         return "".join(self.dot_chunks())
 
 
-# Records (or DOT lines) per chunk of the writers: ``json_chunks``, the analyze
-# report and ``dot_chunks`` render, and hand over, one chunk at a time.  It
-# bounds what a writer holds beyond its input to one chunk of values and text:
-# about 100 kB of build JSON at n = 4 (200 kB at n = 6) and 12 kB of DOT, where
-# the whole text of a 200 000-vertex crystal takes over 100 MB.
+# Records (or DOT lines) per chunk of the writers: ``json_chunks`` and
+# ``dot_chunks`` render, and hand over, one chunk at a time.  It bounds what a
+# writer holds beyond its input to one chunk of values and text: about 100 kB
+# of build JSON at n = 4 (200 kB at n = 6) and 12 kB of DOT, where the whole
+# text of a 200 000-vertex crystal takes over 100 MB.
 JSON_CHUNK = 256
 
 
@@ -213,89 +214,75 @@ def _json_ints(xs, pad: str) -> str:
     return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
 
 
-def _json_records(records, template: str, flatten) -> Iterator[str]:
-    """A list of same-shape records at indent 2, as ``json.dumps`` prints it,
-    one chunk of ``JSON_CHUNK`` records at a time.
+def _json_records(name: str, records: list) -> Iterator[str]:
+    """The nonempty list ``data[name]`` of records at indent 2, as
+    ``json.dumps`` prints it, one chunk of ``JSON_CHUNK`` records at a time.
 
-    ``template`` renders one record from the tuple of its values, and
-    ``flatten(chunk)`` gives the values of a chunk of records in order; each
-    chunk is rendered with one ``%`` format.
+    The first record fixes the shape: its keys, by which every record is
+    read, and per key an int, a string or an int list of a fixed length.  One
+    ``%`` template made from it renders each chunk with one format; a record
+    whose lists have other lengths raises ``ValueError`` instead of being
+    misaligned.
     """
-    if not records:
-        yield "[]"
-        return
-    size = min(JSON_CHUNK, len(records))
-    full = ",\n".join([template] * size)
+    fields = []  # (key, list length; None for an int, str for a string)
+    lines = []
+    for key, x in records[0].items():
+        if isinstance(x, list):
+            size, value = len(x), _json_ints(["%d"] * len(x), " " * 6)
+        elif isinstance(x, str):
+            size, value = str, "%s"
+        else:
+            size, value = None, "%d"
+        fields.append((key, size))
+        lines.append(f"      {json.dumps(key).replace('%', '%%')}: {value}")
+    template = "    {\n" + ",\n".join(lines) + "\n    }"
     opening = "[\n"
-    for start in range(0, len(records), size):
-        chunk = records[start:start + size]
-        if len(chunk) < size:  # the last chunk
-            full = ",\n".join([template] * len(chunk))
-        yield opening + full % flatten(chunk)
+    for start in range(0, len(records), JSON_CHUNK):
+        chunk = records[start:start + JSON_CHUNK]
+        out = []
+        append = out.append
+        for i, r in enumerate(chunk, start):
+            for key, size in fields:
+                x = r[key]
+                if size is None:
+                    append(x)
+                elif size is str:
+                    append(json.dumps(x))
+                elif len(x) == size:
+                    out += x
+                else:
+                    raise ValueError(
+                        f"{name}[{i}] has {len(x)} {key!r} entries; {name}[0] has {size}"
+                    )
+        yield opening + ",\n".join([template] * len(chunk)) % tuple(out)
         opening = ",\n"
     yield "\n  ]"
 
 
 def json_chunks(data: dict) -> Iterator[str]:
-    """The text of ``json_text(data)``, one chunk of ``JSON_CHUNK`` records at
-    a time, so that a writer never holds the whole text.
+    """``json.dumps(data, indent=2) + "\\n"``, one chunk of ``JSON_CHUNK``
+    records at a time, so that a writer never holds the whole text.
 
-    Every vertex record has as many weights, ``h`` and ``t`` values as the
-    first one, so one template renders them all; a record of another shape
-    raises ``ValueError``.
+    Every value of ``data`` is an int, a string, an int list, or a list of
+    records of one shape (see ``_json_records``): a ``to_json()`` crystal or
+    an analyze report.
     """
-    vertices = data["vertices"]
-    pad = " " * 6
-    if vertices:
-        first = vertices[0]
-        shape = (len(first["weights"]), len(first["h"]), len(first["t"]))
-    else:
-        shape = (0, 0, 0)
-    weights, h, t = (_json_ints(["%d"] * size, pad) for size in shape)
-    vertex = (
-        f'    {{\n      "id": %d,\n      "weights": {weights},\n'
-        f'      "h": {h},\n      "t": {t}\n    }}'
-    )
-
-    def vertex_values(chunk):
-        out = []
-        for v in chunk:
-            w, hv, tv = v["weights"], v["h"], v["t"]
-            if (len(w), len(hv), len(tv)) != shape:
-                raise ValueError(
-                    f"vertex {v['id']} has {len(w)} weights, {len(hv)} h and "
-                    f"{len(tv)} t values; the first vertex has {shape[0]}, "
-                    f"{shape[1]} and {shape[2]}"
-                )
-            out.append(v["id"])
-            out += w
-            out += hv
-            out += tv
-        return tuple(out)
-
-    edge = '    {\n      "from": %d,\n      "to": %d,\n      "color": %d\n    }'
-    ends = itemgetter("from", "to", "color")
-
-    def edge_values(chunk):
-        return tuple(chain.from_iterable(map(ends, chunk)))
-
-    yield (
-        f'{{\n  "n": {data["n"]},\n'
-        f'  "c": {_json_ints(data["c"], "  ")},\n'
-        f'  "d": {_json_ints(data["d"], "  ")},\n'
-        f'  "vertices": '
-    )
-    yield from _json_records(vertices, vertex, vertex_values)
-    yield ',\n  "edges": '
-    yield from _json_records(data["edges"], edge, edge_values)
-    if "colors" in data:
-        yield f',\n  "colors": {_json_ints(data["colors"], "  ")}'
+    opening = "{\n"
+    for key, value in data.items():
+        yield f"{opening}  {json.dumps(key)}: "
+        if value and isinstance(value, list) and isinstance(value[0], dict):
+            yield from _json_records(key, value)
+        elif isinstance(value, list):
+            yield _json_ints(value, "  ")
+        else:
+            yield json.dumps(value)
+        opening = ",\n"
     yield "\n}\n"
 
 
 def json_text(data: dict) -> str:
-    """``json.dumps(data, indent=2) + "\n"`` for a ``CrystalGraph.to_json()``
-    dict, written from its fixed shape: with ``indent`` set, CPython's json
+    """``json.dumps(data, indent=2) + "\\n"`` for a ``json_chunks`` document,
+    written from its records' shapes: with ``indent`` set, CPython's json
     encoder falls back to pure Python, which costs several times this."""
     return "".join(json_chunks(data))
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InfeasibleError, ParameterError, integer_tuple
-from .support import NodeRef, SupportingGraph
+from .support import NodeRef, SupportingGraph, check_color_count
 from .weights import Bounds, WeightFunction, make_weight_function, zero_bounds
 
 
@@ -111,8 +111,8 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
     its target.  The front members end tight on their SE-edges and the back
     members on their SW-edges, which is exactly the switch condition.
     """
-    c = integer_tuple(c, "c")
-    n = g.n
+    b = zero_bounds(c)  # a negative bound is a ParameterError naming c
+    c, n = b.c, g.n
     if pattern.n != n or len(c) != n:
         raise ParameterError(f"pattern/bounds size mismatch with n={n}")
     if not pattern.is_bounded_by(sigma_bound(c)):
@@ -139,7 +139,7 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
                 surplus -= cut
             for v, x in zip(members, assigned):
                 vals[v] = x
-    return make_weight_function(g, vals, zero_bounds(c))
+    return make_weight_function(g, vals, b)
 
 
 def count_bounded_patterns(n: int, bound) -> int:
@@ -149,6 +149,7 @@ def count_bounded_patterns(n: int, bound) -> int:
     free of closed-form shortcuts so it can serve as an independent counting
     oracle for generated crystal sizes.
     """
+    check_color_count(n)  # n = 0 would enumerate the empty row without end
     bound = integer_tuple(bound, "bound")
     if len(bound) != n:
         raise ParameterError(f"bound has length {len(bound)}, expected {n}")

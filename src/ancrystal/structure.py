@@ -16,8 +16,8 @@ from .crystal import (
     interval,
     subgraph,
 )
-from .errors import ModelError, ParameterError, integer_tuple
-from .support import build_supporting_graph
+from .errors import ModelError, ParameterError, check_integer, integer_tuple
+from .support import build_supporting_graph, check_color_count
 from .weights import principal_function
 
 UPPER = "upper"
@@ -93,6 +93,8 @@ class Skeleton:
 
 def base_crystal(n: int, k: int, ck: int) -> CrystalGraph:
     """The crystal whose parameter tuple is ck at color k and zero elsewhere."""
+    if check_integer(k, "color k") not in range(1, check_color_count(n) + 1):
+        raise ParameterError(f"color k must be one of 1..{n}, got {k}")
     c = tuple(ck if i == k else 0 for i in range(1, n + 1))
     return generate(n, c)
 
@@ -327,6 +329,8 @@ def branching_multiplicity(c, q) -> int:
     """Number of upper subcrystals of the crystal with parameter c that share
     the (n-1)-tuple parameter q."""
     c = integer_tuple(c, "c")
+    if not c or min(c) < 0:
+        raise ParameterError(f"c must be a nonempty tuple of nonnegative entries, got {c}")
     q = integer_tuple(q, "q")
     n = len(c)
     if len(q) != n - 1:

@@ -40,7 +40,8 @@ class Bounds:
 
 
 def zero_bounds(c) -> Bounds:
-    return Bounds(tuple(c), (0,) * len(tuple(c)))
+    c = tuple(c)  # once: an iterator is empty the second time
+    return Bounds(c, (0,) * len(c))
 
 
 @dataclass(frozen=True)

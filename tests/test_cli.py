@@ -47,7 +47,7 @@ def refuse(*args, **kwargs):
     [
         (["build", "--n", "2", "--c", "1,2"], "json_chunks", refuse,
          "vertices=15 edges=18 length=6 principal=6"),
-        (["analyze", "--n", "3", "--c", "1,1,1"], "report_chunks", refuse,
+        (["analyze", "--n", "3", "--c", "1,1,1"], "json_chunks", refuse,
          "principal=8 skeleton=40 upper=8 lower=8"),
     ],
     ids=["build", "analyze"],
@@ -397,6 +397,12 @@ def test_the_analyze_report_across_chunk_boundaries(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(crystal, "JSON_CHUNK", chunk)
     text = analyze_text(tmp_path / "report.json", n, c, d)
     assert text == json.dumps(restated_report(n, c, d), indent=2) + "\n"
+    # the writer checks analyze records too: an extra anchor entry in the last
+    report = json.loads(text)
+    report["subcrystals"][-1]["anchor"].append(0)
+    last = len(report["subcrystals"]) - 1
+    with pytest.raises(ValueError, match=rf"subcrystals\[{last}\] has {n + 1} 'anchor' entries"):
+        crystal.json_text(report)
 
 
 def test_analyze_csv(capsys, tmp_path):
@@ -563,6 +569,17 @@ def test_gt_rejects_an_unbounded_pattern(capsys, tmp_path):
         "--in", str(pat),
     )
     assert code == EXIT_VERDICT and "error:" in err
+
+
+def test_gt_from_pattern_names_a_negative_bound(capsys, tmp_path):
+    pat = tmp_path / "p.json"
+    pat.write_text("[[1], [1, 0]]")
+    code, stdout, err = run(
+        capsys, "gt", "--direction", "from-pattern", "--n", "2", "--c", "1,-1",
+        "--in", str(pat),
+    )
+    assert code == EXIT_USAGE and stdout == ""
+    assert "c=(1, -1)" in err and "(0, 1)" not in err
 
 
 @pytest.mark.parametrize("text, entry", [('[[1], [2, "x"]]', "'x'"), ("[[1], [2, 0.5]]", "0.5")])

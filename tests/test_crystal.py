@@ -527,8 +527,14 @@ def test_json_text_is_the_indented_dump(crystals):
         subgraph(K, K.vertex_ids(), colors=()),  # empty h and t lists
         subgraph(K, []),  # no vertices
     ]
-    for G in graphs:
-        data = G.to_json()
+    # not a crystal: a string field, an empty (int or record) list, and
+    # records with strings, an empty list and a key that is a % format
+    other = {
+        "name": 'K "2" %d',
+        "empty": [],
+        "rows": [{"side": "%s", "%d": [1, 2], "q": []}, {"side": "\u00e9", "%d": [3, 4], "q": []}],
+    }
+    for data in [G.to_json() for G in graphs] + [other]:
         assert json_text(data) == json.dumps(data, indent=2) + "\n"
 
 
@@ -571,7 +577,7 @@ def test_json_text_rejects_a_record_of_another_shape(crystals, monkeypatch, chun
     for edit in edits:
         data = K.to_json()
         edit(data["vertices"])
-        with pytest.raises(ValueError, match="the first vertex has"):
+        with pytest.raises(ValueError, match=r"vertices\[0\] has"):
             json_text(data)
 
 

@@ -61,6 +61,9 @@ def test_from_gt_rejects_out_of_bound_patterns():
         from_gt(g, GTPattern(((4,), (4, 0))), (1, 2))
     with pytest.raises(ParameterError):
         from_gt(g, GTPattern(((0,),)), (1, 2))
+    # a negative bound is a bad parameter, not an unbounded pattern
+    with pytest.raises(ParameterError, match=r"c=\(1, -1\)"):
+        from_gt(g, GTPattern(((1,), (1, 0))), (1, -1))
 
 
 @pytest.mark.parametrize("n,c", [(2, (1, 2)), (2, (2, 2)), (3, (1, 1, 1)), (3, (2, 1, 0))])
@@ -73,6 +76,7 @@ def test_round_trip_and_exact_image(n, c, crystals):
         assert p.is_bounded_by(sigma_bound(c))
         assert from_gt(g, p, c) == f
         images.add(p.rows)
+    assert from_gt(g, p, iter(c)) == f  # the bounds may be any iterable
     # the image is exactly the set of bounded patterns
     assert len(images) == K.num_vertices == count_bounded_patterns(n, sigma_bound(c))
 
@@ -96,3 +100,6 @@ def test_count_rejects_bad_bounds():
         count_bounded_patterns(2, (1, -1))
     with pytest.raises(ParameterError):
         count_bounded_patterns(3, (1, 1))
+    # n = 0 is refused before the enumeration, which would recurse on () forever
+    with pytest.raises(ParameterError, match="got 0"):
+        count_bounded_patterns(0, ())

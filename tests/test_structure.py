@@ -112,6 +112,13 @@ def test_skeleton_piece_counts_and_shapes(crystals):
     assert len(sk.vertex_ids) == 40
 
 
+@pytest.mark.parametrize("k, message", [(5, "1..2, got 5"), (0, "1..2, got 0"), (True, "True")])
+def test_base_crystal_refuses_a_color_outside_1_to_n(k, message):
+    # these once gave the one-vertex K(0, 0), or color 1 for True
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        base_crystal(2, k, 3)
+
+
 def restated_skeleton(K):
     """(k, fixed, vertex_ids) per skeleton piece, cut once per (vertex, color)."""
     groups = {}
@@ -424,6 +431,9 @@ def test_branching_multiplicities_count_the_parts(crystals):
         assert sum(by_q.values()) == lattice_size(c)
     with pytest.raises(ParameterError):
         branching_multiplicity((1, 1, 1), (0,))
+    for c in [(), (1, -1)]:
+        with pytest.raises(ParameterError, match=re.escape(f"got {c}")):
+            branching_multiplicity(c, (0,) * (len(c) - 1))
 
 
 @settings(max_examples=50, deadline=None)
