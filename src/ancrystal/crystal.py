@@ -76,6 +76,14 @@ class CrystalGraph:
             )
         return v
 
+    def check_color(self, c: int) -> int:
+        """c itself when it is one of this crystal's colors, else a
+        ParameterError: True or 1.0 would read color 1's columns."""
+        check_integer(c, "color")
+        if c not in self.colors:
+            raise ParameterError(f"color {c} is not one of the crystal's colors {self.colors}")
+        return c
+
     def function(self, v: int) -> WeightFunction:
         return WeightFunction(self.graph, self.bounds, self.keys[self.check_vertex_id(v)])
 
@@ -206,53 +214,62 @@ class CrystalGraph:
 JSON_CHUNK = 256
 
 
-def _json_ints(xs, pad: str) -> str:
-    """An int list as ``json.dumps(..., indent=2)`` prints it at indent ``pad``."""
-    if not xs:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(map(str, xs)) + "\n" + pad + "]"
-
-
 def _json_records(name: str, records: list) -> Iterator[str]:
     """The nonempty list ``data[name]`` of records at indent 2, as
     ``json.dumps`` prints it, one chunk of ``JSON_CHUNK`` records at a time.
 
-    The first record fixes the shape: its keys, by which every record is
-    read, and per key an int, a string or an int list of a fixed length.  One
-    ``%`` template made from it renders each chunk with one format; a record
-    whose lists have other lengths raises ``ValueError`` instead of being
-    misaligned.
+    The first record fixes the shape: its keys, in order, and per key an int,
+    a string or an int list of a fixed length.  One ``%`` template made from
+    it renders each chunk with one format.  A record of another shape raises
+    ``ValueError`` instead of coming out otherwise than from ``json.dumps``:
+    other keys or key order, a list of another length, or a value of another
+    type, such as a bool where ``%d`` would print True as 1.  The entries of
+    an int list are not checked one by one (that made the writer about 30%
+    slower): ``%d`` refuses a string or None there, but prints a bool or a
+    float as an int.
     """
-    fields = []  # (key, list length; None for an int, str for a string)
+    keys = tuple(records[0])
+    fields = []  # (key, int or str for a value of that type, or a list's length)
     lines = []
     for key, x in records[0].items():
-        if isinstance(x, list):
-            size, value = len(x), _json_ints(["%d"] * len(x), " " * 6)
-        elif isinstance(x, str):
-            size, value = str, "%s"
+        if type(key) is not str:
+            raise ValueError(f"{name}[0] has the key {key!r}, not a string")
+        if type(x) is list:
+            # json.dumps's layout of the list one level deeper, a %d per entry
+            kind = len(x)
+            value = json.dumps([0] * kind, indent=2).replace("0", "%d").replace("\n", "\n      ")
+        elif type(x) is int:
+            kind, value = int, "%d"
+        elif type(x) is str:
+            kind, value = str, "%s"  # of its json.dumps
         else:
-            size, value = None, "%d"
-        fields.append((key, size))
+            raise ValueError(f"{name}[0][{key!r}] is {x!r}, not an int, a string or an int list")
+        fields.append((key, kind))
         lines.append(f"      {json.dumps(key).replace('%', '%%')}: {value}")
-    template = "    {\n" + ",\n".join(lines) + "\n    }"
+    template = "    {\n" + ",\n".join(lines) + "\n    }" if lines else "    {}"
     opening = "[\n"
     for start in range(0, len(records), JSON_CHUNK):
         chunk = records[start:start + JSON_CHUNK]
+        shapes = list(map(tuple, chunk))
+        if shapes.count(keys) < len(shapes):
+            i = next(i for i, shape in enumerate(shapes) if shape != keys)
+            raise ValueError(f"{name}[{start + i}] has the keys {shapes[i]}; {name}[0] has {keys}")
         out = []
         append = out.append
         for i, r in enumerate(chunk, start):
-            for key, size in fields:
+            for key, kind in fields:
                 x = r[key]
-                if size is None:
-                    append(x)
-                elif size is str:
-                    append(json.dumps(x))
-                elif len(x) == size:
+                if type(x) is kind:
+                    append(x if kind is int else json.dumps(x))
+                elif type(x) is list and len(x) == kind:
                     out += x
+                elif type(x) is list:
+                    raise ValueError(
+                        f"{name}[{i}] has {len(x)} {key!r} entries; {name}[0] has {kind}"
+                    )
                 else:
                     raise ValueError(
-                        f"{name}[{i}] has {len(x)} {key!r} entries; {name}[0] has {size}"
+                        f"{name}[{i}][{key!r}] is {x!r}, of another type than in {name}[0]"
                     )
         yield opening + ",\n".join([template] * len(chunk)) % tuple(out)
         opening = ",\n"
@@ -263,19 +280,20 @@ def json_chunks(data: dict) -> Iterator[str]:
     """``json.dumps(data, indent=2) + "\\n"``, one chunk of ``JSON_CHUNK``
     records at a time, so that a writer never holds the whole text.
 
-    Every value of ``data`` is an int, a string, an int list, or a list of
-    records of one shape (see ``_json_records``): a ``to_json()`` crystal or
-    an analyze report.
+    A nonempty list of dicts is written as records of one shape (see
+    ``_json_records``): a ``to_json()`` crystal's vertices and edges, or an
+    analyze report's subcrystals.  Any other value is small, and
+    ``json.dumps`` writes it whole.
     """
     opening = "{\n"
     for key, value in data.items():
+        if type(key) is not str:
+            raise ValueError(f"key {key!r} is not a string")
         yield f"{opening}  {json.dumps(key)}: "
-        if value and isinstance(value, list) and isinstance(value[0], dict):
+        if value and type(value) is list and type(value[0]) is dict:
             yield from _json_records(key, value)
-        elif isinstance(value, list):
-            yield _json_ints(value, "  ")
         else:
-            yield json.dumps(value)
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
         opening = ",\n"
     yield "\n}\n"
 
@@ -387,18 +405,11 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
 def subgraph(K: CrystalGraph, vertex_ids, colors=None) -> CrystalGraph:
     """Induced subgraph on the given vertices, optionally restricted to a color
     subset; vertex ids are renumbered in ascending original-id order."""
-    if colors is None:
-        colors = K.colors
-    colors = tuple(colors)
-    vertex_ids = list(vertex_ids)
-    # every id's type, before the set merges True into 1 or 1.0 into 1
-    if set(map(type, vertex_ids)) - {int}:
-        for v in vertex_ids:
-            K.check_vertex_id(v)
-    ids = sorted(set(vertex_ids))
-    if ids:
-        K.check_vertex_id(ids[0])
-        K.check_vertex_id(ids[-1])
+    colors = K.colors if colors is None else tuple(map(K.check_color, colors))
+    if len(set(colors)) < len(colors):
+        raise ParameterError(f"colors {colors} name a color twice")
+    # each id is checked before the set merges True into 1 or 1.0 into 1
+    ids = sorted(set(map(K.check_vertex_id, vertex_ids)))
     # -1, the "none" entry, is not an id, so it maps to itself, and so does
     # the end of an edge that leaves the subgraph
     new_id = dict(zip(ids, range(len(ids)))).get
@@ -458,6 +469,9 @@ def find_isomorphism(K1: CrystalGraph, K2: CrystalGraph, color_map=None) -> Opti
     """
     if color_map is None:
         color_map = {c: c for c in K1.colors}
+    for c in K1.colors:
+        if c not in color_map:
+            raise ParameterError(f"color_map gives no image for color {c} of the first graph")
     if sorted(color_map[c] for c in K1.colors) != sorted(K2.colors):
         return None
     if K1.num_vertices != K2.num_vertices:

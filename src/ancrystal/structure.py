@@ -78,8 +78,7 @@ class SkeletonPiece:
 
     k: int
     fixed: tuple  # (n-1)-tuple of constants a_i, i != k, in increasing i
-    vertex_ids: tuple
-    graph: CrystalGraph
+    vertex_ids: tuple  # ascending ambient ids; subgraph(K, ids) is the graph
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,11 @@ def skeleton(K: CrystalGraph) -> Skeleton:
             fixed = consts[:k - 1] + consts[k:]
             if None not in fixed:
                 groups.setdefault((k, fixed), []).extend(vs)
-    pieces = []
-    union = set()
-    for (k, fixed) in sorted(groups):
-        ids = tuple(sorted(groups[(k, fixed)]))
-        union.update(ids)
-        pieces.append(SkeletonPiece(k, fixed, ids, subgraph(K, ids)))
-    return Skeleton(tuple(pieces), tuple(sorted(union)))
+    pieces = tuple(
+        SkeletonPiece(k, fixed, tuple(sorted(ids))) for (k, fixed), ids in sorted(groups.items())
+    )
+    union = {v for p in pieces for v in p.vertex_ids}
+    return Skeleton(pieces, tuple(sorted(union)))
 
 
 # -- fundamental strings -------------------------------------------------------
@@ -304,6 +301,8 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     a freshly generated reference crystal and reading the coordinates off the
     image's constants.
     """
+    if K.n < 2:
+        raise ParameterError(f"principal_location needs n >= 2 colors, got n={K.n}")
     a = integer_tuple(a, "a")
     colors = _side_colors(K.n, side)
     v = K.vertex_by_function(principal_function(K.graph, a, K.bounds))

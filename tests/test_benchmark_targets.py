@@ -21,8 +21,6 @@ BUILD_SPANS = (
 
 # Spans an analyze must open.
 ANALYZE_SPANS = (
-    "crystal.measured_strings",
-    "crystal.subgraph",
     "structure.principal_lattice",
     "structure.skeleton",
     "structure.subcrystals",
@@ -73,3 +71,10 @@ def test_an_analyze_calls_every_traced_structure_layer(monkeypatch, tmp_path):
     argv = ["analyze", "--n", "2", "--c", "2,3", "--out", str(tmp_path / "report.json")]
     calls = traced_calls(monkeypatch, argv, ANALYZE_SPANS)
     assert all(count > 0 for count in calls.values()), calls
+
+
+def test_an_analyze_builds_no_subgraph(monkeypatch, tmp_path):
+    # the skeleton's pieces are vertex sets: the report reads only their union
+    argv = ["analyze", "--n", "2", "--c", "2,3", "--out", str(tmp_path / "report.json")]
+    calls = traced_calls(monkeypatch, argv, ("crystal.subgraph", "crystal.measured_strings"))
+    assert calls == {"crystal.subgraph": 0, "crystal.measured_strings": 0}

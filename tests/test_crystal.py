@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import re
 import time
 import tracemalloc
 from array import array
@@ -321,6 +322,34 @@ def test_a_vertex_id_out_of_range_is_a_parameter_error(call, bad, crystals):
         assert str(exc.value) == f"the caller gives vertex id the non-integer value {bad!r}"
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda K: subgraph(K, [0, 1], colors=(5,)), "color 5 is not one of the crystal's colors"),
+        (lambda K: subgraph(K, [0, 1], colors=(0,)), "color 0 is not one of the crystal's colors"),
+        # True and 1.0 equal color 1, and once read its columns under their own name
+        (lambda K: subgraph(K, [0, 1], colors=(True,)), "gives color the non-integer value True"),
+        (lambda K: subgraph(K, [0, 1], colors=(2, 1.0)), "gives color the non-integer value 1.0"),
+        (lambda K: subgraph(K, [0, 1], colors=(2, 2)), "colors (2, 2) name a color twice"),
+        (lambda K: find_isomorphism(K, K, {1: 1}), "color_map gives no image for color 2"),
+        (lambda K: isomorphic(K, K, {2: 1}), "color_map gives no image for color 1"),
+    ],
+    ids=["subgraph-5", "subgraph-0", "subgraph-bool", "subgraph-float", "subgraph-twice",
+         "isomorphism-map-without-2", "isomorphism-map-without-1"],
+)
+def test_a_color_argument_outside_the_colors_is_a_parameter_error(call, message, crystals):
+    K = crystals(*CRYSTAL_OF_8)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call(K)
+
+
+def test_the_color_check_passes_every_color(crystals):
+    K = crystals(*CRYSTAL_OF_8)
+    assert [K.check_color(c) for c in K.colors] == [1, 2]
+    assert subgraph(K, K.vertex_ids(), colors=(2, 1)).colors == (2, 1)
+    assert isomorphic(K, K, {1: 1, 2: 2, 3: 3})  # an extra entry is not read
+
+
 def test_the_vertex_id_check_passes_every_id(crystals):
     K = crystals(*CRYSTAL_OF_8)
     assert [K.check_vertex_id(v) for v in K.vertex_ids()] == list(K.vertex_ids())
@@ -579,6 +608,36 @@ def test_json_text_rejects_a_record_of_another_shape(crystals, monkeypatch, chun
         edit(data["vertices"])
         with pytest.raises(ValueError, match=r"vertices\[0\] has"):
             json_text(data)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"r": [{"a": 1}, {"a": 1, "b": 2}]}, "r[1] has the keys ('a', 'b'); r[0] has ('a',)"),
+        ({"r": [{"a": 1, "b": 2}, {"b": 2, "a": 1}]},
+         "r[1] has the keys ('b', 'a'); r[0] has ('a', 'b')"),
+        ({"r": [{"a": 1}, {"a": True}]}, "r[1]['a'] is True, of another type than in r[0]"),
+        ({"r": [{"a": True}]}, "r[0]['a'] is True, not an int, a string or an int list"),
+        ({"r": [{"a": "x"}, {"a": 1}]}, "r[1]['a'] is 1, of another type than in r[0]"),
+        ({"r": [{"a": [1]}, {"a": {2: 3}}]}, "r[1]['a'] is {2: 3}, of another type than in r[0]"),
+        ({"r": [{1: 2}]}, "r[0] has the key 1, not a string"),
+        ({1: 2}, "key 1 is not a string"),
+        ({"t": (1, 2)}, None),
+        ({"r": [{}, {}]}, None),
+        ({"b": [True, None], "m": {"k": [1, (2,)]}, "f": 1.5, "r": ({"a": 1}, {"b": 0})}, None),
+    ],
+    ids=["extra-key", "key-order", "bool-in-a-later-record", "bool-in-the-first-record",
+         "int-for-a-string", "dict-for-a-list", "int-record-key", "int-key", "tuple",
+         "empty-records", "values-json-dumps-writes-whole"],
+)
+def test_json_text_is_the_indented_dump_or_a_value_error(data, message):
+    # each of these once came out otherwise than from json.dumps, without an error
+    if message is None:
+        assert json_text(data) == json.dumps(data, indent=2) + "\n"
+    else:
+        with pytest.raises(ValueError) as exc:
+            json_text(data)
+        assert str(exc.value) == message
 
 
 @settings(max_examples=12, deadline=None)

@@ -105,8 +105,8 @@ def test_skeleton_piece_counts_and_shapes(crystals):
         assert len(pieces) == expected
         base = base_crystal(n, k, c[k - 1])
         for p in pieces:
-            assert isomorphic(p.graph, base), (k, p.fixed)
-            total += p.graph.num_vertices
+            assert isomorphic(subgraph(K, p.vertex_ids), base), (k, p.fixed)
+            total += len(p.vertex_ids)
     # union size by inclusion-exclusion: pieces overlap exactly in the lattice
     assert len(sk.vertex_ids) == total - (n - 1) * lattice_size(c)
     assert len(sk.vertex_ids) == 40
@@ -146,7 +146,6 @@ def test_skeleton_pieces_match_a_per_vertex_restatement(params):
     restated = restated_skeleton(K)
     assert [(p.k, p.fixed, p.vertex_ids) for p in sk.pieces] == restated
     assert sk.vertex_ids == tuple(sorted({v for *_, ids in restated for v in ids}))
-    assert all(p.graph == subgraph(K, p.vertex_ids) for p in sk.pieces)
 
 
 def test_fundamental_strings_for_the_middle_color():
@@ -263,6 +262,14 @@ def test_subcrystals_reject_bad_side(crystals):
         subcrystals(crystals(2, (1, 1)), "sideways")
     with pytest.raises(ParameterError, match="side must be 'upper' or 'lower'"):
         principal_location(crystals(2, (1, 1)), (0, 0), "sideways")
+
+
+@pytest.mark.parametrize("side", [UPPER, LOWER])
+def test_principal_location_refuses_one_color(side, crystals):
+    # its reference crystal would have 0 colors
+    message = "principal_location needs n >= 2 colors, got n=1"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        principal_location(crystals(1, (2,)), (1,), side)
 
 
 @pytest.mark.parametrize("side", [UPPER, LOWER])
