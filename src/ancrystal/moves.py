@@ -4,30 +4,48 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .weights import BACKWARD, FORWARD, WeightFunction, switch_node
 
 
-def _color_error(g, i: int) -> ParameterError:
-    return ParameterError(f"color i={i} out of range for n={g.n}")
+def _check_color(g, i) -> int:
+    """i when it is an int in 1..n; a bool, float or str is a ParameterError
+    (True and 1.0 would read level 1), and so is i = 0, which would read
+    level n."""
+    if not 1 <= check_integer(i, "color i") <= g.n:
+        raise ParameterError(f"color i={i} out of range for n={g.n}")
+    return i
 
 
 def level_slacks(f: WeightFunction, i: int) -> list:
     """Prefix sums A(0), ..., A(i+1) of the level-i slack sums, as a new list.
 
-    One call of the compiled scan ``f.graph.level_scans[i - 1]``, whose
-    generated sums give A(0) = 0 and A(j) = A(j-1) + eps(j) - delta(j-1).
-    The residual slacks telescope over them: the residual upper slacks sum to
-    h = max A and the residual lower slacks to t = h - A(i+1).  The forward
-    multinode is the first argmax j of A and the backward one the least
-    j >= 1 with A(j) > max_{q>j} A(q), that is the last argmax of
-    A(1..i+1); either is taken only when 1 <= j <= i.
+    The compiled scan ``f.graph.level_scans[i - 1]`` gives A(0) = 0 and
+    A(j) = A(j-1) + eps(j) - delta(j-1).  The residual slacks telescope over
+    them: the residual upper slacks sum to h = max A and the residual lower
+    slacks to t = h - A(i+1).  The forward multinode is the first argmax j of
+    A and the backward one the least j >= 1 with A(j) > max_{q>j} A(q), that
+    is the last argmax of A(1..i+1); either is taken only when 1 <= j <= i.
+
+    ``f.scan`` keeps ``(i, prefix)`` of the last scan, which stays valid
+    because a function never changes; the pair is immutable and stored as one
+    attribute, so threads that share f read a whole pair.  The slot is read
+    only when it holds this very object ``i`` (``is``, not ``==``): a color is
+    stored only after it passed the check, so True or 1.0 never reads a
+    stored scan, and an equal int that is another object just scans again.
+    ``generate`` passes the same int to ``string_lengths`` and then
+    ``forward_move``, so each (vertex, color) runs one scan.
     """
+    last = f.scan
+    if last is not None and last[0] is i:
+        return [*last[1]]
     g = f.graph
-    if not 1 <= i <= g.n:  # i = 0 would read level n
-        raise _color_error(g, i)
+    if i.__class__ is not int or not 1 <= i <= g.n:
+        _check_color(g, i)  # raises, or passes an int subclass in range
     b = f.bounds
-    return g.level_scans[i - 1](f.values, b.c, b.d)
+    prefix = g.level_scans[i - 1](f.values, b.c, b.d)
+    f.scan = (i, tuple(prefix))
+    return prefix
 
 
 def slack_dicts(f: WeightFunction, i: int) -> tuple:
@@ -36,10 +54,9 @@ def slack_dicts(f: WeightFunction, i: int) -> tuple:
     ``eps`` is keyed by j = 1..i+1 and ``delta`` by j = 0..i.  The residual
     upper slack at j is max(0, A(j) - max_{p<j} A(p)) and the residual lower
     slack at j is max(0, A(j) - max_{q>j} A(q)).  This closed form does not
-    read the compiled steps that ``level_slacks`` runs on.
+    read the compiled steps that ``level_slacks`` runs on, nor its stored scan.
     """
-    if not 1 <= i <= f.graph.n:
-        raise _color_error(f.graph, i)
+    _check_color(f.graph, i)
     colors = range(1, f.graph.n + 1)
     slot = f.graph.slot  # NodeRef is a tuple, so a plain (k, i, j) key finds it
     x = f.values + f.bounds.c + f.bounds.d
@@ -123,7 +140,10 @@ def forward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
     am = active_multinode(f, i, FORWARD)
     if am is None:
         return None
-    return _shifted(f, switch_node(f, am[0], am[1], FORWARD), 1)
+    g = f.graph
+    values = list(f.values)
+    values[g.index[switch_node(f, am[0], am[1], FORWARD)]] += 1
+    return WeightFunction(g, f.bounds, tuple(values))
 
 
 def backward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
@@ -131,14 +151,9 @@ def backward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
     am = active_multinode(f, i, BACKWARD)
     if am is None:
         return None
-    return _shifted(f, switch_node(f, am[0], am[1], BACKWARD), -1)
-
-
-def _shifted(f: WeightFunction, v, step: int) -> WeightFunction:
-    """f with ``step`` added at node v."""
     g = f.graph
     values = list(f.values)
-    values[g.index[v]] += step
+    values[g.index[switch_node(f, am[0], am[1], BACKWARD)]] -= 1
     return WeightFunction(g, f.bounds, tuple(values))
 
 

@@ -170,7 +170,8 @@ def fundamental_strings(n: int, k: int) -> set:
 def canonical_string(n: int, k: int) -> FundamentalString:
     """The stacked-path string: the segment (i)(i+1)...(i+k-1) for each start
     i = n-k+1 down to 1."""
-    if not 1 <= k <= n:
+    check_color_count(n)
+    if not 1 <= check_integer(k, "color k") <= n:
         raise ParameterError(f"color {k} out of range for n={n}")
     levels = []
     for i in range(n - k + 1, 0, -1):

@@ -20,7 +20,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 
 
 class NodeRef(NamedTuple):
@@ -95,8 +95,9 @@ class SupportingGraph:
     # -- structure accessors ---------------------------------------------------
 
     def base_positions(self, k: int) -> tuple:
-        """``base_index[k - 1]``; ParameterError for a k outside 1..n."""
-        if not 1 <= k <= self.n:
+        """``base_index[k - 1]``; ParameterError for a k outside 1..n or not
+        an int (True would read color 1)."""
+        if not 1 <= check_integer(k, "color k") <= self.n:
             raise ParameterError(f"color {k} out of range for n={self.n}")
         return self.base_index[k - 1]
 
@@ -105,6 +106,9 @@ class SupportingGraph:
         return tuple(self.nodes[p] for p in self.base_positions(k))
 
     def multinode(self, i: int, j: int) -> Multinode:
+        # checked before the lookup, where True and 1.0 would hash like 1
+        check_integer(i, "multinode level i")
+        check_integer(j, "multinode position j")
         try:
             return self.multinodes[i, j]
         except KeyError:

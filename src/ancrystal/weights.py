@@ -73,14 +73,19 @@ class WeightFunction:
     A plain ``__slots__`` class rather than a frozen dataclass: one is built
     per accepted move, and a frozen dataclass's ``__init__`` costs about three
     times this one.  Equality and the hash follow the three fields.
+
+    ``scan`` is ``(i, prefix)`` of the last ``level_slacks(f, i)``, or None:
+    a cache that only ``level_slacks`` reads or writes, and that equality,
+    the hash and the repr ignore.
     """
 
-    __slots__ = ("graph", "bounds", "values")
+    __slots__ = ("graph", "bounds", "values", "scan")
 
     def __init__(self, graph: SupportingGraph, bounds: Bounds, values: tuple):
         self.graph = graph
         self.bounds = bounds
         self.values = values
+        self.scan = None
 
     def _fields(self) -> tuple:
         return (self.graph, self.bounds, self.values)
@@ -101,7 +106,7 @@ class WeightFunction:
 
     def replace(self, v: NodeRef, new_value: int) -> "WeightFunction":
         vals = list(self.values)
-        vals[self._position(v)] = new_value
+        vals[self._position(v)] = check_integer(new_value, f"the value at {v}")
         return WeightFunction(self.graph, self.bounds, tuple(vals))
 
     def _position(self, v: NodeRef) -> int:
@@ -200,6 +205,10 @@ def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
     """Switch-node of multinode V_i(j): first qualifying member going forward,
     last one going backward."""
     g = f.graph
+    if i.__class__ is not int or j.__class__ is not int:
+        # checked before the lookup, where True and 1.0 would hash like 1
+        check_integer(i, "multinode level i")
+        check_integer(j, "multinode position j")
     try:
         switch_range = g.switch_ranges[i, j]
     except KeyError:

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ancrystal import (
     NodeRef,
     ParameterError,
+    WeightFunction,
     active_multinode,
     backward_move,
     build_supporting_graph,
@@ -21,6 +24,7 @@ from ancrystal import (
     switch_node,
     zero_bounds,
 )
+from ancrystal import crystal, moves
 from ancrystal.weights import BACKWARD, FORWARD
 from conftest import allowed_switch_members
 
@@ -331,6 +335,91 @@ def test_a_color_outside_1_to_n_is_a_parameter_error(i):
         level_slacks(f, 1)  # a scan just before must not let i through
         with pytest.raises(ParameterError, match=f"i={i} out of range for n=3"):
             call()
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.0, "1"])
+def test_a_color_or_position_that_is_not_an_int_is_a_parameter_error(bad):
+    """True once ran as color 1 (active_multinode(f, True, FORWARD) gave
+    (True, 1)), switch_node and g.multinode read 1.0 as 1, and the rest of
+    the layer raised TypeError for 1.0 and "1"."""
+    f = source_function(3, (1, 1, 1))
+    g = f.graph
+    calls = [
+        lambda: level_slacks(f, bad),
+        lambda: slack_dicts(f, bad),
+        lambda: string_lengths(f, bad),
+        lambda: active_multinode(f, bad, FORWARD),
+        lambda: active_multinode(f, bad, BACKWARD),
+        lambda: forward_move(f, bad),
+        lambda: backward_move(f, bad),
+        lambda: switch_node(f, bad, 1, FORWARD),
+        lambda: switch_node(f, 1, bad, BACKWARD),
+        lambda: switch_node(f, 2, bad, FORWARD),
+        lambda: g.multinode(bad, 1),
+        lambda: g.multinode(2, bad),
+    ]
+    for call in calls:
+        for i in (1, 2):
+            level_slacks(f, i)  # a stored scan of an equal color must not answer
+            with pytest.raises(ParameterError, match=re.escape(f"the non-integer value {bad!r}")):
+                call()
+
+
+def _counted(fn, counts, name):
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def counting_scans(g, counts):
+    """g with each compiled scan counting its runs in ``counts["scans"]``."""
+    return dataclasses.replace(g, level_scans=tuple(_counted(scan, counts, "scans") for scan in g.level_scans))
+
+
+@pytest.mark.parametrize(
+    "n, c, d",
+    [(2, (2, 1), None), (3, (1, 0, 1), None), (3, (2, 1, 2), (1, 0, -1)), (4, (1, 2, 1, 1), (0, 1, 0, -2))],
+)
+def test_generate_runs_one_scan_per_vertex_and_color(n, c, d, monkeypatch):
+    """string_lengths and forward_move each call level_slacks, but the second
+    call of a (vertex, color) reads the scan the first one stored."""
+    expected = generate(n, c, d)
+    counts = {"scans": 0, "calls": 0}
+    counted_graph = counting_scans(build_supporting_graph(n), counts)
+    monkeypatch.setattr(crystal, "build_supporting_graph", lambda n: counted_graph)
+    monkeypatch.setattr(moves, "level_slacks", _counted(moves.level_slacks, counts, "calls"))
+    K = generate(n, c, d)
+    assert K.keys == expected.keys and K.nxt == expected.nxt
+    n_times_v = n * K.num_vertices
+    assert counts == {"scans": n_times_v, "calls": 2 * n_times_v}
+
+
+def test_a_stored_scan_is_copied_and_read_only_by_the_same_color_object():
+    class Color(int):
+        pass
+
+    g = build_supporting_graph(3)
+    counts = {"scans": 0}
+    counted_graph = counting_scans(g, counts)
+    b = zero_bounds((2, 1, 2))
+    f = WeightFunction(counted_graph, b, principal_function(g, (1, 0, 1), b).values)
+    for i in (1, 2, 3):
+        expected = prefix_from_dicts(f, i)
+        first = level_slacks(f, i)
+        second = level_slacks(f, i)
+        assert first == second == expected and first is not second
+        first[0] = 99
+        first.append(7)
+        assert second == expected and level_slacks(f, i) == expected
+    assert counts["scans"] == 3
+    # an equal int that is another object scans again, and so does a new
+    # function with equal fields
+    assert level_slacks(f, Color(3)) == prefix_from_dicts(f, 3)
+    assert counts["scans"] == 4
+    assert level_slacks(WeightFunction(counted_graph, b, f.values), 3) == prefix_from_dicts(f, 3)
+    assert counts["scans"] == 5
 
 
 def prefix_from_dicts(f, i):

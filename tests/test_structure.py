@@ -178,6 +178,21 @@ def test_fundamental_strings_reject_a_color_out_of_range(k):
         fundamental_strings(3, k)
 
 
+@pytest.mark.parametrize("k", [True, False, 1.0, 2.5, "1"])
+def test_strings_refuse_a_color_that_is_not_an_int(k):
+    # canonical_string(3, True) once gave FundamentalString(k=True, ...), and
+    # 1.0 a TypeError
+    for call in (canonical_string, fundamental_strings):
+        with pytest.raises(ParameterError, match=re.escape(f"color k the non-integer value {k!r}")):
+            call(3, k)
+
+
+@pytest.mark.parametrize("n", [True, 3.0, "3", 0])
+def test_canonical_string_refuses_a_color_count_that_is_not_a_positive_int(n):
+    with pytest.raises(ParameterError, match=re.escape(f"positive integer, got {n!r}")):
+        canonical_string(n, 1)
+
+
 def test_canonical_string_examples():
     assert str(canonical_string(4, 2)) == "342312"
     assert str(canonical_string(3, 1)) == "321"

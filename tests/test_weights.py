@@ -13,6 +13,7 @@ from ancrystal import (
     WeightFunction,
     build_supporting_graph,
     is_feasible,
+    level_slacks,
     make_weight_function,
     principal_function,
     switch_node,
@@ -205,6 +206,16 @@ def test_json_round_trip():
     assert data["values"] == sorted(data["values"], key=lambda r: (r[1], r[2], r[0]))
 
 
+@pytest.mark.parametrize("value", [True, False, 1.5, 1.0, "1", None])
+def test_replace_refuses_a_value_that_is_not_an_int(value):
+    f = principal_function(build_supporting_graph(2), (0, 0), zero_bounds((1, 2)))
+    v = NodeRef(1, 1, 1)
+    message = re.escape(f"the value at {v} the non-integer value {value!r}")
+    with pytest.raises(ParameterError, match=message):
+        f.replace(v, value)
+    assert f.replace(v, 1).value(v) == 1
+
+
 def test_weight_function_equality_and_hash_follow_its_fields():
     g = build_supporting_graph(2)
     b = zero_bounds((1, 2))
@@ -218,3 +229,16 @@ def test_weight_function_equality_and_hash_follow_its_fields():
     assert f != f.values and f.values != f
     assert f != (g, b, f.values)
     assert repr(f) == f"WeightFunction(graph={g!r}, bounds={b!r}, values={f.values!r})"
+
+
+def test_equality_hash_and_repr_ignore_the_stored_scan():
+    g = build_supporting_graph(3)
+    b = zero_bounds((1, 2, 1))
+    f = principal_function(g, (0, 1, 0), b)
+    other = WeightFunction(g, b, f.values)
+    before = (hash(f), repr(f))
+    level_slacks(f, 2)
+    assert f.scan is not None and other.scan is None
+    assert f == other and hash(f) == hash(other) == before[0]
+    assert repr(f) == repr(other) == before[1]
+    assert len({f, other}) == 1
