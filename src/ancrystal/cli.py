@@ -7,16 +7,11 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from . import axioms
 from .crystal import DEFAULT_CAP, generate, json_chunks
-from .errors import (
-    CapExceededError,
-    GraphFormatError,
-    InfeasibleError,
-    ModelError,
-    ParameterError,
-)
+from .errors import CapExceededError, GraphFormatError, ModelError, ParameterError
 from .gt import GTPattern, count_bounded_patterns, from_gt, sigma_bound, to_gt, weyl_dimension
 from .structure import (
     LOWER,
@@ -37,7 +32,7 @@ EXIT_CAP = 3
 
 def _int_list(text: str) -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
@@ -51,7 +46,11 @@ def _add_model_args(p, require_c=True):
                    help="vertex cap for generation, and for the graph verify --in reads")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared, so no caller changes it.
+    ``main`` looks each command's handler up when it runs, so a wrapped
+    ``cmd_*`` is the one called."""
     ap = argparse.ArgumentParser(prog="ancrystal", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -242,7 +241,7 @@ def main(argv=None) -> int:
     except (GraphFormatError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InfeasibleError, ModelError) as exc:
+    except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
     except OSError as exc:

@@ -4,17 +4,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .errors import ParameterError, check_integer
+from .errors import ParameterError
+from .support import check_color
 from .weights import BACKWARD, FORWARD, WeightFunction, switch_node
-
-
-def _check_color(g, i) -> int:
-    """i when it is an int in 1..n; a bool, float or str is a ParameterError
-    (True and 1.0 would read level 1), and so is i = 0, which would read
-    level n."""
-    if not 1 <= check_integer(i, "color i") <= g.n:
-        raise ParameterError(f"color i={i} out of range for n={g.n}")
-    return i
 
 
 def level_slacks(f: WeightFunction, i: int) -> list:
@@ -41,7 +33,7 @@ def level_slacks(f: WeightFunction, i: int) -> list:
         return [*last[1]]
     g = f.graph
     if i.__class__ is not int or not 1 <= i <= g.n:
-        _check_color(g, i)  # raises, or passes an int subclass in range
+        check_color(i, g.n)  # raises, or passes an int subclass in range
     b = f.bounds
     prefix = g.level_scans[i - 1](f.values, b.c, b.d)
     f.scan = (i, tuple(prefix))
@@ -56,7 +48,7 @@ def slack_dicts(f: WeightFunction, i: int) -> tuple:
     slack at j is max(0, A(j) - max_{q>j} A(q)).  This closed form does not
     read the compiled steps that ``level_slacks`` runs on, nor its stored scan.
     """
-    _check_color(f.graph, i)
+    check_color(i, f.graph.n)
     colors = range(1, f.graph.n + 1)
     slot = f.graph.slot  # NodeRef is a tuple, so a plain (k, i, j) key finds it
     x = f.values + f.bounds.c + f.bounds.d

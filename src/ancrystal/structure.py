@@ -16,8 +16,8 @@ from .crystal import (
     interval,
     subgraph,
 )
-from .errors import ModelError, ParameterError, check_integer, integer_tuple
-from .support import build_supporting_graph, check_color_count
+from .errors import ModelError, ParameterError, integer_tuple
+from .support import build_supporting_graph, check_color, check_color_count
 from .weights import principal_function
 
 UPPER = "upper"
@@ -92,8 +92,7 @@ class Skeleton:
 
 def base_crystal(n: int, k: int, ck: int) -> CrystalGraph:
     """The crystal whose parameter tuple is ck at color k and zero elsewhere."""
-    if check_integer(k, "color k") not in range(1, check_color_count(n) + 1):
-        raise ParameterError(f"color k must be one of 1..{n}, got {k}")
+    check_color(k, check_color_count(n))
     c = tuple(ck if i == k else 0 for i in range(1, n + 1))
     return generate(n, c)
 
@@ -170,9 +169,7 @@ def fundamental_strings(n: int, k: int) -> set:
 def canonical_string(n: int, k: int) -> FundamentalString:
     """The stacked-path string: the segment (i)(i+1)...(i+k-1) for each start
     i = n-k+1 down to 1."""
-    check_color_count(n)
-    if not 1 <= check_integer(k, "color k") <= n:
-        raise ParameterError(f"color {k} out of range for n={n}")
+    check_color(k, check_color_count(n))
     levels = []
     for i in range(n - k + 1, 0, -1):
         levels.extend(range(i, i + k))

@@ -87,26 +87,34 @@ class SupportingGraph:
     switch_ranges: Mapping = field(compare=False, repr=False)
     constants_of: Callable = field(compare=False, repr=False)
 
-    def is_node(self, v: NodeRef) -> bool:
-        """True iff v is a node of G (not merely of the extension)."""
-        k, i, j = v
-        return 1 <= k <= self.n and 1 <= j <= self.n - k + 1 and 0 <= i - j <= k - 1
+    def is_node(self, v) -> bool:
+        """True iff v is a node of G (not merely of the extension): a tuple
+        (k, i, j) of three coordinates of class int, so not a list, 1.5 or True."""
+        if isinstance(v, tuple) and len(v) == 3:
+            k, i, j = v
+            if k.__class__ is i.__class__ is j.__class__ is int:
+                return 1 <= k <= self.n and 1 <= j <= self.n - k + 1 and 0 <= i - j <= k - 1
+        return False
+
+    def position(self, v) -> int:
+        """``index[v]`` for a node v of G, else a ParameterError: the lookup
+        alone would take (1.0, 1, 1) or (True, 1, 1), which hash like (1, 1, 1)."""
+        if not self.is_node(v):
+            raise ParameterError(f"{v!r} is not a node of G for n={self.n}")
+        return self.index[v]
 
     # -- structure accessors ---------------------------------------------------
 
     def base_positions(self, k: int) -> tuple:
-        """``base_index[k - 1]``; ParameterError for a k outside 1..n or not
-        an int (True would read color 1)."""
-        if not 1 <= check_integer(k, "color k") <= self.n:
-            raise ParameterError(f"color {k} out of range for n={self.n}")
-        return self.base_index[k - 1]
+        """``base_index[k - 1]``, for a color k checked by ``check_color``."""
+        return self.base_index[check_color(k, self.n) - 1]
 
     def base_nodes(self, k: int) -> tuple:
         """Nodes of the base subgraph G^k in canonical order."""
         return tuple(self.nodes[p] for p in self.base_positions(k))
 
     def multinode(self, i: int, j: int) -> Multinode:
-        # checked before the lookup, where True and 1.0 would hash like 1
+        # the one multinode check: before the lookup, where True and 1.0 would hash like 1
         check_integer(i, "multinode level i")
         check_integer(j, "multinode position j")
         try:
@@ -115,10 +123,10 @@ class SupportingGraph:
             raise ParameterError(f"no multinode V_{i}({j}) for n={self.n}") from None
 
     def top(self, k: int) -> NodeRef:
-        return NodeRef(k, 1, 1)
+        return NodeRef(check_color(k, self.n), 1, 1)
 
     def bottom(self, k: int) -> NodeRef:
-        return NodeRef(k, self.n, self.n - k + 1)
+        return NodeRef(check_color(k, self.n), self.n, self.n - k + 1)
 
     def edges(self) -> Iterator[tuple]:
         """All edges (u, v) of G, canonically ordered by tail then NE before SE."""
@@ -136,6 +144,14 @@ def check_color_count(n) -> int:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParameterError(f"number of colors must be a positive integer, got {n!r}")
     return n
+
+
+def check_color(k, n: int) -> int:
+    """``k`` when it is an int in 1..n, else a ParameterError: True and 1.0
+    would read color 1, and 0 would read color n from the end of a table."""
+    if not 1 <= check_integer(k, "color k") <= n:
+        raise ParameterError(f"color {k} out of range for n={n}")
+    return k
 
 
 def build_supporting_graph(n: int) -> SupportingGraph:

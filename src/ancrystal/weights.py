@@ -102,18 +102,12 @@ class WeightFunction:
         return f"WeightFunction(graph={self.graph!r}, bounds={self.bounds!r}, values={self.values!r})"
 
     def value(self, v: NodeRef) -> int:
-        return self.values[self._position(v)]
+        return self.values[self.graph.position(v)]
 
     def replace(self, v: NodeRef, new_value: int) -> "WeightFunction":
         vals = list(self.values)
-        vals[self._position(v)] = check_integer(new_value, f"the value at {v}")
+        vals[self.graph.position(v)] = check_integer(new_value, f"the value at {v}")
         return WeightFunction(self.graph, self.bounds, tuple(vals))
-
-    def _position(self, v: NodeRef) -> int:
-        try:
-            return self.graph.index[v]
-        except KeyError:
-            raise ParameterError(f"{v} is not a node of G for n={self.graph.n}") from None
 
     def subgraph_values(self, k: int) -> tuple:
         values = self.values
@@ -132,7 +126,7 @@ class WeightFunction:
             "n": self.graph.n,
             "c": list(self.bounds.c),
             "d": list(self.bounds.d),
-            "values": [[v.k, v.i, v.j, self.value(v)] for v in self.graph.nodes],
+            "values": [[v.k, v.i, v.j, x] for v, x in zip(self.graph.nodes, self.values)],
         }
 
     @staticmethod
@@ -206,13 +200,12 @@ def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
     last one going backward."""
     g = f.graph
     if i.__class__ is not int or j.__class__ is not int:
-        # checked before the lookup, where True and 1.0 would hash like 1
-        check_integer(i, "multinode level i")
-        check_integer(j, "multinode position j")
+        g.multinode(i, j)  # checked before the lookup, where True and 1.0 would hash like 1
     try:
         switch_range = g.switch_ranges[i, j]
     except KeyError:
-        raise ParameterError(f"no multinode V_{i}({j}) for n={g.n}") from None
+        g.multinode(i, j)  # raises: there is no V_i(j)
+        raise
     lo, end = switch_range(f.values)
     if lo >= end:
         raise InfeasibleError(f"no switch-node in V_{i}({j}); function is not feasible")

@@ -78,3 +78,13 @@ def test_an_analyze_builds_no_subgraph(monkeypatch, tmp_path):
     argv = ["analyze", "--n", "2", "--c", "2,3", "--out", str(tmp_path / "report.json")]
     calls = traced_calls(monkeypatch, argv, ("crystal.subgraph", "crystal.measured_strings"))
     assert calls == {"crystal.subgraph": 0, "crystal.measured_strings": 0}
+
+
+def test_a_build_after_an_unwrapped_main_still_opens_cli_build(monkeypatch):
+    # the parser is built once per process: it must not bind the command
+    # handler that the first call saw, or the wrapped one would go unused
+    from ancrystal import cli
+
+    argv = ["build", "--n", "2", "--c", "1,0"]
+    assert cli.main(argv) == 0
+    assert traced_calls(monkeypatch, argv, ("cli.build",)) == {"cli.build": 1}

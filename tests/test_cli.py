@@ -127,6 +127,21 @@ def test_build_rejects_bad_bounds(capsys):
     assert "expected a comma-separated integer list, got '1,x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ","])
+def test_an_empty_field_in_an_integer_list_is_refused(capsys, text):
+    # "1,,2" and "1,2," once dropped the empty field and built K(2; 1,2)
+    for flag, args in (("--c", ["--c", text]), ("--d", ["--c", "1,2", f"--d={text}"])):
+        with pytest.raises(SystemExit) as e:
+            main(["build", "--n", "2", *args])
+        assert e.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a comma-separated integer list, got {text!r}" in err
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_build_cap_exit_code(capsys):
     code, _, err = run(capsys, "build", "--n", "2", "--c", "1,2", "--cap", "5")
     assert code == EXIT_CAP and "error:" in err
@@ -429,7 +444,7 @@ def test_gt_count_names_the_bad_bounds(capsys):
     assert "(1, -1)" in err and "(0, 1)" not in err
     code, _, err = run(capsys, "gt", "--count", "--n", "3", "--c", "1,2")
     assert code == EXIT_USAGE and "(1, 2)" in err
-    code, _, err = run(capsys, "gt", "--count", "--n", "0", "--c", ",")
+    code, _, err = run(capsys, "gt", "--count", "--n", "0", "--c", "1")
     assert code == EXIT_USAGE and "--n 0" in err
 
 

@@ -709,6 +709,27 @@ def test_columns_match_a_reference_closure(params):
     assert dual(dual(K)) == K
 
 
+dual_bounds = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2 if n <= 3 else 1), min_size=n, max_size=n),
+    )
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dual_bounds)
+def test_the_dual_is_the_reversed_crystal_and_the_crystal_with_colors_reversed(params):
+    # dual(B(lambda)) is B(-w0 lambda); reversing the colors is the
+    # Schutzenberger-Lusztig involution, which maps B(lambda) onto its dual
+    n, d, width = params
+    K = generate(n, tuple(dk + wk for dk, wk in zip(d, width)), d)
+    D = dual(K)
+    assert isomorphic(D, generate(n, width[::-1]))
+    assert isomorphic(D, K, color_map={i: n + 1 - i for i in range(1, n + 1)})
+
+
 def test_generate_keeps_at_most_150_bytes_per_vertex():
     gc.collect()
     tracemalloc.start()

@@ -333,7 +333,7 @@ def test_a_color_outside_1_to_n_is_a_parameter_error(i):
     ]
     for call in calls:
         level_slacks(f, 1)  # a scan just before must not let i through
-        with pytest.raises(ParameterError, match=f"i={i} out of range for n=3"):
+        with pytest.raises(ParameterError, match=f"^color {i} out of range for n=3$"):
             call()
 
 

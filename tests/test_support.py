@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -10,8 +11,15 @@ from ancrystal import (
     NodeRef,
     ParameterError,
     WeightFunction,
+    base_crystal,
     build_supporting_graph,
+    canonical_string,
+    fundamental_strings,
+    level_slacks,
+    principal_function,
     slack_dicts,
+    string_lengths,
+    zero_bounds,
 )
 from ancrystal import support
 from conftest import allowed_switch_members
@@ -269,3 +277,75 @@ def test_compiling_the_kernels_does_not_spike_memory():
         tracemalloc.stop()
     assert g.n == 12
     assert peak - before <= 4 * (retained - before)
+
+
+@pytest.mark.parametrize(
+    "v", [(1.0, 1, 1), NodeRef(True, True, True), (True, 1, 1), NodeRef(1, 1.0, 1), (1, 1, 1.5)]
+)
+def test_a_coordinate_that_is_not_an_int_names_no_node(v):
+    # each hashes like (1, 1, 1), so an index lookup alone read or wrote that node
+    g = build_supporting_graph(2)
+    f = principal_function(g, (0, 0), zero_bounds((1, 2)))
+    message = rf"^{re.escape(repr(v))} is not a node of G for n=2$"
+    for call in (g.position, f.value, lambda v: f.replace(v, 0)):
+        with pytest.raises(ParameterError, match=message):
+            call(v)
+    assert not g.is_node(v)
+
+
+@pytest.mark.parametrize("v", [[1, 1, 1], (1, 1), (1, 1, 1, 1), NodeRef(1.5, 1, 1), "111", None])
+def test_only_a_tuple_of_three_ints_is_a_node(v):
+    g = build_supporting_graph(2)
+    assert not g.is_node(v)
+    with pytest.raises(ParameterError, match="is not a node of G for n=2$"):
+        g.position(v)
+
+
+def test_a_node_given_as_a_plain_tuple_is_found():
+    g = build_supporting_graph(3)
+    for p, v in enumerate(g.nodes):
+        assert g.is_node(v) and g.is_node(tuple(v))
+        assert g.position(v) == g.position(tuple(v)) == p
+
+
+def color_callers(n, k):
+    """Every generator-side call that takes a color k of n."""
+    g = build_supporting_graph(n)
+    f = principal_function(g, (0,) * n, zero_bounds((1,) * n))
+    return [
+        lambda: support.check_color(k, n),
+        lambda: g.base_positions(k),
+        lambda: g.base_nodes(k),
+        lambda: g.top(k),
+        lambda: g.bottom(k),
+        lambda: f.subgraph_values(k),
+        lambda: level_slacks(f, k),
+        lambda: slack_dicts(f, k),
+        lambda: string_lengths(f, k),
+        lambda: canonical_string(n, k),
+        lambda: fundamental_strings(n, k),
+        lambda: base_crystal(n, k, 1),
+    ]
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_every_color_check_words_its_range_alike(k):
+    for call in color_callers(3, k):
+        with pytest.raises(ParameterError, match=rf"^color {k} out of range for n=3$"):
+            call()
+
+
+@pytest.mark.parametrize("k", [True, False, 1.0, "1", None])
+def test_every_color_check_refuses_a_color_that_is_not_an_int(k):
+    message = rf"^the caller gives color k the non-integer value {re.escape(repr(k))}$"
+    for call in color_callers(3, k):
+        with pytest.raises(ParameterError, match=message):
+            call()
+
+
+def test_top_and_bottom_of_each_base_subgraph():
+    g = build_supporting_graph(3)
+    for k in range(1, 4):
+        nodes = g.base_nodes(k)
+        assert g.top(k) == NodeRef(k, 1, 1) and g.bottom(k) == NodeRef(k, 3, 4 - k)
+        assert {g.top(k), g.bottom(k)} <= set(nodes)
