@@ -92,11 +92,13 @@ def to_gt(f: WeightFunction) -> GTPattern:
         raise InfeasibleError("the pattern bijection requires zero lower bounds")
     g = f.graph
     c = f.bounds.c
+    values, index, multinodes = f.values, g.index, g.multinodes
     rows = []
     for i in range(1, g.n + 1):
         row = []
         for j in range(1, i + 1):
-            bar = sum(f.value(v) for v in g.multinode(i, j).members)
+            # the members are the graph's own nodes, so a plain index lookup is safe
+            bar = sum(values[index[v]] for v in multinodes[i, j].members)
             row.append(bar + _prefix(c, i - j))
         rows.append(tuple(row))
     return GTPattern(tuple(rows))

@@ -19,14 +19,19 @@ def level_slacks(f: WeightFunction, i: int) -> list:
     A and the backward one the least j >= 1 with A(j) > max_{q>j} A(q), that
     is the last argmax of A(1..i+1); either is taken only when 1 <= j <= i.
 
-    ``f.scan`` keeps ``(i, prefix)`` of the last scan, which stays valid
-    because a function never changes; the pair is immutable and stored as one
-    attribute, so threads that share f read a whole pair.  The slot is read
-    only when it holds this very object ``i`` (``is``, not ``==``): a color is
-    stored only after it passed the check, so True or 1.0 never reads a
-    stored scan, and an equal int that is another object just scans again.
-    ``generate`` passes the same int to ``string_lengths`` and then
-    ``forward_move``, so each (vertex, color) runs one scan.
+    ``f.scan`` keeps ``(i, prefix, h, j)`` of the last scan, with ``h = max
+    A`` and ``j`` its first argmax as the compiled scan found them.  It stays
+    valid because a function never changes; the tuple is immutable and stored
+    as one attribute, so threads that share f read a whole entry.  The slot
+    is read only when it holds this very object ``i`` (``is``, not ``==``): a
+    color is stored only after it passed the check, so True or 1.0 never
+    reads a stored scan, and an equal int that is another object just scans
+    again.  ``generate`` passes the same int to ``string_lengths`` and then
+    ``forward_move``, so each (vertex, color) runs one scan.  ``string_lengths``
+    reads h and ``active_multinode(f, i, FORWARD)`` reads j from the slot
+    when it holds their ``i`` after their call, and search the prefix they
+    got otherwise (another thread or a wrapper of ``level_slacks`` may have
+    left another entry, or none).
     """
     last = f.scan
     if last is not None and last[0] is i:
@@ -35,8 +40,8 @@ def level_slacks(f: WeightFunction, i: int) -> list:
     if i.__class__ is not int or not 1 <= i <= g.n:
         check_color(i, g.n)  # raises, or passes an int subclass in range
     b = f.bounds
-    prefix = g.level_scans[i - 1](f.values, b.c, b.d)
-    f.scan = (i, tuple(prefix))
+    prefix, h, j = g.level_scans[i - 1](f.values, b.c, b.d)
+    f.scan = (i, tuple(prefix), h, j)
     return prefix
 
 
@@ -117,7 +122,8 @@ def active_multinode(f: WeightFunction, i: int, direction: str) -> Optional[Tupl
     """
     prefix = level_slacks(f, i)
     if direction == FORWARD:
-        j = prefix.index(max(prefix))
+        last = f.scan  # the first argmax the scan found, if the slot holds this color
+        j = last[3] if last is not None and last[0] is i else prefix.index(max(prefix))
     elif direction == BACKWARD:
         tail = prefix[:0:-1]  # A(i+1), ..., A(1)
         j = i + 1 - tail.index(max(tail))
@@ -152,5 +158,6 @@ def backward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
 def string_lengths(f: WeightFunction, i: int) -> Tuple[int, int]:
     """(h_i, t_i): how many consecutive forward / backward i-moves apply at f."""
     prefix = level_slacks(f, i)
-    h = max(prefix)
+    last = f.scan  # the h the scan found, if the slot holds this color
+    h = last[2] if last is not None and last[0] is i else max(prefix)
     return h, h - prefix[-1]

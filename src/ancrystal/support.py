@@ -61,9 +61,11 @@ class SupportingGraph:
     Three kernels are generated as loop-free functions of a canonical-order
     value sequence ``v``:
 
-    - ``level_scans[i - 1](v, c, d)`` returns the new list ``[A(0), ...,
-      A(i+1)]`` of level ``i``: A(0) = 0 and A(j) = A(j-1) + eps(j) -
-      delta(j-1), the prefix sums of the slack sums (see ``_level_steps``);
+    - ``level_scans[i - 1](v, c, d)`` returns ``(prefix, h, j)`` of level
+      ``i``: ``prefix`` is the new list ``[A(0), ..., A(i+1)]`` with A(0) = 0
+      and A(j) = A(j-1) + eps(j) - delta(j-1), the prefix sums of the slack
+      sums (see ``_level_steps``); ``h = max A`` and ``j`` is the first
+      argmax of A, both found by a chain of strict compares;
     - ``switch_ranges[(i, j)](v)`` returns ``(lo, end)``: the members of
       V_i(j) allowed as its switch node are exactly ``range(lo, end)``, as a
       member is allowed iff every member before it is SE-tight and every
@@ -264,7 +266,10 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
             terms = prev + [f"{x(plus)} - {x(minus)}" for plus, minus in step]
             lines.append(f"    a{j} = {' + '.join(terms) or '0'}")
             prev = [f"a{j}"]
-        lines.append(f"    return [0, {', '.join(f'a{j}' for j in range(1, i + 2))}]")
+        # h = max A and j its first argmax: strict compares keep the first
+        lines.append("    h = j = 0")
+        lines += [f"    if a{j} > h: h = a{j}; j = {j}" for j in range(1, i + 2)]
+        lines.append(f"    return [0, {', '.join(f'a{j}' for j in range(1, i + 2))}], h, j")
         level_scans.append(_compiled(lines, n))
     # A switch chain depends only on the member count, so there is one factory
     # per count, and each multinode's function closes over its own

@@ -74,9 +74,10 @@ class WeightFunction:
     per accepted move, and a frozen dataclass's ``__init__`` costs about three
     times this one.  Equality and the hash follow the three fields.
 
-    ``scan`` is ``(i, prefix)`` of the last ``level_slacks(f, i)``, or None:
-    a cache that only ``level_slacks`` reads or writes, and that equality,
-    the hash and the repr ignore.
+    ``scan`` is ``(i, prefix, h, j)`` of the last ``level_slacks(f, i)``, or
+    None: a cache that only ``level_slacks`` writes, that it and the forward
+    readers ``string_lengths`` and ``active_multinode`` read, and that
+    equality, the hash and the repr ignore.
     """
 
     __slots__ = ("graph", "bounds", "values", "scan")

@@ -81,6 +81,24 @@ def test_round_trip_and_exact_image(n, c, crystals):
     assert len(images) == K.num_vertices == count_bounded_patterns(n, sigma_bound(c))
 
 
+def test_to_gt_sums_each_multinode_of_every_function_of_k4():
+    """x_{i,j} is the sum of f over the nodes v_i^k(j), through the checked
+    f.value, plus c_1 + ... + c_{i-j}, on all 1 024 functions of K(4; 1^4)."""
+    c = (1, 1, 1, 1)
+    K = generate(4, c)
+    g = build_supporting_graph(4)
+    assert K.num_vertices == 1024
+    for f in map(K.function, K.vertex_ids()):
+        rows = tuple(
+            tuple(
+                sum(f.value(v) for v in g.nodes if (v.i, v.j) == (i, j)) + sum(c[: i - j])
+                for j in range(1, i + 1)
+            )
+            for i in range(1, 5)
+        )
+        assert to_gt(f).rows == rows
+
+
 def test_count_examples():
     assert count_bounded_patterns(1, (2,)) == 3
     assert count_bounded_patterns(2, (3, 1)) == 15

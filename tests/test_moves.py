@@ -319,6 +319,80 @@ def test_compiled_moves_match_the_slack_dicts(params, rng):
             assert switch_node(f, mn.i, mn.j, BACKWARD) == mn.members[allowed[-1]]
 
 
+# Random K(c, d) with n <= 5, lower bounds in [-2, 2] with one set below
+# zero, and c - d a sum of at most 3 unit vectors (2 for n = 5), so that
+# every vertex stays cheap to check.
+def negatively_shifted(n):
+    def crystal(d, low, units):
+        d[low[0]] = low[1]
+        width = [units.count(k) for k in range(n)]
+        return n, d, width
+
+    return st.builds(
+        crystal,
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.tuples(st.integers(0, n - 1), st.integers(-2, -1)),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3 if n < 5 else 2),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(negatively_shifted))
+def test_the_scanned_peak_agrees_with_the_slack_dicts(params):
+    """h, which string_lengths reads from the scan, and the forward multinode,
+    which active_multinode reads from its first argmax, agree with the closed
+    form of slack_dicts at every vertex and color of K(c, d) with a negative
+    lower bound."""
+    n, d, width = params
+    c = tuple(dk + wk for dk, wk in zip(d, width))
+    K = generate(n, c, d)
+    for f in map(K.function, K.vertex_ids()):
+        for i in range(1, n + 1):
+            _, _, eps_res, delta_res = slack_dicts(f, i)
+            assert string_lengths(f, i) == (sum(eps_res.values()), sum(delta_res.values()))
+            assert active_multinode(f, i, FORWARD) == sandwich_rule(eps_res, delta_res, i, FORWARD)
+
+
+@pytest.mark.parametrize("stale", ["none", "other color"])
+@pytest.mark.parametrize("n, c, d", [(2, (2, 3), None), (3, (2, 1, 2), (1, 0, -1))])
+def test_a_stale_scan_slot_falls_back_to_the_prefix(n, c, d, stale, monkeypatch):
+    """A wrapper of level_slacks that leaves f.scan empty, or holding another
+    color's entry, after the real call does not change what string_lengths,
+    active_multinode and forward_move return."""
+    K = generate(n, c, d)
+    expected = {}
+    for v in K.vertex_ids():
+        f = K.function(v)
+        for i in range(1, n + 1):
+            prefix = prefix_from_dicts(f, i)
+            h = max(prefix)
+            j = prefix.index(h)
+            active = (i, j) if 1 <= j <= i else None
+            moved = None
+            if active:
+                node = switch_node(f, i, j, FORWARD)
+                moved = f.replace(node, f.value(node) + 1)
+            expected[v, i] = ((h, h - prefix[-1]), active, moved)
+    real = moves.level_slacks
+    misleading = []  # per call: would the other color's (h, j) give a wrong answer
+
+    def leave_a_stale_slot(f, i):
+        prefix = real(f, i)
+        if stale == "none":
+            f.scan = None
+        else:
+            real(f, i % n + 1)  # scans, and stores, the next color
+            misleading.append(f.scan[2:] != (max(prefix), prefix.index(max(prefix))))
+        return prefix
+
+    monkeypatch.setattr(moves, "level_slacks", leave_a_stale_slot)
+    for (v, i), (lengths, active, moved) in expected.items():
+        assert string_lengths(K.function(v), i) == lengths
+        assert active_multinode(K.function(v), i, FORWARD) == active
+        assert forward_move(K.function(v), i) == moved
+    assert any(misleading) or stale == "none"
+
+
 @pytest.mark.parametrize("i", [0, -1, 4])
 def test_a_color_outside_1_to_n_is_a_parameter_error(i):
     f = source_function(3, (1, 1, 1))

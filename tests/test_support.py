@@ -239,7 +239,8 @@ def value_vectors(n):
 def test_compiled_kernels_match_their_plain_restatements(params):
     """The generated level scans, switch ranges and constants agree with the
     slack dicts, the member-by-member switch rule and a per-subgraph set of
-    values, on any integer vector, feasible or not."""
+    values, on any integer vector, feasible or not; a scan's peak is the
+    max of its prefix and its first argmax."""
     n, values, bounds = params
     g = build_supporting_graph(n)
     values = tuple(values)
@@ -251,7 +252,9 @@ def test_compiled_kernels_match_their_plain_restatements(params):
         prefix = [0]
         for j in range(1, i + 2):
             prefix.append(prefix[-1] + eps[j] - delta[j - 1])
-        assert g.level_scans[i - 1](values, c, d) == prefix
+        scanned, h, j = g.level_scans[i - 1](values, c, d)
+        assert scanned == prefix
+        assert h == max(prefix) and j == prefix.index(h)
     value = dict(zip(g.nodes, values)).__getitem__
     for key, mn in g.multinodes.items():
         lo, end = g.switch_ranges[key](values)
