@@ -11,8 +11,8 @@ from array import array
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
-from operator import add, is_, itemgetter, sub
-from typing import List, Optional
+from operator import add, is_, sub
+from typing import Iterable, List, Optional
 
 from .errors import CapExceededError, GraphFormatError, ParameterError, check_cap
 
@@ -95,10 +95,12 @@ class ColoredDigraph:
     edge order, to ``more_out[c][k]`` and ``more_in[c][k]``, which stay empty
     exactly when A1's degree conditions hold.  Only the colors with an edge
     are keys of these dicts and of ``lines``; ``line(c)`` reads any color.
+    ``edges`` may be any iterable, a one-shot generator too: it is read once,
+    and a color's tables are made when its first edge arrives.
     """
 
     vertices: tuple
-    edges: InitVar[tuple]  # (tail, head, color) triples, possibly with repeats; not kept
+    edges: InitVar[Iterable]  # (tail, head, color) triples, possibly with repeats; read once, not kept
     n: int
     index: dict = field(init=False, repr=False)  # vertex -> position in ``vertices``
     nxt: dict = field(init=False, repr=False)  # color -> [first head position]
@@ -117,7 +119,6 @@ class ColoredDigraph:
         except TypeError:
             order = sorted(self.vertices, key=str)
         self.vertices = tuple(order)
-        edges = tuple(edges)
         self.index = index = {v: k for k, v in enumerate(self.vertices)}
         if len(index) != len(order):
             seen = set()
@@ -126,15 +127,15 @@ class ColoredDigraph:
                     raise GraphFormatError(f"vertex {v} is listed twice")
                 seen.add(v)
         size = len(order)
-        colors = self.edge_colors = tuple(sorted(
-            c for c in set(map(itemgetter(2), edges)) if type(c) is int and 0 < c <= self.n
-        ))
-        self.nxt = nxt = {c: [None] * size for c in colors}
-        self.prv = prv = {c: [None] * size for c in colors}
-        self.more_out = more_out = {c: {} for c in colors}
-        self.more_in = {c: {} for c in colors}
+        self.nxt = nxt = {}
+        self.prv = prv = {}
+        self.more_out = more_out = {}
+        self.more_in = more_in = {}
         for (u, v, c) in edges:
             a, b, heads = index.get(u), index.get(v), nxt.get(c)
+            if heads is None and type(c) is int and 0 < c <= self.n:  # the first edge of color c
+                heads = nxt[c] = [None] * size
+                prv[c], more_out[c], more_in[c] = [None] * size, {}, {}
             # 1.0 and True would read color 1's table
             if a is None or b is None or heads is None or type(c) is not int:
                 raise GraphFormatError(f"edge ({u}, {v}, {c}) references unknown vertex or color")
@@ -146,7 +147,8 @@ class ColoredDigraph:
             if tails[b] is None:
                 tails[b] = a
             else:
-                self.more_in[c].setdefault(b, []).append(a)
+                more_in[c].setdefault(b, []).append(a)
+        self.edge_colors = tuple(sorted(nxt))
 
     @cached_property
     def lines(self) -> dict:
@@ -279,10 +281,9 @@ def from_edge_list_text(text: str, cap: Optional[int] = None) -> ColoredDigraph:
     vertices = {}
     intern = vertices.setdefault
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise GraphFormatError(f"line {ln}: expected 'tail head color', got {raw!r}")
         try:
@@ -295,7 +296,7 @@ def from_edge_list_text(text: str, cap: Optional[int] = None) -> ColoredDigraph:
     _check_size(vertices, cap)
     # ColoredDigraph puts the vertices in canonical order
     n = max((c for (_, _, c) in edges), default=1)
-    return ColoredDigraph(tuple(vertices), tuple(edges), n)
+    return ColoredDigraph(vertices, edges, n)
 
 
 def from_crystal_json(data: dict, cap: Optional[int] = None) -> ColoredDigraph:

@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import cache
 
@@ -92,7 +93,17 @@ def _write(path, chunks):
             fh.writelines(chunks)
 
 
+def _check_out(path):
+    """Before any work, the OSError that writing ``path`` would meet when it
+    is empty, names a directory or lies in none (None: stdout)."""
+    if path is not None and (
+        not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")
+    ):
+        open(path, "w").close()  # raises, and creates or truncates nothing
+
+
 def cmd_build(args) -> int:
+    _check_out(args.out)
     K = generate(args.n, args.c, args.d, args.cap)
     d = K.bounds.d
     length = sum(
@@ -135,10 +146,7 @@ def _load_graph(args):
     if args.n is None or args.c is None:
         raise ParameterError("verify needs either --in or --n/--c")
     K = generate(args.n, args.c, args.d, args.cap)
-    # an array read boxes a new int each time: keep one int object per id
-    ids = tuple(K.vertex_ids())
-    edges = tuple((ids[u], ids[v], c) for (u, v, c) in K.edges())
-    return axioms.ColoredDigraph(ids, edges, K.n)
+    return axioms.ColoredDigraph(K.vertex_ids(), K.edges(), K.n)
 
 
 def cmd_verify(args) -> int:
@@ -150,6 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_out(args.out)
     K = generate(args.n, args.c, args.d, args.cap)
     lattice = principal_lattice(K)
     skel = skeleton(K)

@@ -303,6 +303,16 @@ def test_a4_strict_mode_checks_the_inverse_relation(crystals):
     assert check_A4(g).ok and check_A4(g, strict=True).ok
 
 
+def test_a4_chain_that_stops_before_its_last_step_fails_the_verma_relation():
+    # two 2-edges into 3 (A1 fails): the 2-walk from 5 stops at once, so
+    # h_2(5) = 0 and the 1-edge 5 -> 6 onto the one-edge 2-line 6 -> 7 is
+    # 1-labeled; 5 -2-> 3 onto the 1-line 3 -> 8 -> 9 is 1-labeled too.  The
+    # chain 5 -1-> 6 -2-> 7 then has no second 2-step
+    edges = ((0, 3, 2), (5, 3, 2), (5, 6, 1), (6, 7, 2), (3, 8, 1), (8, 9, 1))
+    g = ColoredDigraph((0, 3, 5, 6, 7, 8, 9), edges, 2)
+    assert str(check_A4(g)) == "A4: fail: Verma relation fails at 5 for colors 1,2"
+
+
 def test_a5_commutation_failure():
     # colors 1 and 3 must commute; drop one closing edge of a square
     g = ColoredDigraph(
@@ -359,6 +369,13 @@ def test_checks_that_need_a1_are_skipped_after_it_fails():
     assert not all_pass(verify_graph(g, fail_fast=False))
     fast = verify_graph(g)
     assert [v.check for v in fast] == ["connected", "A1"]
+
+
+def test_vertices_without_an_order_are_sorted_by_their_text():
+    # 10 < 9 < "x" as text: the graph is the line 10 -> 9 -> "x"
+    g = ColoredDigraph((9, "x", 10), ((10, 9, 1), (9, "x", 1)), 1)
+    assert g.vertices == (10, 9, "x")
+    assert all_pass(verify_graph(g, strict_a4=True, fail_fast=False))
 
 
 def test_verdict_string_form():

@@ -1,15 +1,17 @@
 """The checks that read the digraph's per-color position arrays (connected, A1,
 graded, no parallel edges, unique source and sink), and the line walk, against
 plain restatements over per-vertex dicts, depth tuples and lists, on random
-small multigraphs."""
+small multigraphs; and the digraph's one reading of its edges."""
 
 from collections import deque
+from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ancrystal import GraphFormatError
+from ancrystal import GraphFormatError, generate
 from ancrystal.axioms import (
     ColoredDigraph,
     Lines,
@@ -18,6 +20,7 @@ from ancrystal.axioms import (
     check_no_parallel_edges,
     check_nonempty_connected,
     check_unique_source_sink,
+    verify_graph,
 )
 
 
@@ -330,3 +333,89 @@ def test_label_tables_are_built_once():
     label, split = g.labels(2, 1)
     # the 2-line 1 -> 2 opens with one 0-label; 0 is a line of its own
     assert (label, list(split)) == (bytes([3, 0, 3]), [0, 1, 0])
+
+
+@cache
+def crystal_graph(n, c):
+    K = generate(n, c)
+    return tuple(K.vertex_ids()), tuple(K.edges())
+
+
+@st.composite
+def crystal_mutants(draw):
+    """A small generated crystal with one or two edges deleted or added, the
+    added ones with any ends and color, put anywhere."""
+    n, c = draw(st.sampled_from([(1, (3,)), (2, (1, 1)), (2, (1, 2)), (3, (1, 0, 1)), (3, (1, 1, 1))]))
+    vertices, edges = crystal_graph(n, c)
+    edges = list(edges)
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            del edges[draw(st.integers(0, len(edges) - 1))]
+        else:
+            edge = (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)), draw(st.integers(1, n)))
+            edges.insert(draw(st.integers(0, len(edges))), edge)
+    return n, vertices, edges
+
+
+graphs = st.one_of(multigraphs_with_repeats(), crystal_mutants())
+
+
+def one_shot(edges, pulled):
+    """The edges as a generator, which can be read only once; each edge it
+    hands out is appended to ``pulled``."""
+    for edge in edges:
+        pulled.append(edge)
+        yield edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs)
+@example((2, [], []))
+def test_edges_from_a_one_shot_generator_build_the_digraph_of_their_tuple(case):
+    n, vertices, edges = case
+    pulled = []
+    streamed = ColoredDigraph(tuple(vertices), one_shot(edges, pulled), n)
+    stored = ColoredDigraph(tuple(vertices), tuple(edges), n)
+    assert pulled == edges
+    for name in ("nxt", "prv", "more_out", "more_in", "edge_colors"):
+        assert getattr(streamed, name) == getattr(stored, name), name
+    for strict_a4, fail_fast in product((False, True), repeat=2):
+        assert [str(v) for v in verify_graph(streamed, strict_a4, fail_fast)] == [
+            str(v) for v in verify_graph(stored, strict_a4, fail_fast)
+        ]
+
+
+@st.composite
+def graphs_with_a_bad_edge(draw):
+    """A graph of ``graphs`` with one edge put anywhere that names an unknown
+    vertex, a color outside 1..n, or 1.0 or True for color 1; and its index."""
+    n, vertices, edges = draw(graphs)
+    u, v, c = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)), draw(st.integers(1, n))
+    kind = draw(st.sampled_from(["tail", "head", "color", 1.0, True]))
+    if kind == "tail":
+        u = max(vertices) + 1
+    elif kind == "head":
+        v = min(vertices) - 1
+    elif kind == "color":
+        c = draw(st.sampled_from([0, -1, n + 1]))
+    else:
+        c = kind
+    k = draw(st.integers(0, len(edges)))
+    return n, vertices, edges[:k] + [(u, v, c)] + edges[k:], k
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_a_bad_edge())
+# 1.0 and True before any edge of color 1, and after one
+@example((1, [0, 1], [(0, 1, 1.0), (0, 1, 1)], 0))
+@example((1, [0, 1], [(0, 1, 1), (1, 0, True)], 1))
+def test_a_bad_edge_is_refused_when_it_is_pulled(case):
+    n, vertices, edges, k = case
+    pulled = []
+    with pytest.raises(GraphFormatError) as streamed:
+        ColoredDigraph(tuple(vertices), one_shot(edges, pulled), n)
+    with pytest.raises(GraphFormatError) as stored:
+        ColoredDigraph(tuple(vertices), tuple(edges), n)
+    u, v, c = edges[k]
+    assert str(streamed.value) == str(stored.value) == f"edge ({u}, {v}, {c}) references unknown vertex or color"
+    assert pulled == edges[:k + 1]

@@ -142,6 +142,28 @@ def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+@pytest.mark.parametrize("command", ["build", "analyze"])
+@pytest.mark.parametrize("where, error", [
+    ("missing/k.json", "[Errno 2] No such file or directory"),
+    ("", "[Errno 21] Is a directory"),
+    ("k.json/k.json", "[Errno 20] Not a directory"),
+    (None, "[Errno 2] No such file or directory"),
+], ids=["missing-directory", "a-directory", "under-a-file", "empty"])
+def test_an_unwritable_out_is_refused_before_generation(capsys, tmp_path, monkeypatch, command, where, error):
+    (tmp_path / "k.json").write_text("kept")
+    out = "" if where is None else str(tmp_path / where)
+
+    def generate(*args):
+        raise AssertionError("generated before --out was checked")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(capsys, command, "--n", "2", "--c", "1,1", "--out", out)
+    assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {error}: {out!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    assert (tmp_path / "k.json").read_text() == "kept"
+
+
 def test_build_cap_exit_code(capsys):
     code, _, err = run(capsys, "build", "--n", "2", "--c", "1,2", "--cap", "5")
     assert code == EXIT_CAP and "error:" in err

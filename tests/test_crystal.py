@@ -137,6 +137,27 @@ def test_a_closure_short_of_the_weyl_dimension_is_a_model_error(monkeypatch):
         generate(2, (1, 2))
 
 
+@pytest.mark.parametrize("n,c,move,message", [
+    # 1 -1-> 2 becomes 1 -1-> 1: vertex 1 already has its 1-edge from 0
+    (1, (2,), (1, 1, 1), "vertex 1 received two incoming 1-edges"),
+    # 1 -1-> 0 closes a cycle, so no vertex is left without an incoming edge
+    (1, (1,), (1, 0, 1), "generation produced more than one zero-indegree vertex"),
+    # 2 -1-> 2 gives the last vertex of 0 -1-> 1 -2-> 2 an outgoing edge
+    (2, (1, 0), (2, 2, 1), "generation produced more than one zero-outdegree vertex"),
+])
+def test_a_closure_with_a_wrong_move_is_a_model_error(monkeypatch, n, c, move, message):
+    K = generate(n, c)
+    u, w, i = move
+    real = crystal.forward_move
+
+    def forward_move(f, color):
+        return K.function(w) if color == i and f.values == K.keys[u] else real(f, color)
+
+    monkeypatch.setattr(crystal, "forward_move", forward_move)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        generate(n, c)
+
+
 def test_an_oversized_crystal_fails_before_the_closure():
     start = time.perf_counter()
     with pytest.raises(CapExceededError, match="the crystal has 2737800 vertices"):

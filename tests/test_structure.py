@@ -30,6 +30,7 @@ from ancrystal import (
     upper_parameter,
     weyl_dimension,
 )
+from ancrystal import structure
 
 
 def lattice_size(c, d=None):
@@ -301,6 +302,24 @@ def test_principal_location_refuses_one_color(side, crystals):
 def test_principal_location_rejects_bad_tuples(a, message, side, crystals):
     with pytest.raises(ParameterError, match=re.escape(message)):
         principal_location(crystals(2, (1, 2)), a, side)
+
+
+@pytest.mark.parametrize("side", [UPPER, LOWER])
+@pytest.mark.parametrize("d, message", [
+    # a reference crystal one larger in every bound is not the subcrystal
+    (None, "{side} subcrystal at (0, 0) does not match its reference crystal"),
+    # the same graph, with every constant one larger, places the vertex one off
+    (1, "principal vertex (0, 0): located at (1,) in its {side} subcrystal, formula says (0,)"),
+])
+def test_principal_location_checks_its_reference_crystal(monkeypatch, crystals, side, d, message):
+    K = crystals(2, (1, 2))
+
+    def shifted(n, c):
+        return generate(n, [x + 1 for x in c], None if d is None else [d] * n)
+
+    monkeypatch.setattr(structure, "generate", shifted)
+    with pytest.raises(ModelError, match=f"^{re.escape(message.format(side=side))}$"):
+        principal_location(K, (0, 0), side)
 
 
 def without_edge(K, u, w, color):

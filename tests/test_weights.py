@@ -122,6 +122,16 @@ def test_a_multinode_outside_g_has_no_switch_node():
             switch_node(f, 3, 1, direction)
 
 
+def test_an_infeasible_function_has_no_switch_node():
+    # built directly, so unchecked: no member of V_1(1) meets the switch condition
+    g = build_supporting_graph(2)
+    f = WeightFunction(g, zero_bounds((1, 2)), (1, 0, 1, 0))
+    assert str(is_feasible(g, f, f.bounds).violation) == "switch violated at V_1(1)"
+    for direction in (FORWARD, BACKWARD):
+        with pytest.raises(InfeasibleError, match=r"^no switch-node in V_1\(1\); function is not feasible$"):
+            switch_node(f, 1, 1, direction)
+
+
 @pytest.mark.parametrize("direction", ["Forward", "up", None])
 def test_switch_node_rejects_an_unknown_direction(direction):
     f = principal_function(build_supporting_graph(2), (0, 0), zero_bounds((1, 2)))
