@@ -70,5 +70,11 @@ from .structure import (
     upper_parameter,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import types as _types
+
+# the names above, less the submodules that importing them binds
+__all__ = [
+    name for name in dir() if not name.startswith("_")
+    and not isinstance(globals()[name], _types.ModuleType)
+]
 __version__ = "0.1.0"

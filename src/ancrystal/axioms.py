@@ -108,8 +108,9 @@ class ColoredDigraph:
     more_out: dict = field(init=False, repr=False)  # color -> tail position -> [further heads]
     more_in: dict = field(init=False, repr=False)  # color -> head position -> [further tails]
     edge_colors: tuple = field(init=False, repr=False)  # the colors with an edge, ascending
-    _labels: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> labels()
-    _reversed: dict = field(init=False, repr=False, default_factory=dict)  # (i, j) -> _view(back=True)
+    # memos, which equality ignores: (i, j) -> labels() and (i, j) -> _view(back=True)
+    _labels: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _reversed: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, edges):
         if type(self.n) is not int or self.n < 1:  # a bool is an int, too

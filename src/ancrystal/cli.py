@@ -137,6 +137,8 @@ def _parse_json(path, text, error):
 
 def _load_graph(args):
     if args.infile is not None:
+        if (args.n, args.c, args.d) != (None, None, None):  # they would be ignored
+            raise ParameterError("verify takes either --in or --n/--c, not both")
         text = _read_text(args.infile, GraphFormatError)
         stripped = text.lstrip()
         if stripped.startswith("{"):

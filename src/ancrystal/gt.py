@@ -49,11 +49,9 @@ class GTPattern:
     def from_json(data) -> "GTPattern":
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ParameterError("pattern JSON must be a list of rows")
-        for i, row in enumerate(data, start=1):
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ParameterError(f"pattern row {i} has the non-integer entry {x!r}")
-        return GTPattern(tuple(tuple(r) for r in data))
+        return GTPattern(
+            tuple(integer_tuple(row, f"rows[{i}]", "pattern JSON") for i, row in enumerate(data))
+        )
 
 
 def sigma_bound(c) -> tuple:
@@ -81,11 +79,6 @@ def weyl_dimension(c, d=None) -> int:
     return num // den
 
 
-def _prefix(c, length: int) -> int:
-    # c[1:length] with the empty range (length <= 0) summing to 0
-    return sum(c[:length])
-
-
 def to_gt(f: WeightFunction) -> GTPattern:
     """Pattern with x_{i,j} = (sum of f over the multinode V_i(j)) + c_1+...+c_{i-j}."""
     if any(d != 0 for d in f.bounds.d):
@@ -99,7 +92,7 @@ def to_gt(f: WeightFunction) -> GTPattern:
         for j in range(1, i + 1):
             # the members are the graph's own nodes, so a plain index lookup is safe
             bar = sum(values[index[v]] for v in multinodes[i, j].members)
-            row.append(bar + _prefix(c, i - j))
+            row.append(bar + sum(c[:i - j]))
         rows.append(tuple(row))
     return GTPattern(tuple(rows))
 
@@ -121,7 +114,7 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
         raise InfeasibleError(f"pattern is not bounded by {sigma_bound(c)}")
     vals = {}
     for j in range(1, n + 1):
-        vals[NodeRef(n - j + 1, n, j)] = pattern.x(n, j) - _prefix(c, n - j)
+        vals[NodeRef(n - j + 1, n, j)] = pattern.x(n, j) - sum(c[:n - j])
     for i in range(n - 1, 0, -1):
         for j in range(1, i + 1):
             members = g.multinode(i, j).members
@@ -130,7 +123,7 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
             for m, v in enumerate(members):
                 maxes.append(c[v.k - 1] if m == 0 else vals[NodeRef(v.k, i + 1, j)])
                 mins.append(0 if m == len(members) - 1 else vals[NodeRef(v.k, i + 1, j + 1)])
-            target = pattern.x(i, j) - _prefix(c, i - j)
+            target = pattern.x(i, j) - sum(c[:i - j])
             surplus = sum(maxes) - target
             if surplus < 0 or surplus > sum(mx - mn for mx, mn in zip(maxes, mins)):
                 raise InfeasibleError(f"multinode V_{i}({j}) sum {target} is unreachable")

@@ -203,23 +203,21 @@ class SubcrystalRecord:
         return len(self.vertex_ids)
 
 
-def _side_colors(n: int, side: str) -> tuple:
-    """The colors a side keeps: UPPER drops color n, LOWER drops color 1."""
+def _side_colors(K: CrystalGraph, side: str) -> tuple:
+    """The colors a side keeps, UPPER dropping color n and LOWER color 1, each
+    checked by ``K.check_color``: a subgraph may lack some of them."""
     if side == UPPER:
-        return tuple(range(1, n))
-    if side == LOWER:
-        return tuple(range(2, n + 1))
-    raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
+        colors = range(1, K.n)
+    elif side == LOWER:
+        colors = range(2, K.n + 1)
+    else:
+        raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
+    return tuple(map(K.check_color, colors))
 
 
 def _side_columns(K: CrystalGraph, colors) -> list:
     """The id columns along which a component of the given colors spreads."""
     return [K.nxt[c] for c in colors] + [K.prv[c] for c in colors]
-
-
-def _component(K: CrystalGraph, start: int, colors) -> list:
-    """Sorted ids of the component of ``start`` along edges of the given colors."""
-    return sorted(_mark_reachable(start, _side_columns(K, colors), bytearray(K.num_vertices)))
 
 
 def _line_length(K: CrystalGraph, v: int, color: int) -> int:
@@ -253,7 +251,7 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     K(c, d) is K(c - d) shifted by d.
     """
     n = K.n
-    colors = _side_colors(n, side)
+    colors = _side_colors(K, side)
     g = K.graph
     ends = [g.index[g.bottom(k) if side == UPPER else g.top(k)] for k in range(1, n + 1)]
     parameter = upper_parameter if side == UPPER else lower_parameter
@@ -302,12 +300,12 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     if K.n < 2:
         raise ParameterError(f"principal_location needs n >= 2 colors, got n={K.n}")
     a = integer_tuple(a, "a")
-    colors = _side_colors(K.n, side)
+    colors = _side_colors(K, side)
     v = K.vertex_by_function(principal_function(K.graph, a, K.bounds))
     shifted = _minus(a, K.bounds.d)
     formula = shifted[1:] if side == UPPER else shifted[:-1]
     parameter = upper_parameter if side == UPPER else lower_parameter
-    comp = _component(K, v, colors)
+    comp = sorted(_mark_reachable(v, _side_columns(K, colors), bytearray(K.num_vertices)))
     ref = generate(K.n - 1, parameter(K.bounds.width, shifted))
     color_map = {col: p for p, col in enumerate(colors, start=1)}
     m = find_isomorphism(subgraph(K, comp, colors), ref, color_map)

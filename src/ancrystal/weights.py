@@ -135,7 +135,7 @@ class WeightFunction:
         try:
             g = build_supporting_graph(data["n"])
             c, d = tuple(data["c"]), tuple(data["d"])
-            entries = [((k, i, j), val) for k, i, j, val in data["values"]]
+            entries = [(NodeRef(k, i, j), val) for k, i, j, val in data["values"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParameterError(f"malformed weight-function JSON: {exc}") from exc
         source = "weight-function JSON"
@@ -143,23 +143,16 @@ class WeightFunction:
         if b.n != g.n:
             raise ParameterError(f"{source} has bound tuples of length {b.n}, expected n={g.n}")
         raw = {}
-        for coords, val in entries:
-            for x in coords:
-                # 1.0 or True would equal a coordinate and name a real node
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ParameterError(
-                        f"weight-function JSON names a node by the non-integer coordinate {x!r}"
-                    )
-            v = NodeRef(*coords)
-            if v not in g.index:
-                raise ParameterError(f"weight-function JSON names {v}, which is not a node of G")
+        for v, val in entries:
+            if not g.is_node(v):  # also refuses 1.0 and True, which would name a real node
+                raise ParameterError(f"{source} names {v}, which is not a node of G")
             if v in raw:
-                raise ParameterError(f"weight-function JSON gives {v} a value twice")
+                raise ParameterError(f"{source} gives {v} a value twice")
             check_integer(val, v, source)
             raw[v] = val
         for v in g.nodes:
             if v not in raw:
-                raise ParameterError(f"weight-function JSON has no value for {v}")
+                raise ParameterError(f"{source} has no value for {v}")
         return make_weight_function(g, raw, b)
 
 
@@ -188,8 +181,7 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
 
 def make_weight_function(g: SupportingGraph, f, b: Bounds) -> WeightFunction:
     """Build a WeightFunction from a NodeRef->int map, validating feasibility."""
-    vals = tuple(f[v] if not isinstance(f, WeightFunction) else f.value(v) for v in g.nodes)
-    wf = WeightFunction(g, b, vals)
+    wf = WeightFunction(g, b, tuple(f[v] for v in g.nodes))
     report = is_feasible(g, wf, b)
     if not report.ok:
         raise InfeasibleError(str(report.violation))

@@ -46,6 +46,15 @@ def test_generated_crystals_pass_the_whole_battery(n, c, crystals):
     assert len(verdicts) == 10
 
 
+def test_equality_ignores_the_memos(crystals):
+    # labels() and check_A3 fill _labels and _reversed on one digraph only
+    K = crystals(2, (1, 1))
+    g, h = digraph_of(K), digraph_of(K)
+    assert all_pass(verify_graph(g, strict_a4=True, fail_fast=False))
+    assert g._labels and g._reversed and not h._labels
+    assert g == h
+
+
 def test_edge_list_parser():
     g = from_edge_list_text("0 1 1\n# comment\n\n1 2 2\n")
     assert g.vertices == (0, 1, 2)

@@ -218,6 +218,17 @@ def test_verify_usage_errors(capsys, tmp_path):
     assert run(capsys, "verify", "--in", str(bad))[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("model", [["--n", "2", "--c", "1,1"], ["--n", "2"], ["--d", "0,0"]])
+def test_verify_takes_either_in_or_the_model(capsys, tmp_path, model):
+    # the file's verdicts, printed with --n/--c/--d ignored, would read as theirs
+    e = tmp_path / "k.edges"
+    e.write_text(generate(2, (1, 1)).to_edge_list_text())
+    assert run(capsys, "verify", "--in", str(e), *model) == (
+        EXIT_USAGE, "", "error: verify takes either --in or --n/--c, not both\n"
+    )
+    assert run(capsys, "verify", "--in", str(e), "--cap", "100")[0] == EXIT_OK
+
+
 def test_verify_reports_skipped_checks_and_fails(capsys, tmp_path):
     e = tmp_path / "fork.edges"
     e.write_text("0 1 1\n0 2 1\n")
@@ -529,9 +540,9 @@ def test_gt_conversion_round_trip(capsys, tmp_path):
          "gives NodeRef(k=1, i=1, j=1) the non-integer value 1.5"),
         # 1.0 and True equal the coordinates of real nodes
         (lambda data: data["values"][0].__setitem__(0, 1.0),
-         "names a node by the non-integer coordinate 1.0"),
+         "names NodeRef(k=1.0, i=1, j=1), which is not a node"),
         (lambda data: next(e for e in data["values"] if e[:3] == [2, 1, 1]).__setitem__(1, True),
-         "names a node by the non-integer coordinate True"),
+         "names NodeRef(k=2, i=True, j=1), which is not a node"),
         (lambda data: data.__setitem__("c", [1.5, 2]), "gives c[0] the non-integer value 1.5"),
         (lambda data: data.__setitem__("d", [0, False]), "gives d[1] the non-integer value False"),
         (lambda data: data.__setitem__("c", "12"), "gives c[0] the non-integer value '1'"),
@@ -628,7 +639,7 @@ def test_gt_rejects_a_non_integer_pattern_entry(capsys, tmp_path, text, entry):
         "--in", str(pat),
     )
     assert code == EXIT_USAGE
-    assert err == f"error: pattern row 2 has the non-integer entry {entry}\n"
+    assert err == f"error: pattern JSON gives rows[1][1] the non-integer value {entry}\n"
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -5,6 +5,7 @@ import json
 import re
 import time
 import tracemalloc
+import types
 from array import array
 from collections import deque
 
@@ -43,6 +44,14 @@ from ancrystal import crystal
 from ancrystal.crystal import json_text
 from ancrystal.axioms import all_pass, from_crystal_json, verify_graph
 from conftest import DESK_PARAMS
+
+
+def test_a_star_import_binds_no_module():
+    names = {}
+    exec("from ancrystal import *", names)
+    del names["__builtins__"]  # exec's own
+    assert "generate" in names
+    assert [k for k, v in names.items() if isinstance(v, types.ModuleType)] == []
 
 
 def test_generate_validates_parameters():

@@ -283,6 +283,17 @@ def test_subcrystals_reject_bad_side(crystals):
 
 
 @pytest.mark.parametrize("side", [UPPER, LOWER])
+def test_a_subgraph_without_a_side_color_is_refused_before_any_work(side, crystals):
+    K = crystals(3, (1, 1, 1))
+    S = subgraph(K, range(K.num_vertices), colors=(1, 3))
+    message = "color 2 is not one of the crystal's colors (1, 3)"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        subcrystals(S, side)
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        principal_location(S, (0, 0, 0), side)
+
+
+@pytest.mark.parametrize("side", [UPPER, LOWER])
 def test_principal_location_refuses_one_color(side, crystals):
     # its reference crystal would have 0 colors
     message = "principal_location needs n >= 2 colors, got n=1"
