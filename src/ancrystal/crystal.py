@@ -88,7 +88,11 @@ class CrystalGraph:
         return WeightFunction(self.graph, self.bounds, self.keys[self.check_vertex_id(v)])
 
     def vertex_by_function(self, f: WeightFunction) -> int:
-        return self.key_to_id[f.values]
+        """The id of the vertex keyed ``f.values``; a subgraph may lack it."""
+        try:
+            return self.key_to_id[f.values]
+        except KeyError:
+            raise ParameterError(f"no vertex of the crystal has the values {f.values}") from None
 
     @cached_property
     def key_to_id(self) -> dict:

@@ -330,18 +330,10 @@ def branching_multiplicity(c, q) -> int:
     n = len(c)
     if len(q) != n - 1:
         raise ParameterError(f"parameter tuple must have length {n - 1}, got {len(q)}")
-    count = 0
-    for an in range(0, c[n - 1] + 1):
-        a = [0] * n
-        a[n - 1] = an
-        # a_i is forced by q and a_n: a_i = (c_i+..+c_{n-1}) - (q_i+..+q_{n-1}) + a_n
-        ok = True
-        for i in range(n - 1):
-            ai = sum(c[i:n - 1]) - sum(q[i:n - 1]) + an
-            if not 0 <= ai <= c[i]:
-                ok = False
-                break
-            a[i] = ai
-        if ok:
-            count += 1
-    return count
+    # a_i = S_i - Q_i + a_n with S_i = c_i+..+c_{n-1} and Q_i = q_i+..+q_{n-1}
+    # is forced by q and a_n, and 0 <= a_i <= c_i bounds a_n to one interval
+    lo, hi = 0, c[n - 1]
+    for i in range(n - 1):
+        slack = sum(q[i:]) - sum(c[i:n - 1])  # Q_i - S_i
+        lo, hi = max(lo, slack), min(hi, c[i] + slack)
+    return max(0, hi - lo + 1)

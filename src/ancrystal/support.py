@@ -37,11 +37,19 @@ class NodeRef(NamedTuple):
 
 @dataclass(frozen=True)
 class Multinode:
-    """Multinode V_i(j): the nodes v_i^k(j) across base subgraphs, ordered by k."""
+    """Multinode V_i(j): the nodes v_i^k(j) across base subgraphs, ordered by k.
+
+    Its compiled switch test ``switch(v)``, on a canonical-order value sequence
+    ``v``, returns ``(lo, end)``: the members allowed as its switch node are
+    exactly ``members[lo:end]``, as a member is allowed iff every member before
+    it is SE-tight and every member after it is SW-tight.  So lo is the last
+    member that is not SW-tight (0 if none) and end - 1 the first that is not
+    SE-tight (the last member if none)."""
 
     i: int
     j: int
     members: tuple
+    switch: Callable = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -58,20 +66,14 @@ class SupportingGraph:
     extra node left of G^k to ``c_k`` and one right of G^k to ``d_k``.  Its keys
     are exactly the extended nodes.
 
-    Three kernels are generated as loop-free functions of a canonical-order
-    value sequence ``v``:
+    Besides the switch test of each record ``multinodes[(i, j)]``, two kernels
+    are generated as loop-free functions of a canonical-order value sequence ``v``:
 
     - ``level_scans[i - 1](v, c, d)`` returns ``(prefix, h, j)`` of level
       ``i``: ``prefix`` is the new list ``[A(0), ..., A(i+1)]`` with A(0) = 0
       and A(j) = A(j-1) + eps(j) - delta(j-1), the prefix sums of the slack
       sums (see ``_level_steps``); ``h = max A`` and ``j`` is the first
       argmax of A, both found by a chain of strict compares;
-    - ``switch_ranges[(i, j)](v)`` returns ``(lo, end)``: the members of
-      V_i(j) allowed as its switch node are exactly ``range(lo, end)``, as a
-      member is allowed iff every member before it is SE-tight and every
-      member after it is SW-tight.  So lo is the last member that is not
-      SW-tight (0 if none) and end - 1 the first that is not SE-tight (the
-      last member if none);
     - ``constants_of(v)`` returns, per color k, the value ``v`` takes on all
       of G^k (``base_index[k - 1]``), or None where it is not constant there.
 
@@ -86,7 +88,6 @@ class SupportingGraph:
     multinodes: Mapping = field(compare=False, repr=False)
     slot: Mapping = field(compare=False, repr=False)
     level_scans: tuple = field(compare=False, repr=False)
-    switch_ranges: Mapping = field(compare=False, repr=False)
     constants_of: Callable = field(compare=False, repr=False)
 
     def is_node(self, v) -> bool:
@@ -176,7 +177,7 @@ def _build(n: int) -> SupportingGraph:
     for p, v in enumerate(nodes):
         base_index[v.k - 1].append(p)
     base_index = tuple(map(tuple, base_index))
-    multinodes = {}
+    members_of = {}
     # The switch tests of V_i(j) as (se, sw), (member, neighbor) index pairs:
     # se compares members m = 0, 1, ..., last - 1 with their SE neighbors
     # v_{i+1}^k(j+1), sw members m = last, ..., 1 with their SW ones v_{i+1}^k(j).
@@ -184,10 +185,10 @@ def _build(n: int) -> SupportingGraph:
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             members = tuple(NodeRef(k, i, j) for k in range(i - j + 1, n - j + 2))
-            multinodes[(i, j)] = Multinode(i, j, members)
+            members_of[i, j] = members
             se = tuple((index[v], index[v.k, i + 1, j + 1]) for v in members[:-1])
             sw = tuple((index[v], index[v.k, i + 1, j]) for v in members[:0:-1])
-            switch_pairs[(i, j)] = (se, sw)
+            switch_pairs[i, j] = (se, sw)
     size = len(nodes)
     slot = {}
     for k in range(1, n + 1):
@@ -203,14 +204,14 @@ def _build(n: int) -> SupportingGraph:
                 else:
                     slot[v] = size + n + k - 1  # right of G^k: d_k
     level_steps = tuple(_level_steps(n, slot, i) for i in range(1, n + 1))
-    level_scans, switch_ranges, constants_of = _compile_kernels(
+    level_scans, switches, constants_of = _compile_kernels(
         n, size, level_steps, switch_pairs, base_index
     )
+    multinodes = {key: Multinode(*key, members, switches[key]) for key, members in members_of.items()}
     return SupportingGraph(
         n=n, nodes=tuple(nodes), index=MappingProxyType(index), base_index=base_index,
         multinodes=MappingProxyType(multinodes), slot=MappingProxyType(slot),
-        level_scans=level_scans, switch_ranges=MappingProxyType(switch_ranges),
-        constants_of=constants_of,
+        level_scans=level_scans, constants_of=constants_of,
     )
 
 
@@ -245,8 +246,8 @@ def _compiled(lines: list, n: int) -> Callable:
 
 
 def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -> tuple:
-    """``(level_scans, switch_ranges, constants_of)`` of a graph (see
-    ``SupportingGraph``), each kernel compiled from its own source.
+    """``(level_scans, switches, constants_of)`` of a graph (see ``Multinode``
+    and ``SupportingGraph``), each kernel compiled from its own source.
 
     A step has at most 2n - 2 pairs, and the ``or`` chains, comparison chains,
     unpackings and displays are flat, so a source grows with n but stays

@@ -172,10 +172,10 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
         for head in (NodeRef(v.k, v.i - 1, v.j), NodeRef(v.k, v.i + 1, v.j + 1)):
             if g.is_node(head) and x < values[g.index[head]]:
                 return FeasibilityReport(False, Violation("monotone", v.i, v.j, v.k))
-    for (i, j) in sorted(g.multinodes):
-        lo, end = g.switch_ranges[i, j](values)
+    for m in g.multinodes.values():  # built in (i, j) order
+        lo, end = m.switch(values)
         if lo >= end:
-            return FeasibilityReport(False, Violation("switch", i, j, None))
+            return FeasibilityReport(False, Violation("switch", m.i, m.j, None))
     return FeasibilityReport(True)
 
 
@@ -189,23 +189,23 @@ def make_weight_function(g: SupportingGraph, f, b: Bounds) -> WeightFunction:
 
 
 def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
-    """Switch-node of multinode V_i(j): first qualifying member going forward,
-    last one going backward."""
+    """Switch-node of multinode V_i(j), read off its one record: first
+    qualifying member going forward, last one going backward."""
     g = f.graph
     if i.__class__ is not int or j.__class__ is not int:
         g.multinode(i, j)  # checked before the lookup, where True and 1.0 would hash like 1
     try:
-        switch_range = g.switch_ranges[i, j]
+        m = g.multinodes[i, j]
     except KeyError:
         g.multinode(i, j)  # raises: there is no V_i(j)
         raise
-    lo, end = switch_range(f.values)
+    lo, end = m.switch(f.values)
     if lo >= end:
         raise InfeasibleError(f"no switch-node in V_{i}({j}); function is not feasible")
     if direction == FORWARD:
-        return g.multinodes[i, j].members[lo]
+        return m.members[lo]
     elif direction == BACKWARD:
-        return g.multinodes[i, j].members[end - 1]
+        return m.members[end - 1]
     else:
         raise ParameterError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
 

@@ -2,9 +2,10 @@ import dataclasses
 import itertools
 import re
 from array import array
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ancrystal import (
     LOWER,
@@ -293,6 +294,16 @@ def test_a_subgraph_without_a_side_color_is_refused_before_any_work(side, crysta
         principal_location(S, (0, 0, 0), side)
 
 
+def test_a_subgraph_without_the_principal_vertex_is_a_parameter_error(crystals):
+    # was a bare KeyError from the id lookup
+    K = subgraph(crystals(3, (1, 1, 1)), [0, 1, 2])
+    message = f"^no vertex of the crystal has the values {re.escape(str((1,) * 10))}$"
+    with pytest.raises(ParameterError, match=message):
+        principal_location(K, (1, 1, 1), UPPER)
+    with pytest.raises(ParameterError, match=message):
+        principal_interval(K, (0, 0, 0), (1, 1, 1))
+
+
 @pytest.mark.parametrize("side", [UPPER, LOWER])
 def test_principal_location_refuses_one_color(side, crystals):
     # its reference crystal would have 0 colors
@@ -471,18 +482,25 @@ def test_principal_locations(side, crystals):
         assert loc == expected
 
 
-def test_branching_multiplicities_count_the_parts(crystals):
-    for c in ((1, 1, 1), (2, 1, 0), (1, 2)):
-        K = crystals(len(c), c)
-        records = subcrystals(K, UPPER)
-        from collections import Counter
+@settings(max_examples=30, deadline=None)
+@given(
+    c=st.sampled_from([(2, 3), (3, 2), (4, 1)]).flatmap(
+        lambda n_top: st.tuples(*[st.integers(0, n_top[1])] * n_top[0])
+    )
+)
+@example(c=(1, 1, 1))
+@example(c=(2, 1, 0))
+@example(c=(1, 2))
+def test_branching_multiplicities_count_the_parts(c, crystals):
+    by_q = Counter(r.parameter for r in subcrystals(crystals(len(c), c), UPPER))
+    assert sum(by_q.values()) == lattice_size(c)
+    # every q with a part lies in [0, sum(c)]^(n-1); one past it on each side
+    # holds only absent parameters, which have multiplicity zero
+    for q in itertools.product(range(-1, sum(c) + 2), repeat=len(c) - 1):
+        assert branching_multiplicity(c, q) == by_q[q], (c, q)
 
-        by_q = Counter(r.parameter for r in records)
-        for q, count in by_q.items():
-            assert branching_multiplicity(c, q) == count, (c, q)
-        # parameters that occur in no record have multiplicity zero
-        assert branching_multiplicity(c, tuple(x + 5 for x in list(by_q)[0])) == 0
-        assert sum(by_q.values()) == lattice_size(c)
+
+def test_branching_multiplicity_refuses_malformed_tuples():
     with pytest.raises(ParameterError):
         branching_multiplicity((1, 1, 1), (0,))
     for c in [(), (1, -1)]:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import re
@@ -50,7 +51,7 @@ def test_every_caller_of_an_n_shares_one_graph(n):
     assert build_supporting_graph(n) is build_supporting_graph(n)
 
 
-@pytest.mark.parametrize("table", ["index", "multinodes", "slot", "switch_ranges"])
+@pytest.mark.parametrize("table", ["index", "multinodes", "slot"])
 def test_the_shared_tables_are_read_only(table):
     g = build_supporting_graph(2)
     mapping = getattr(g, table)
@@ -59,6 +60,14 @@ def test_the_shared_tables_are_read_only(table):
         mapping[key] = mapping[key]
     with pytest.raises(TypeError):
         del mapping[key]
+
+
+def test_a_shared_multinode_keeps_its_switch_test():
+    m = next(iter(build_supporting_graph(2).multinodes.values()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.switch = m.switch
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del m.switch
 
 
 @pytest.mark.parametrize("i, j", [(4, 4), (2, 3), (0, 0), (3, 1)])
@@ -237,7 +246,7 @@ def value_vectors(n):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(value_vectors))
 def test_compiled_kernels_match_their_plain_restatements(params):
-    """The generated level scans, switch ranges and constants agree with the
+    """The generated level scans, switch tests and constants agree with the
     slack dicts, the member-by-member switch rule and a per-subgraph set of
     values, on any integer vector, feasible or not; a scan's peak is the
     max of its prefix and its first argmax."""
@@ -257,7 +266,7 @@ def test_compiled_kernels_match_their_plain_restatements(params):
         assert h == max(prefix) and j == prefix.index(h)
     value = dict(zip(g.nodes, values)).__getitem__
     for key, mn in g.multinodes.items():
-        lo, end = g.switch_ranges[key](values)
+        lo, end = mn.switch(values)
         assert list(range(lo, end)) == allowed_switch_members(value, mn.members), key
     expected = []
     for k in range(1, n + 1):
