@@ -105,10 +105,8 @@ def _check_out(path):
 def cmd_build(args) -> int:
     _check_out(args.out)
     K = generate(args.n, args.c, args.d, args.cap)
-    d = K.bounds.d
-    length = sum(
-        (K.bounds.c[k] - d[k]) * (k + 1) * (K.n - k) for k in range(K.n)
-    )
+    # every move raises one node by one, from d_k to c_k on each node of G^k
+    length = sum(K.bounds.width[v.k - 1] for v in K.graph.nodes)
     principal = principal_lattice(K).size
     print(
         f"vertices={K.num_vertices} edges={K.num_edges} "

@@ -12,7 +12,9 @@ from itertools import compress, islice, repeat
 from operator import lt
 from typing import Iterator, Optional, Tuple
 
-from .errors import CapExceededError, ModelError, ParameterError, check_cap, check_integer
+from .errors import (
+    CapExceededError, ModelError, ParameterError, check_cap, check_integer, integer_tuple,
+)
 from .gt import weyl_dimension
 from .moves import forward_move, string_lengths
 from .support import SupportingGraph, build_supporting_graph, check_color_count
@@ -349,11 +351,11 @@ def generate(n: int, c, d=None, cap: int = DEFAULT_CAP) -> CrystalGraph:
     at that length, and a closure that finds more or fewer is a ModelError."""
     check_cap(cap)
     check_color_count(n)
-    c = tuple(c)
-    d = (0,) * n if d is None else tuple(d)
+    c = integer_tuple(c, "c")
+    d = (0,) * n if d is None else integer_tuple(d, "d")
     if len(c) != n or len(d) != n:
         raise ParameterError(f"bound tuples must have length n={n}")
-    b = Bounds(c, d)  # checks that every entry is an int
+    b = Bounds(c, d)
     size = weyl_dimension(b.c, b.d)
     if size > cap:
         raise CapExceededError(cap, size, "crystal")

@@ -18,8 +18,13 @@ def check_integer(x, what, source: str = "the caller") -> int:
 
 
 def integer_tuple(xs, name: str, source: str = "the caller") -> tuple:
-    """``tuple(xs)``, each entry checked by ``check_integer`` as ``name[p]``."""
-    xs = tuple(xs)
+    """``tuple(xs)``, each entry checked by ``check_integer`` as ``name[p]``;
+    an ``xs`` that is not iterable is a ParameterError too."""
+    try:
+        entries = iter(xs)
+    except TypeError:
+        raise ParameterError(f"{source} gives {name} the non-sequence value {xs!r}") from None
+    xs = tuple(entries)
     for p, x in enumerate(xs):
         check_integer(x, f"{name}[{p}]", source)
     return xs

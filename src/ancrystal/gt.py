@@ -68,8 +68,8 @@ def weyl_dimension(c, d=None) -> int:
     l = sigma_bound(c - d) + (0,), in O(n^2); ``count_bounded_patterns``
     enumerates the same number.
     """
-    c = tuple(c)
-    b = Bounds(c, (0,) * len(c) if d is None else tuple(d))
+    c = integer_tuple(c, "c")
+    b = Bounds(c, (0,) * len(c) if d is None else integer_tuple(d, "d"))
     lam = sigma_bound(b.width) + (0,)
     num = den = 1
     for q in range(len(lam)):

@@ -9,40 +9,36 @@ from .support import check_color
 from .weights import BACKWARD, FORWARD, WeightFunction, switch_node
 
 
-def level_slacks(f: WeightFunction, i: int) -> list:
-    """Prefix sums A(0), ..., A(i+1) of the level-i slack sums, as a new list.
+def level_slacks(f: WeightFunction, i: int) -> tuple:
+    """The level-i scan ``(prefix, h, j)``: the prefix sums A(0), ..., A(i+1)
+    of the level-i slack sums as a tuple, h = max A and j its first argmax.
 
     The compiled scan ``f.graph.level_scans[i - 1]`` gives A(0) = 0 and
     A(j) = A(j-1) + eps(j) - delta(j-1).  The residual slacks telescope over
-    them: the residual upper slacks sum to h = max A and the residual lower
-    slacks to t = h - A(i+1).  The forward multinode is the first argmax j of
-    A and the backward one the least j >= 1 with A(j) > max_{q>j} A(q), that
-    is the last argmax of A(1..i+1); either is taken only when 1 <= j <= i.
+    them: the residual upper slacks sum to h and the residual lower slacks to
+    t = h - A(i+1).  The forward multinode is j and the backward one the least
+    j >= 1 with A(j) > max_{q>j} A(q), that is the last argmax of A(1..i+1);
+    either is taken only when 1 <= j <= i.
 
-    ``f.scan`` keeps ``(i, prefix, h, j)`` of the last scan, with ``h = max
-    A`` and ``j`` its first argmax as the compiled scan found them.  It stays
-    valid because a function never changes; the tuple is immutable and stored
-    as one attribute, so threads that share f read a whole entry.  The slot
-    is read only when it holds this very object ``i`` (``is``, not ``==``): a
-    color is stored only after it passed the check, so True or 1.0 never
-    reads a stored scan, and an equal int that is another object just scans
-    again.  ``generate`` passes the same int to ``string_lengths`` and then
-    ``forward_move``, so each (vertex, color) runs one scan.  ``string_lengths``
-    reads h and ``active_multinode(f, i, FORWARD)`` reads j from the slot
-    when it holds their ``i`` after their call, and search the prefix they
-    got otherwise (another thread or a wrapper of ``level_slacks`` may have
-    left another entry, or none).
+    ``f.scan`` keeps ``(i, scan)`` of the last call, and a call with this very
+    object ``i`` (``is``, not ``==``) returns that same scan.  It stays valid
+    because a function never changes and a scan is immutable; it is stored as
+    one attribute, so threads that share f read a whole entry.  A color is
+    stored only after it passed the check, so True or 1.0 never reads a stored
+    scan, and an equal int that is another object just scans again.
+    ``generate`` passes the same int to ``string_lengths`` and then
+    ``forward_move``, so each (vertex, color) runs one scan.
     """
     last = f.scan
     if last is not None and last[0] is i:
-        return [*last[1]]
+        return last[1]
     g = f.graph
     if i.__class__ is not int or not 1 <= i <= g.n:
         check_color(i, g.n)  # raises, or passes an int subclass in range
     b = f.bounds
-    prefix, h, j = g.level_scans[i - 1](f.values, b.c, b.d)
-    f.scan = (i, tuple(prefix), h, j)
-    return prefix
+    scan = g.level_scans[i - 1](f.values, b.c, b.d)
+    f.scan = (i, scan)
+    return scan
 
 
 def slack_dicts(f: WeightFunction, i: int) -> tuple:
@@ -120,14 +116,11 @@ def active_multinode(f: WeightFunction, i: int, direction: str) -> Optional[Tupl
     its own residual upper slack is positive.  Backward: the minimum j with
     positive residual lower slack.  Both are read off ``level_slacks``.
     """
-    prefix = level_slacks(f, i)
-    if direction == FORWARD:
-        last = f.scan  # the first argmax the scan found, if the slot holds this color
-        j = last[3] if last is not None and last[0] is i else prefix.index(max(prefix))
-    elif direction == BACKWARD:
+    prefix, _, j = level_slacks(f, i)  # j, the first argmax, is the forward one
+    if direction == BACKWARD:
         tail = prefix[:0:-1]  # A(i+1), ..., A(1)
         j = i + 1 - tail.index(max(tail))
-    else:
+    elif direction != FORWARD:
         raise ParameterError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
     return (i, j) if 1 <= j <= i else None
 
@@ -157,7 +150,5 @@ def backward_move(f: WeightFunction, i: int) -> Optional[WeightFunction]:
 
 def string_lengths(f: WeightFunction, i: int) -> Tuple[int, int]:
     """(h_i, t_i): how many consecutive forward / backward i-moves apply at f."""
-    prefix = level_slacks(f, i)
-    last = f.scan  # the h the scan found, if the slot holds this color
-    h = last[2] if last is not None and last[0] is i else max(prefix)
+    prefix, h, _ = level_slacks(f, i)
     return h, h - prefix[-1]

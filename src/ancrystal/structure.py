@@ -38,7 +38,10 @@ class PrincipalLattice:
         return len(self.by_tuple)
 
     def vertex(self, a) -> int:
-        return self.by_tuple[tuple(a)]
+        a = integer_tuple(a, "a")
+        if a not in self.by_tuple:
+            raise ParameterError(f"no principal vertex of the crystal has the values {a}")
+        return self.by_tuple[a]
 
     def tuples(self) -> list:
         return sorted(self.by_tuple)

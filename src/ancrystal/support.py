@@ -69,9 +69,9 @@ class SupportingGraph:
     Besides the switch test of each record ``multinodes[(i, j)]``, two kernels
     are generated as loop-free functions of a canonical-order value sequence ``v``:
 
-    - ``level_scans[i - 1](v, c, d)`` returns ``(prefix, h, j)`` of level
-      ``i``: ``prefix`` is the new list ``[A(0), ..., A(i+1)]`` with A(0) = 0
-      and A(j) = A(j-1) + eps(j) - delta(j-1), the prefix sums of the slack
+    - ``level_scans[i - 1](v, c, d)`` returns the scan ``(prefix, h, j)`` of
+      level ``i``: ``prefix`` is the tuple ``(A(0), ..., A(i+1))`` with A(0) =
+      0 and A(j) = A(j-1) + eps(j) - delta(j-1), the prefix sums of the slack
       sums (see ``_level_steps``); ``h = max A`` and ``j`` is the first
       argmax of A, both found by a chain of strict compares;
     - ``constants_of(v)`` returns, per color k, the value ``v`` takes on all
@@ -270,7 +270,7 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
         # h = max A and j its first argmax: strict compares keep the first
         lines.append("    h = j = 0")
         lines += [f"    if a{j} > h: h = a{j}; j = {j}" for j in range(1, i + 2)]
-        lines.append(f"    return [0, {', '.join(f'a{j}' for j in range(1, i + 2))}], h, j")
+        lines.append(f"    return (0, {', '.join(f'a{j}' for j in range(1, i + 2))}), h, j")
         level_scans.append(_compiled(lines, n))
     # A switch chain depends only on the member count, so there is one factory
     # per count, and each multinode's function closes over its own

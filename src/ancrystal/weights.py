@@ -40,7 +40,7 @@ class Bounds:
 
 
 def zero_bounds(c) -> Bounds:
-    c = tuple(c)  # once: an iterator is empty the second time
+    c = integer_tuple(c, "c")  # once: an iterator is empty the second time
     return Bounds(c, (0,) * len(c))
 
 
@@ -74,10 +74,9 @@ class WeightFunction:
     per accepted move, and a frozen dataclass's ``__init__`` costs about three
     times this one.  Equality and the hash follow the three fields.
 
-    ``scan`` is ``(i, prefix, h, j)`` of the last ``level_slacks(f, i)``, or
-    None: a cache that only ``level_slacks`` writes, that it and the forward
-    readers ``string_lengths`` and ``active_multinode`` read, and that
-    equality, the hash and the repr ignore.
+    ``scan`` is ``(i, scan)`` of the last ``level_slacks(f, i)``, or None: a
+    cache that only ``level_slacks`` reads and writes, and that equality, the
+    hash and the repr ignore.
     """
 
     __slots__ = ("graph", "bounds", "values", "scan")
@@ -160,11 +159,12 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
     """Check monotonicity, bounds, and the switch condition; a verdict, not a raise.
 
     ``f`` maps every G-node to an integer (a dict or a WeightFunction).  Bounds
-    whose length is not ``g.n`` have no node to violate: a ``ParameterError``.
+    whose length is not ``g.n`` have no node to violate: a ``ParameterError``,
+    like a map that misses a node or gives one a value that is not an int.
     """
     if b.n != g.n:
         raise ParameterError(f"bound tuples have length {b.n}, expected n={g.n}")
-    values = f.values if isinstance(f, WeightFunction) else tuple(f[v] for v in g.nodes)
+    values = f.values if isinstance(f, WeightFunction) else _node_values(g, f)
     for v, x in zip(g.nodes, values):
         if not b.d[v.k - 1] <= x <= b.c[v.k - 1]:
             return FeasibilityReport(False, Violation("bounds", v.i, v.j, v.k))
@@ -179,9 +179,20 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
+def _node_values(g: SupportingGraph, f) -> tuple:
+    """The values of the NodeRef->int map ``f`` in canonical order; a node
+    without a value, or whose value is not an int, is a ParameterError."""
+    values = []
+    for v in g.nodes:
+        if v not in f:
+            raise ParameterError(f"the caller has no value for {v}")
+        values.append(check_integer(f[v], v))
+    return tuple(values)
+
+
 def make_weight_function(g: SupportingGraph, f, b: Bounds) -> WeightFunction:
     """Build a WeightFunction from a NodeRef->int map, validating feasibility."""
-    wf = WeightFunction(g, b, tuple(f[v] for v in g.nodes))
+    wf = WeightFunction(g, b, _node_values(g, f))
     report = is_feasible(g, wf, b)
     if not report.ok:
         raise InfeasibleError(str(report.violation))

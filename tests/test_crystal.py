@@ -39,6 +39,7 @@ from ancrystal import (
     string_lengths,
     subgraph,
     weyl_dimension,
+    zero_bounds,
 )
 from ancrystal import crystal
 from ancrystal.crystal import json_text
@@ -108,6 +109,27 @@ def test_the_api_rejects_a_non_integer_parameter(call, message):
     with pytest.raises(ParameterError) as e:
         call()
     assert str(e.value) == "the caller " + message
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: generate(2, 5), "c", 5),
+        (lambda: generate(2, (1, 1), 0), "d", 0),
+        (lambda: Bounds(5, (0,)), "c", 5),
+        (lambda: zero_bounds(3), "c", 3),
+        (lambda: weyl_dimension(4), "c", 4),
+        (lambda: weyl_dimension((1, 1), 0), "d", 0),
+        (lambda: branching_multiplicity(3, (1,)), "c", 3),
+        (lambda: GTPattern((1,)), "rows[0]", 1),
+        (lambda: principal_interval(generate(2, (1, 1)), 5, (1, 1)), "a", 5),
+    ],
+)
+def test_the_api_rejects_a_parameter_that_is_not_a_sequence(call, name, value):
+    # tuple() raised a bare TypeError for each
+    with pytest.raises(ParameterError) as e:
+        call()
+    assert str(e.value) == f"the caller gives {name} the non-sequence value {value!r}"
 
 
 def test_anchor_crystal_counts(crystals):

@@ -300,7 +300,8 @@ def test_compiled_moves_match_the_slack_dicts(params, rng):
         for i in range(1, n + 1):
             eps, delta, eps_res, delta_res = slack_dicts(f, i)
             steps = [eps[j] - delta[j - 1] for j in range(1, i + 2)]
-            assert level_slacks(f, i) == [0, *itertools.accumulate(steps)]
+            prefix = (0, *itertools.accumulate(steps))
+            assert level_slacks(f, i) == (prefix, max(prefix), prefix.index(max(prefix)))
             h, t = sum(eps_res.values()), sum(delta_res.values())
             assert string_lengths(f, i) == (h, t)
             for direction in (FORWARD, BACKWARD):
@@ -358,15 +359,14 @@ def test_the_scanned_peak_agrees_with_the_slack_dicts(params):
 def test_a_stale_scan_slot_falls_back_to_the_prefix(n, c, d, stale, monkeypatch):
     """A wrapper of level_slacks that leaves f.scan empty, or holding another
     color's entry, after the real call does not change what string_lengths,
-    active_multinode and forward_move return."""
+    active_multinode and forward_move return: they read only the scan that
+    their own call returned."""
     K = generate(n, c, d)
     expected = {}
     for v in K.vertex_ids():
         f = K.function(v)
         for i in range(1, n + 1):
-            prefix = prefix_from_dicts(f, i)
-            h = max(prefix)
-            j = prefix.index(h)
+            prefix, h, j = scan_from_dicts(f, i)
             active = (i, j) if 1 <= j <= i else None
             moved = None
             if active:
@@ -374,16 +374,16 @@ def test_a_stale_scan_slot_falls_back_to_the_prefix(n, c, d, stale, monkeypatch)
                 moved = f.replace(node, f.value(node) + 1)
             expected[v, i] = ((h, h - prefix[-1]), active, moved)
     real = moves.level_slacks
-    misleading = []  # per call: would the other color's (h, j) give a wrong answer
+    misleading = []  # per call: would the other color's scan give a wrong answer
 
     def leave_a_stale_slot(f, i):
-        prefix = real(f, i)
+        scan = real(f, i)
         if stale == "none":
             f.scan = None
         else:
             real(f, i % n + 1)  # scans, and stores, the next color
-            misleading.append(f.scan[2:] != (max(prefix), prefix.index(max(prefix))))
-        return prefix
+            misleading.append(f.scan[1][1:] != scan[1:])
+        return scan
 
     monkeypatch.setattr(moves, "level_slacks", leave_a_stale_slot)
     for (v, i), (lengths, active, moved) in expected.items():
@@ -470,7 +470,10 @@ def test_generate_runs_one_scan_per_vertex_and_color(n, c, d, monkeypatch):
     assert counts == {"scans": n_times_v, "calls": 2 * n_times_v}
 
 
-def test_a_stored_scan_is_copied_and_read_only_by_the_same_color_object():
+def test_a_stored_scan_is_returned_itself_and_only_to_the_same_color_object():
+    """A hit returns the very tuple that the miss stored, which no caller can
+    change; a Color(int) equal to i, or a new function with equal fields,
+    scans again."""
     class Color(int):
         pass
 
@@ -480,26 +483,24 @@ def test_a_stored_scan_is_copied_and_read_only_by_the_same_color_object():
     b = zero_bounds((2, 1, 2))
     f = WeightFunction(counted_graph, b, principal_function(g, (1, 0, 1), b).values)
     for i in (1, 2, 3):
-        expected = prefix_from_dicts(f, i)
         first = level_slacks(f, i)
-        second = level_slacks(f, i)
-        assert first == second == expected and first is not second
-        first[0] = 99
-        first.append(7)
-        assert second == expected and level_slacks(f, i) == expected
+        assert first == scan_from_dicts(f, i) and isinstance(first[0], tuple)
+        assert level_slacks(f, i) is first and f.scan == (i, first)
+        with pytest.raises(TypeError):
+            first[0][0] = 99
     assert counts["scans"] == 3
-    # an equal int that is another object scans again, and so does a new
-    # function with equal fields
-    assert level_slacks(f, Color(3)) == prefix_from_dicts(f, 3)
+    assert level_slacks(f, Color(3)) == scan_from_dicts(f, 3)
     assert counts["scans"] == 4
-    assert level_slacks(WeightFunction(counted_graph, b, f.values), 3) == prefix_from_dicts(f, 3)
+    assert level_slacks(WeightFunction(counted_graph, b, f.values), 3) == scan_from_dicts(f, 3)
     assert counts["scans"] == 5
 
 
-def prefix_from_dicts(f, i):
-    """[A(0), ..., A(i+1)] rebuilt from slack_dicts, which keeps no state."""
+def scan_from_dicts(f, i):
+    """The scan ((A(0), ..., A(i+1)), max A, first argmax) rebuilt from
+    slack_dicts, which keeps no state."""
     eps, delta, _, _ = slack_dicts(f, i)
-    return [0, *itertools.accumulate(eps[j] - delta[j - 1] for j in range(1, i + 2))]
+    prefix = (0, *itertools.accumulate(eps[j] - delta[j - 1] for j in range(1, i + 2)))
+    return prefix, max(prefix), prefix.index(max(prefix))
 
 
 @settings(max_examples=25, deadline=None)
@@ -522,15 +523,14 @@ def test_level_slacks_never_serves_a_stale_prefix(params, rng):
             f = held.setdefault(v, K.function(v))
         else:
             f = K.function(v)
-        expected = prefix_from_dicts(f, i)
-        top = max(expected)
+        scan = scan_from_dicts(f, i)
+        expected, top, j = scan
         op = rng.randrange(4)
         if op == 0:
-            assert level_slacks(f, i) == expected
+            assert level_slacks(f, i) == scan
         elif op == 1:
             assert string_lengths(f, i) == (top, top - expected[-1])
         elif op == 2:
-            j = expected.index(top)
             out = forward_move(f, i)
             if not 1 <= j <= i:
                 assert out is None
@@ -546,18 +546,3 @@ def test_level_slacks_never_serves_a_stale_prefix(params, rng):
             else:
                 node = switch_node(f, i, j, BACKWARD)
                 assert out == f.replace(node, f.value(node) - 1)
-
-
-def test_a_changed_prefix_does_not_change_the_next_call():
-    f = source_function(3, (2, 1, 2))
-    for i in (1, 2, 3):
-        expected = prefix_from_dicts(f, i)
-        first = level_slacks(f, i)
-        assert first == expected
-        first[0] = 99
-        first.append(7)
-        second = level_slacks(f, i)
-        assert second == expected
-        second[-1] -= 1
-        assert string_lengths(f, i) == (max(expected), max(expected) - expected[-1])
-        assert level_slacks(f, i) == expected

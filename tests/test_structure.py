@@ -52,6 +52,23 @@ def test_principal_lattice_size_and_membership(n, c, crystals):
     assert lat.vertex(c) == K.sink
 
 
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        ((5, 5), "no principal vertex of the crystal has the values (5, 5)"),
+        ((0,), "no principal vertex of the crystal has the values (0,)"),
+        (5, "the caller gives a the non-sequence value 5"),
+        ((0, True), "the caller gives a[1] the non-integer value True"),
+    ],
+)
+def test_a_tuple_that_is_no_principal_vertex_is_a_parameter_error(a, message, crystals):
+    # a bare KeyError or TypeError before, and (0, True) read the vertex of (0, 1)
+    lattice = principal_lattice(crystals(2, (1, 1)))
+    with pytest.raises(ParameterError) as e:
+        lattice.vertex(a)
+    assert str(e.value) == message
+
+
 def test_the_constants_column_is_computed_once_per_crystal(crystals):
     K = crystals(3, (2, 1, 2))
     column = K.constants

@@ -262,7 +262,7 @@ def test_compiled_kernels_match_their_plain_restatements(params):
         for j in range(1, i + 2):
             prefix.append(prefix[-1] + eps[j] - delta[j - 1])
         scanned, h, j = g.level_scans[i - 1](values, c, d)
-        assert scanned == prefix
+        assert scanned == tuple(prefix)
         assert h == max(prefix) and j == prefix.index(h)
     value = dict(zip(g.nodes, values)).__getitem__
     for key, mn in g.multinodes.items():

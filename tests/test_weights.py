@@ -106,6 +106,27 @@ def test_bounds_of_another_length_name_no_node():
         WeightFunction.from_json(data)
 
 
+@pytest.mark.parametrize(
+    "drop, value, message",
+    [
+        (True, 0, "the caller has no value for NodeRef(k=1, i=1, j=1)"),
+        (False, 0.5, "the caller gives NodeRef(k=1, i=1, j=1) the non-integer value 0.5"),
+        (False, True, "the caller gives NodeRef(k=1, i=1, j=1) the non-integer value True"),
+    ],
+)
+def test_a_malformed_value_map_is_a_parameter_error_naming_the_node(drop, value, message):
+    # a missing node was a bare KeyError, and 0.5 passed as feasible, so
+    # make_weight_function built a function with float values
+    g = build_supporting_graph(2)
+    f = {v: value for v in g.nodes}
+    if drop:
+        del f[NodeRef(1, 1, 1)]
+    for call in (is_feasible, make_weight_function):
+        with pytest.raises(ParameterError) as e:
+            call(g, f, zero_bounds((1, 1)))
+        assert str(e.value) == message
+
+
 def test_switch_nodes_in_the_first_multinode():
     g = build_supporting_graph(2)
     f = principal_function(g, (0, 0), zero_bounds((1, 2)))
