@@ -470,9 +470,10 @@ def test_generate_runs_one_scan_per_vertex_and_color(n, c, d, monkeypatch):
     assert counts == {"scans": n_times_v, "calls": 2 * n_times_v}
 
 
-def test_a_stored_scan_is_returned_itself_and_only_to_the_same_color_object():
-    """A hit returns the very tuple that the miss stored, which no caller can
-    change; a Color(int) equal to i, or a new function with equal fields,
+def test_a_stored_scan_is_copied_and_read_only_by_the_same_color_object():
+    """A hit returns the very tuple that the miss stored, in place of the
+    copy of a list that it once returned; only the same color object reads
+    it, so a Color(int) equal to i, or a new function with equal fields,
     scans again."""
     class Color(int):
         pass
@@ -486,8 +487,6 @@ def test_a_stored_scan_is_returned_itself_and_only_to_the_same_color_object():
         first = level_slacks(f, i)
         assert first == scan_from_dicts(f, i) and isinstance(first[0], tuple)
         assert level_slacks(f, i) is first and f.scan == (i, first)
-        with pytest.raises(TypeError):
-            first[0][0] = 99
     assert counts["scans"] == 3
     assert level_slacks(f, Color(3)) == scan_from_dicts(f, 3)
     assert counts["scans"] == 4
@@ -546,3 +545,20 @@ def test_level_slacks_never_serves_a_stale_prefix(params, rng):
             else:
                 node = switch_node(f, i, j, BACKWARD)
                 assert out == f.replace(node, f.value(node) - 1)
+
+
+def test_a_changed_prefix_does_not_change_the_next_call():
+    """The stored scan is a tuple of tuples: a caller cannot assign into its
+    prefix or extend it, so the next calls still see the scan of (f, i)."""
+    f = source_function(3, (2, 1, 2))
+    for i in (1, 2, 3):
+        expected = scan_from_dicts(f, i)
+        prefix, top, _ = expected
+        first = level_slacks(f, i)
+        assert first == expected
+        with pytest.raises(TypeError):
+            first[0][0] = 99
+        with pytest.raises(AttributeError):
+            first[0].append(7)
+        assert level_slacks(f, i) == expected
+        assert string_lengths(f, i) == (top, top - prefix[-1])
