@@ -38,7 +38,7 @@ class GTPattern:
         return self.rows[i - 1][j - 1]
 
     def is_bounded_by(self, bound) -> bool:
-        bound = tuple(bound) + (0,)
+        bound = integer_tuple(bound, "bound") + (0,)
         last = self.rows[-1]
         return all(bound[j] >= last[j] >= bound[j + 1] for j in range(self.n))
 
@@ -56,7 +56,7 @@ class GTPattern:
 
 def sigma_bound(c) -> tuple:
     """The bound tuple with j-th entry c_1 + ... + c_{n-j+1}."""
-    c = tuple(c)
+    c = integer_tuple(c, "c")
     n = len(c)
     return tuple(sum(c[: n - j]) for j in range(n))
 

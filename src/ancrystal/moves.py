@@ -41,24 +41,31 @@ def level_slacks(f: WeightFunction, i: int) -> tuple:
     return scan
 
 
+def _extended_value(f: WeightFunction, k: int, i: int, j: int) -> int:
+    """f at v_i^k(j) of the extended graph: its value on a node of G, else c_k
+    left of G^k (j = 0, or below it: i - j > k - 1) and d_k right of it."""
+    if f.graph.is_node((k, i, j)):
+        return f.values[f.graph.index[k, i, j]]
+    return (f.bounds.c if j == 0 or i - j > k - 1 else f.bounds.d)[k - 1]
+
+
 def slack_dicts(f: WeightFunction, i: int) -> tuple:
-    """(eps, delta, eps_res, delta_res) of level i, read from the ``slot`` layout.
+    """(eps, delta, eps_res, delta_res) of level i, read off f on the extended graph.
 
     ``eps`` is keyed by j = 1..i+1 and ``delta`` by j = 0..i.  The residual
     upper slack at j is max(0, A(j) - max_{p<j} A(p)) and the residual lower
-    slack at j is max(0, A(j) - max_{q>j} A(q)).  This closed form does not
-    read the compiled steps that ``level_slacks`` runs on, nor its stored scan.
+    slack at j is max(0, A(j) - max_{q>j} A(q)).  This closed form states the
+    fringe rule itself, and reads neither the kernels nor the stored scan.
     """
     check_color(i, f.graph.n)
     colors = range(1, f.graph.n + 1)
-    slot = f.graph.slot  # NodeRef is a tuple, so a plain (k, i, j) key finds it
-    x = f.values + f.bounds.c + f.bounds.d
+    x = _extended_value
     eps = {}
     delta = {}
     for j in range(1, i + 2):
-        eps[j] = sum(x[slot[k, i - 1, j - 1]] - x[slot[k, i, j]] for k in colors)
+        eps[j] = sum(x(f, k, i - 1, j - 1) - x(f, k, i, j) for k in colors)
     for j in range(0, i + 1):
-        delta[j] = sum(x[slot[k, i, j]] - x[slot[k, i + 1, j + 1]] for k in colors)
+        delta[j] = sum(x(f, k, i, j) - x(f, k, i + 1, j + 1) for k in colors)
     prefix = [0]
     for j in range(1, i + 2):
         prefix.append(prefix[j - 1] + eps[j] - delta[j - 1])

@@ -4,11 +4,10 @@ The graph for ``n`` colors is the disjoint union of base subgraphs ``G^1 .. G^n`
 ``G^k`` is a rhombic grid of shape ``(k-1) x (n-k)`` whose nodes are addressed as
 ``v_i^k(j)``.  The extended graph adds a fringe of extra nodes around every base
 subgraph, which carry the bound ``c_k`` on the left of ``G^k`` and ``d_k`` on its
-right.  ``build_supporting_graph`` precomputes the whole extension once as the
-``slot`` table, so a value on the extended graph is a single lookup, compiles
-the move layer's sums and tests into index tables over that layout, and turns
-those tables into generated loop-free functions, one ``compile()`` per kernel.
-It builds each graph once per process and hands every caller the same one.
+right.  ``build_supporting_graph`` writes the move layer's sums and tests as
+generated loop-free functions, one ``compile()`` per kernel, in which ``_term``
+reads each extended node as a node value, ``c_k`` or ``d_k``.  It builds each
+graph once per process and hands every caller the same one.
 """
 
 from __future__ import annotations
@@ -61,19 +60,15 @@ class SupportingGraph:
     weight vectors used as crystal-vertex keys.  ``base_index[k - 1]`` holds the
     positions of the nodes of G^k, in canonical order.
 
-    ``slot`` maps every node of the extended graph to its position in the vector
-    ``values + c + d`` of a weight function: a node of G to its own index, an
-    extra node left of G^k to ``c_k`` and one right of G^k to ``d_k``.  Its keys
-    are exactly the extended nodes.
-
     Besides the switch test of each record ``multinodes[(i, j)]``, two kernels
     are generated as loop-free functions of a canonical-order value sequence ``v``:
 
     - ``level_scans[i - 1](v, c, d)`` returns the scan ``(prefix, h, j)`` of
       level ``i``: ``prefix`` is the tuple ``(A(0), ..., A(i+1))`` with A(0) =
       0 and A(j) = A(j-1) + eps(j) - delta(j-1), the prefix sums of the slack
-      sums (see ``_level_steps``); ``h = max A`` and ``j`` is the first
-      argmax of A, both found by a chain of strict compares;
+      sums on the extended graph, whose extra nodes ``_term`` writes as ``c``
+      or ``d`` entries (see ``_level_steps``); ``h = max A`` and ``j`` is the
+      first argmax of A, both found by a chain of strict compares;
     - ``constants_of(v)`` returns, per color k, the value ``v`` takes on all
       of G^k (``base_index[k - 1]``), or None where it is not constant there.
 
@@ -86,7 +81,6 @@ class SupportingGraph:
     index: Mapping = field(compare=False, repr=False)
     base_index: tuple = field(compare=False, repr=False)
     multinodes: Mapping = field(compare=False, repr=False)
-    slot: Mapping = field(compare=False, repr=False)
     level_scans: tuple = field(compare=False, repr=False)
     constants_of: Callable = field(compare=False, repr=False)
 
@@ -189,49 +183,41 @@ def _build(n: int) -> SupportingGraph:
             se = tuple((index[v], index[v.k, i + 1, j + 1]) for v in members[:-1])
             sw = tuple((index[v], index[v.k, i + 1, j]) for v in members[:0:-1])
             switch_pairs[i, j] = (se, sw)
-    size = len(nodes)
-    slot = {}
-    for k in range(1, n + 1):
-        for i in range(n + 2):
-            for j in range(min(i + 1, n + 1) + 1):
-                if (i, j) == (n + 1, 0):
-                    continue
-                v = NodeRef(k, i, j)
-                if v in index:
-                    slot[v] = index[v]
-                elif j == 0 or i - j > k - 1:
-                    slot[v] = size + k - 1  # left of G^k: c_k
-                else:
-                    slot[v] = size + n + k - 1  # right of G^k: d_k
-    level_steps = tuple(_level_steps(n, slot, i) for i in range(1, n + 1))
-    level_scans, switches, constants_of = _compile_kernels(
-        n, size, level_steps, switch_pairs, base_index
-    )
+    level_scans, switches, constants_of = _compile_kernels(n, index, switch_pairs, base_index)
     multinodes = {key: Multinode(*key, members, switches[key]) for key, members in members_of.items()}
     return SupportingGraph(
         n=n, nodes=tuple(nodes), index=MappingProxyType(index), base_index=base_index,
-        multinodes=MappingProxyType(multinodes), slot=MappingProxyType(slot),
-        level_scans=level_scans, constants_of=constants_of,
+        multinodes=MappingProxyType(multinodes), level_scans=level_scans,
+        constants_of=constants_of,
     )
 
 
-def _level_steps(n: int, slot: dict, i: int) -> tuple:
-    """The prefix steps of level i as ``(plus, minus)`` slot pairs.
+def _term(index: dict, k: int, i: int, j: int) -> str:
+    """The kernel source term of the extended node v_i^k(j): ``v[p]`` for the
+    node of G at position p, ``c[k - 1]`` for an extra node left of G^k (j = 0,
+    or below it: i - j > k - 1) and ``d[k - 1]`` for one right of it."""
+    p = index.get((k, i, j))  # a NodeRef is a tuple, so a plain (k, i, j) finds it
+    if p is not None:
+        return f"v[{p}]"
+    return f"c[{k - 1}]" if j == 0 or i - j > k - 1 else f"d[{k - 1}]"
+
+
+def _level_steps(n: int, index: dict, i: int) -> tuple:
+    """The prefix steps of level i as ``(plus, minus)`` pairs of ``_term``s.
 
     Entry j - 1 (j = 1..i+1) is the step A(j) - A(j-1) = eps(j) - delta(j-1),
-    the sum of ``x[plus] - x[minus]`` over its pairs in ``x = values + c + d``.
-    Summed over the colors k, it adds the values at v_{i-1}^k(j-1) and
-    v_{i+1}^k(j) and subtracts those at v_i^k(j) and v_i^k(j-1).  A slot on
-    both sides cancels; what is left has as many plus as minus terms, paired
-    up in sorted order.
+    the sum of ``plus - minus`` over its pairs.  Summed over the colors k, it
+    adds the values at v_{i-1}^k(j-1) and v_{i+1}^k(j) and subtracts those at
+    v_i^k(j) and v_i^k(j-1).  A term on both sides cancels; what is left has
+    as many plus as minus terms, paired up in sorted order.
     """
-    colors = range(1, n + 1)
+    def terms(i, j):  # the terms of v_i^k(j) over the colors k
+        return [_term(index, k, i, j) for k in range(1, n + 1)]
+
     steps = []
     for j in range(1, i + 2):
-        plus = Counter(
-            [slot[k, i - 1, j - 1] for k in colors] + [slot[k, i + 1, j] for k in colors]
-        )
-        minus = Counter([slot[k, i, j] for k in colors] + [slot[k, i, j - 1] for k in colors])
+        plus = Counter(terms(i - 1, j - 1) + terms(i + 1, j))
+        minus = Counter(terms(i, j) + terms(i, j - 1))
         pairs = zip(sorted((plus - minus).elements()), sorted((minus - plus).elements()))
         steps.append(tuple(pairs))
     return tuple(steps)
@@ -245,7 +231,7 @@ def _compiled(lines: list, n: int) -> Callable:
     return function
 
 
-def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -> tuple:
+def _compile_kernels(n: int, index: dict, switch_pairs, base_index) -> tuple:
     """``(level_scans, switches, constants_of)`` of a graph (see ``Multinode``
     and ``SupportingGraph``), each kernel compiled from its own source.
 
@@ -253,18 +239,12 @@ def _compile_kernels(n: int, size: int, level_steps, switch_pairs, base_index) -
     unpackings and displays are flat, so a source grows with n but stays
     short, and the parser never holds more than one kernel's tokens.
     """
-
-    def x(p):  # position p of values + c + d, read from the tuple that holds it
-        if p < size:
-            return f"v[{p}]"
-        return f"c[{p - size}]" if p < size + n else f"d[{p - size - n}]"
-
     level_scans = []
-    for i, steps in enumerate(level_steps, 1):
+    for i in range(1, n + 1):
         lines = [f"def scan_{i}(v, c, d):"]
         prev = []
-        for j, step in enumerate(steps, 1):
-            terms = prev + [f"{x(plus)} - {x(minus)}" for plus, minus in step]
+        for j, step in enumerate(_level_steps(n, index, i), 1):
+            terms = prev + [f"{plus} - {minus}" for plus, minus in step]
             lines.append(f"    a{j} = {' + '.join(terms) or '0'}")
             prev = [f"a{j}"]
         # h = max A and j its first argmax: strict compares keep the first

@@ -147,12 +147,8 @@ class WeightFunction:
                 raise ParameterError(f"{source} names {v}, which is not a node of G")
             if v in raw:
                 raise ParameterError(f"{source} gives {v} a value twice")
-            check_integer(val, v, source)
             raw[v] = val
-        for v in g.nodes:
-            if v not in raw:
-                raise ParameterError(f"{source} has no value for {v}")
-        return make_weight_function(g, raw, b)
+        return _feasible(g, b, _node_values(g, raw, source))
 
 
 def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
@@ -179,20 +175,26 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
     return FeasibilityReport(True)
 
 
-def _node_values(g: SupportingGraph, f) -> tuple:
+def _node_values(g: SupportingGraph, f, source: str = "the caller") -> tuple:
     """The values of the NodeRef->int map ``f`` in canonical order; a node
-    without a value, or whose value is not an int, is a ParameterError."""
+    without a value, or whose value is not an int, is a ParameterError that
+    names ``source``."""
     values = []
     for v in g.nodes:
         if v not in f:
-            raise ParameterError(f"the caller has no value for {v}")
-        values.append(check_integer(f[v], v))
+            raise ParameterError(f"{source} has no value for {v}")
+        values.append(check_integer(f[v], v, source))
     return tuple(values)
 
 
 def make_weight_function(g: SupportingGraph, f, b: Bounds) -> WeightFunction:
     """Build a WeightFunction from a NodeRef->int map, validating feasibility."""
-    wf = WeightFunction(g, b, _node_values(g, f))
+    return _feasible(g, b, _node_values(g, f))
+
+
+def _feasible(g: SupportingGraph, b: Bounds, values: tuple) -> WeightFunction:
+    """The function with these values, or an InfeasibleError naming its first violation."""
+    wf = WeightFunction(g, b, values)
     report = is_feasible(g, wf, b)
     if not report.ok:
         raise InfeasibleError(str(report.violation))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ancrystal import (
@@ -37,6 +39,27 @@ def test_sigma_bound():
     assert sigma_bound((1, 2)) == (3, 1)
     assert sigma_bound((1, 1, 1)) == (3, 2, 1)
     assert sigma_bound((2, 0, 1)) == (3, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sigma_bound(5), "the caller gives c the non-sequence value 5"),
+        (lambda: sigma_bound((1, True)), "the caller gives c[1] the non-integer value True"),
+        (
+            lambda: GTPattern(((1,),)).is_bounded_by(5),
+            "the caller gives bound the non-sequence value 5",
+        ),
+        (
+            lambda: GTPattern(((1,),)).is_bounded_by((1.5,)),
+            "the caller gives bound[0] the non-integer value 1.5",
+        ),
+    ],
+)
+def test_a_bound_that_is_not_an_integer_tuple_is_a_parameter_error(call, message):
+    # 5 was a bare TypeError, and True or 1.5 passed as if they were 1
+    with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
+        call()
 
 
 def test_source_and_sink_patterns():

@@ -51,7 +51,7 @@ def test_every_caller_of_an_n_shares_one_graph(n):
     assert build_supporting_graph(n) is build_supporting_graph(n)
 
 
-@pytest.mark.parametrize("table", ["index", "multinodes", "slot"])
+@pytest.mark.parametrize("table", ["index", "multinodes"])
 def test_the_shared_tables_are_read_only(table):
     g = build_supporting_graph(2)
     mapping = getattr(g, table)
@@ -184,45 +184,51 @@ def extension_block(n, k, i, j):
     return "c" if j == 0 or i - j > k - 1 else "d"
 
 
+def extension_term(g, v):
+    """``support._term`` of the extended node v of g, or None off the extended graph."""
+    if extension_block(g.n, *v) is None:
+        return None
+    return support._term(g.index, *v)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_slot_table_follows_the_extension_rule(n):
+    # the kernels read each extended node through the term that _term writes
     g = build_supporting_graph(n)
-    size = len(g.nodes)
-    members = 0
     for k, i, j in itertools.product(range(-1, n + 3), repeat=3):
         v = NodeRef(k, i, j)
         block = extension_block(n, k, i, j)
         if block is None:
-            assert v not in g.slot
             continue
-        members += 1
-        expected = {"own": g.index.get(v), "c": size + k - 1, "d": size + n + k - 1}
-        assert g.slot[v] == expected[block], (v, block)
-    assert members == len(g.slot)
+        expected = {"own": f"v[{g.index.get(v)}]", "c": f"c[{k - 1}]", "d": f"d[{k - 1}]"}
+        assert extension_term(g, v) == expected[block], (v, block)
 
 
 def test_extended_classification():
     g = build_supporting_graph(2)
-    size, n = len(g.nodes), 2
-    assert g.slot[NodeRef(1, 1, 1)] == g.index[NodeRef(1, 1, 1)]
-    assert g.slot[NodeRef(2, 0, 0)] == size + 1  # c_2: left of G^2
-    assert g.slot[NodeRef(1, 2, 1)] == size + 0  # c_1: below G^1, i-j > k-1
-    assert g.slot[NodeRef(2, 2, 2)] == size + n + 1  # d_2: right of G^2
-    assert g.slot[NodeRef(1, 1, 2)] == size + n + 0  # d_1: j > n-k+1
-    assert NodeRef(1, 3, 0) not in g.slot
+    assert extension_term(g, NodeRef(1, 1, 1)) == f"v[{g.index[NodeRef(1, 1, 1)]}]"
+    assert extension_term(g, NodeRef(2, 0, 0)) == "c[1]"  # c_2: left of G^2
+    assert extension_term(g, NodeRef(1, 2, 1)) == "c[0]"  # c_1: below G^1, i-j > k-1
+    assert extension_term(g, NodeRef(2, 2, 2)) == "d[1]"  # d_2: right of G^2
+    assert extension_term(g, NodeRef(1, 1, 2)) == "d[0]"  # d_1: j > n-k+1
+    assert extension_term(g, NodeRef(1, 3, 0)) is None
 
 
 def test_every_extended_node_gets_exactly_one_class():
     n = 4
     g = build_supporting_graph(n)
-    size = len(g.nodes)
-    for v, p in g.slot.items():
-        own = p == g.index.get(v)
-        left = p == size + v.k - 1
-        right = p == size + n + v.k - 1
-        assert own + left + right == 1, (v, p)
+    extended = []
+    for v in itertools.starmap(NodeRef, itertools.product(range(-1, n + 3), repeat=3)):
+        term = extension_term(g, v)
+        if term is None:
+            continue
+        extended.append(v)
+        own = term == f"v[{g.index.get(v)}]"
+        left = term == f"c[{v.k - 1}]"
+        right = term == f"d[{v.k - 1}]"
+        assert own + left + right == 1, (v, term)
         assert own == g.is_node(v)
-    assert set(g.index) <= set(g.slot)
+    assert set(g.index) <= set(extended)
 
 
 def test_canonical_order_is_by_level_position_subgraph():
@@ -275,20 +281,38 @@ def test_compiled_kernels_match_their_plain_restatements(params):
     assert g.constants_of(values) == tuple(expected)
 
 
-def test_compiling_the_kernels_does_not_spike_memory():
-    # each kernel is parsed from its own source, so the parser never holds
-    # the tokens of the whole graph at once
+def traced_peak(call):
+    """What ``call()`` returns, and the most memory it held at once beyond what
+    was held before, by tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        g = support._build.__wrapped__(12)  # uncached: a fresh build
-        gc.collect()
-        retained, peak = tracemalloc.get_traced_memory()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak - before
+
+
+def test_compiling_the_kernels_does_not_spike_memory(monkeypatch):
+    # each kernel is parsed from its own source, so the parser never holds
+    # the tokens of the whole graph at once: the build peaks below half of
+    # what one compile() of all the kernel sources takes
+    sources = []
+
+    def recording(lines, n):
+        sources.append("\n".join(lines))
+        return compiled(lines, n)
+
+    compiled = support._compiled
+    monkeypatch.setattr(support, "_compiled", recording)
+    support._build.__wrapped__(12)  # uncached: a fresh build
+    monkeypatch.setattr(support, "_compiled", compiled)
+    g, build_peak = traced_peak(lambda: support._build.__wrapped__(12))
     assert g.n == 12
-    assert peak - before <= 4 * (retained - before)
+    _, whole_peak = traced_peak(lambda: compile("\n".join(sources), "<all kernels>", "exec"))
+    assert build_peak < whole_peak / 2, (build_peak, whole_peak)
 
 
 @pytest.mark.parametrize(

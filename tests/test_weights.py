@@ -19,6 +19,8 @@ from ancrystal import (
     switch_node,
     zero_bounds,
 )
+from ancrystal import moves, weights
+from ancrystal.errors import check_integer
 from conftest import allowed_switch_members
 
 
@@ -42,8 +44,8 @@ def test_bounds_validation():
 
 
 def extended(f, v):
-    """Value of f at an extended node, read through the graph's slot table."""
-    return (f.values + f.bounds.c + f.bounds.d)[f.graph.slot[v]]
+    """Value of f at an extended node, by the slack oracle's fringe rule."""
+    return moves._extended_value(f, *v)
 
 
 def test_extended_values_on_extras():
@@ -52,7 +54,6 @@ def test_extended_values_on_extras():
     assert extended(f, NodeRef(2, 0, 0)) == 2  # left-extra of G^2
     assert extended(f, NodeRef(2, 2, 2)) == 0  # right-extra of G^2
     assert extended(f, NodeRef(1, 1, 1)) == 0  # identity on G
-    assert NodeRef(1, 3, 0) not in g.slot
 
 
 def test_extended_values_read_both_bounds():
@@ -235,6 +236,33 @@ def test_json_round_trip():
     assert again == f
     data = f.to_json()
     assert data["values"] == sorted(data["values"], key=lambda r: (r[1], r[2], r[0]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda values: values.pop(), "has no value for NodeRef(k=1, i=2, j=2)"),
+        (
+            lambda values: values[0].__setitem__(3, 0.5),
+            "gives NodeRef(k=1, i=1, j=1) the non-integer value 0.5",
+        ),
+    ],
+)
+def test_from_json_checks_each_value_once_and_names_its_source(edit, message, monkeypatch):
+    g = build_supporting_graph(2)
+    data = principal_function(g, (1, 1), zero_bounds((1, 2))).to_json()
+    checks = []
+
+    def counted(x, what, source="the caller"):
+        checks.append(what)
+        return check_integer(x, what, source)
+
+    monkeypatch.setattr(weights, "check_integer", counted)
+    WeightFunction.from_json(data)
+    assert sorted(checks) == sorted(g.nodes)  # one check per node, as make_weight_function
+    edit(data["values"])
+    with pytest.raises(ParameterError, match=rf"^weight-function JSON {re.escape(message)}$"):
+        WeightFunction.from_json(data)
 
 
 @pytest.mark.parametrize("value", [True, False, 1.5, 1.0, "1", None])
