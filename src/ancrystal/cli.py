@@ -247,15 +247,12 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (GraphFormatError, ParameterError) as exc:
+    except (GraphFormatError, ParameterError, OSError) as exc:  # no OSError is a ModelError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

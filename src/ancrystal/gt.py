@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InfeasibleError, ParameterError, integer_tuple
-from .support import NodeRef, SupportingGraph, check_color_count
+from .support import SupportingGraph, check_color_count
 from .weights import Bounds, WeightFunction, make_weight_function, zero_bounds
 
 
@@ -38,9 +38,11 @@ class GTPattern:
         return self.rows[i - 1][j - 1]
 
     def is_bounded_by(self, bound) -> bool:
-        bound = integer_tuple(bound, "bound") + (0,)
-        last = self.rows[-1]
-        return all(bound[j] >= last[j] >= bound[j + 1] for j in range(self.n))
+        bound = integer_tuple(bound, "bound")
+        if len(bound) != self.n:
+            raise ParameterError(f"bound has length {len(bound)}, expected {self.n}")
+        bound += (0,)  # rows[-1:] is empty for a pattern of no rows, which () bounds
+        return all(hi >= x >= lo for row in self.rows[-1:] for hi, x, lo in zip(bound, row, bound[1:]))
 
     def to_json(self) -> list:
         return [list(row) for row in self.rows]
@@ -100,11 +102,12 @@ def to_gt(f: WeightFunction) -> GTPattern:
 def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
     """The unique feasible function mapping to the given bounded pattern.
 
-    Built bottom-up: the bottom level is determined outright; at each higher
-    multinode every member starts at its maximum admissible value and weight is
-    then removed member by member, front to back, until the multinode sum hits
-    its target.  The front members end tight on their SE-edges and the back
-    members on their SW-edges, which is exactly the switch condition.
+    Built bottom-up, from level n: at each multinode every member starts at
+    its maximum admissible value and weight is then removed member by member,
+    front to back, until the multinode sum hits its target (a bottom V_n(j)
+    has one member, with maximum c_k and minimum 0).  The front members end
+    tight on their SE-edges and the back members on their SW-edges, which is
+    exactly the switch condition; ``is_feasible`` checks it on ``g.heads``.
     """
     b = zero_bounds(c)  # a negative bound is a ParameterError naming c
     c, n = b.c, g.n
@@ -113,27 +116,20 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
     if not pattern.is_bounded_by(sigma_bound(c)):
         raise InfeasibleError(f"pattern is not bounded by {sigma_bound(c)}")
     vals = {}
-    for j in range(1, n + 1):
-        vals[NodeRef(n - j + 1, n, j)] = pattern.x(n, j) - sum(c[:n - j])
-    for i in range(n - 1, 0, -1):
+    for i in range(n, 0, -1):
         for j in range(1, i + 1):
             members = g.multinode(i, j).members
-            maxes = []
-            mins = []
-            for m, v in enumerate(members):
-                maxes.append(c[v.k - 1] if m == 0 else vals[NodeRef(v.k, i + 1, j)])
-                mins.append(0 if m == len(members) - 1 else vals[NodeRef(v.k, i + 1, j + 1)])
+            # the SW and SE neighbors, one level down; a plain (k, i, j) finds a NodeRef
+            maxes = [c[members[0].k - 1]] + [vals[v.k, i + 1, j] for v in members[1:]]
+            mins = [vals[v.k, i + 1, j + 1] for v in members[:-1]] + [0]
             target = pattern.x(i, j) - sum(c[:i - j])
             surplus = sum(maxes) - target
-            if surplus < 0 or surplus > sum(mx - mn for mx, mn in zip(maxes, mins)):
+            if surplus < 0 or surplus > sum(maxes) - sum(mins):
                 raise InfeasibleError(f"multinode V_{i}({j}) sum {target} is unreachable")
-            assigned = list(maxes)
-            for m in range(len(members)):
-                cut = min(surplus, maxes[m] - mins[m])
-                assigned[m] -= cut
+            for v, mx, mn in zip(members, maxes, mins):
+                cut = min(surplus, mx - mn)
+                vals[v] = mx - cut
                 surplus -= cut
-            for v, x in zip(members, assigned):
-                vals[v] = x
     return make_weight_function(g, vals, b)
 
 

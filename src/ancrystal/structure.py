@@ -237,10 +237,14 @@ def _minus(a, d) -> tuple:
 
 
 def upper_parameter(c, a) -> tuple:
+    if len(c) != len(a):
+        raise ParameterError(f"c and a differ in length: {len(c)} vs {len(a)}")
     return tuple(c[i] - a[i] + a[i + 1] for i in range(len(c) - 1))
 
 
 def lower_parameter(c, a) -> tuple:
+    if len(c) != len(a):
+        raise ParameterError(f"c and a differ in length: {len(c)} vs {len(a)}")
     return tuple(c[i] - a[i] + a[i - 1] for i in range(1, len(c)))
 
 

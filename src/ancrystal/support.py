@@ -58,7 +58,10 @@ class SupportingGraph:
     Nodes are held in canonical order (sorted by (i, j, k)); ``index`` maps a
     NodeRef to its position in that order, which is also the layout of the dense
     weight vectors used as crystal-vertex keys.  ``base_index[k - 1]`` holds the
-    positions of the nodes of G^k, in canonical order.
+    positions of the nodes of G^k, in canonical order.  ``heads[p]`` holds the
+    positions of the NE head v_{i-1}^k(j), then the SE head v_{i+1}^k(j+1), of
+    ``nodes[p]`` that are nodes of G: G's edges, stated once.  ``is_node``, ``_term``
+    and the oracle's ``moves._extended_value`` test nodes apart, on purpose.
 
     Besides the switch test of each record ``multinodes[(i, j)]``, two kernels
     are generated as loop-free functions of a canonical-order value sequence ``v``:
@@ -80,6 +83,7 @@ class SupportingGraph:
     nodes: tuple
     index: Mapping = field(compare=False, repr=False)
     base_index: tuple = field(compare=False, repr=False)
+    heads: tuple = field(compare=False, repr=False)
     multinodes: Mapping = field(compare=False, repr=False)
     level_scans: tuple = field(compare=False, repr=False)
     constants_of: Callable = field(compare=False, repr=False)
@@ -126,14 +130,9 @@ class SupportingGraph:
         return NodeRef(check_color(k, self.n), self.n, self.n - k + 1)
 
     def edges(self) -> Iterator[tuple]:
-        """All edges (u, v) of G, canonically ordered by tail then NE before SE."""
-        for u in self.nodes:
-            ne = NodeRef(u.k, u.i - 1, u.j)
-            if self.is_node(ne):
-                yield (u, ne)
-            se = NodeRef(u.k, u.i + 1, u.j + 1)
-            if self.is_node(se):
-                yield (u, se)
+        """All edges (u, v) of G from ``heads``, ordered by tail, then NE before SE."""
+        nodes = self.nodes
+        return ((u, nodes[q]) for u, heads in zip(nodes, self.heads) for q in heads)
 
 
 def check_color_count(n) -> int:
@@ -171,6 +170,9 @@ def _build(n: int) -> SupportingGraph:
     for p, v in enumerate(nodes):
         base_index[v.k - 1].append(p)
     base_index = tuple(map(tuple, base_index))
+    # NE and SE heads as plain (k, i, j), which finds a NodeRef, as it is a tuple
+    ne_se = (((v.k, v.i - 1, v.j), (v.k, v.i + 1, v.j + 1)) for v in nodes)
+    heads = tuple(tuple(index[h] for h in pair if h in index) for pair in ne_se)
     members_of = {}
     # The switch tests of V_i(j) as (se, sw), (member, neighbor) index pairs:
     # se compares members m = 0, 1, ..., last - 1 with their SE neighbors
@@ -187,7 +189,7 @@ def _build(n: int) -> SupportingGraph:
     multinodes = {key: Multinode(*key, members, switches[key]) for key, members in members_of.items()}
     return SupportingGraph(
         n=n, nodes=tuple(nodes), index=MappingProxyType(index), base_index=base_index,
-        multinodes=MappingProxyType(multinodes), level_scans=level_scans,
+        heads=heads, multinodes=MappingProxyType(multinodes), level_scans=level_scans,
         constants_of=constants_of,
     )
 

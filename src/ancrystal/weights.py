@@ -152,7 +152,8 @@ class WeightFunction:
 
 
 def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
-    """Check monotonicity, bounds, and the switch condition; a verdict, not a raise.
+    """Check per node, in canonical order, its bounds and then its edges
+    (``g.heads``), then each multinode's switch test; a verdict, not a raise.
 
     ``f`` maps every G-node to an integer (a dict or a WeightFunction).  Bounds
     whose length is not ``g.n`` have no node to violate: a ``ParameterError``,
@@ -161,13 +162,12 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
     if b.n != g.n:
         raise ParameterError(f"bound tuples have length {b.n}, expected n={g.n}")
     values = f.values if isinstance(f, WeightFunction) else _node_values(g, f)
-    for v, x in zip(g.nodes, values):
+    for v, x, heads in zip(g.nodes, values, g.heads):
         if not b.d[v.k - 1] <= x <= b.c[v.k - 1]:
             return FeasibilityReport(False, Violation("bounds", v.i, v.j, v.k))
         # outgoing NE and SE edges must not increase f
-        for head in (NodeRef(v.k, v.i - 1, v.j), NodeRef(v.k, v.i + 1, v.j + 1)):
-            if g.is_node(head) and x < values[g.index[head]]:
-                return FeasibilityReport(False, Violation("monotone", v.i, v.j, v.k))
+        if any(x < values[q] for q in heads):
+            return FeasibilityReport(False, Violation("monotone", v.i, v.j, v.k))
     for m in g.multinodes.values():  # built in (i, j) order
         lo, end = m.switch(values)
         if lo >= end:

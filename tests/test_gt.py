@@ -26,6 +26,7 @@ def test_pattern_validation():
     assert p.n == 2 and p.x(2, 1) == 2
     assert p.is_bounded_by((3, 1))
     assert not p.is_bounded_by((1, 1))  # x_21 = 2 above the first bound
+    assert GTPattern(()).is_bounded_by(())  # no entry to violate
 
 
 def test_pattern_json_round_trip():
@@ -54,10 +55,18 @@ def test_sigma_bound():
             lambda: GTPattern(((1,),)).is_bounded_by((1.5,)),
             "the caller gives bound[0] the non-integer value 1.5",
         ),
+        (lambda: GTPattern(((0,),)).is_bounded_by(()), "bound has length 0, expected 1"),
+        (lambda: GTPattern(()).is_bounded_by((1,)), "bound has length 1, expected 0"),
+        (lambda: GTPattern(((1,),)).is_bounded_by((1, 0)), "bound has length 2, expected 1"),
+        (
+            lambda: GTPattern(((1,), (2, 0))).is_bounded_by((0, 5, 7)),
+            "bound has length 3, expected 2",
+        ),
     ],
 )
 def test_a_bound_that_is_not_an_integer_tuple_is_a_parameter_error(call, message):
-    # 5 was a bare TypeError, and True or 1.5 passed as if they were 1
+    # 5 was a bare TypeError, and True or 1.5 passed as if they were 1; a bound
+    # of another length was a bare IndexError, or was read on its first n entries
     with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
         call()
 

@@ -247,6 +247,15 @@ def test_parameter_formulas():
     assert upper_parameter((2, 1, 0), (2, 1, 0)) == (1, 0)
 
 
+@pytest.mark.parametrize("parameter", [upper_parameter, lower_parameter])
+@pytest.mark.parametrize("c, a", [((1,), (1, 2)), ((1, 2, 3), (0, 0)), ((), (0,))])
+def test_the_parameter_formulas_refuse_tuples_of_different_lengths(parameter, c, a):
+    # (1,) against (1, 2) gave (), and a shorter a was a bare IndexError
+    message = rf"^c and a differ in length: {len(c)} vs {len(a)}$"
+    with pytest.raises(ParameterError, match=message):
+        parameter(c, a)
+
+
 @pytest.mark.parametrize("side", [UPPER, LOWER])
 @pytest.mark.parametrize("n,c", [(3, (1, 1, 1)), (3, (2, 1, 0))])
 def test_subcrystal_decomposition(n, c, side, crystals):

@@ -51,11 +51,11 @@ def test_every_caller_of_an_n_shares_one_graph(n):
     assert build_supporting_graph(n) is build_supporting_graph(n)
 
 
-@pytest.mark.parametrize("table", ["index", "multinodes"])
+@pytest.mark.parametrize("table", ["index", "multinodes", "heads"])
 def test_the_shared_tables_are_read_only(table):
     g = build_supporting_graph(2)
     mapping = getattr(g, table)
-    key = next(iter(mapping))
+    key = 0 if table == "heads" else next(iter(mapping))  # heads is a tuple
     with pytest.raises(TypeError):
         mapping[key] = mapping[key]
     with pytest.raises(TypeError):
@@ -121,6 +121,29 @@ def test_node_counts_and_multinode_partition(n):
         assert len(mn.members) == n - mn.i + 1
         seen.extend(mn.members)
     assert sorted(seen) == sorted(g.nodes)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_head_table_is_the_ne_and_se_rule(n):
+    """heads[p] lists the NE head v_{i-1}^k(j) and then the SE head
+    v_{i+1}^k(j+1) of nodes[p], those of them that are nodes of G, by the
+    bounds on (k, i, j) stated here once more."""
+    g = build_supporting_graph(n)
+
+    def in_g(k, i, j):
+        return 1 <= k <= n and 1 <= j <= n - k + 1 and j <= i <= j + k - 1
+
+    position = {v: p for p, v in enumerate(g.nodes)}
+    expected = tuple(
+        tuple(
+            position[NodeRef(*h)]
+            for h in ((v.k, v.i - 1, v.j), (v.k, v.i + 1, v.j + 1))
+            if in_g(*h)
+        )
+        for v in g.nodes
+    )
+    assert g.heads == expected
+    assert list(g.edges()) == [(u, g.nodes[q]) for u, hs in zip(g.nodes, expected) for q in hs]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

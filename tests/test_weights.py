@@ -2,6 +2,7 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ancrystal import (
     BACKWARD,
@@ -12,6 +13,7 @@ from ancrystal import (
     ParameterError,
     WeightFunction,
     build_supporting_graph,
+    generate,
     is_feasible,
     level_slacks,
     make_weight_function,
@@ -301,3 +303,52 @@ def test_equality_hash_and_repr_ignore_the_stored_scan():
     assert f == other and hash(f) == hash(other) == before[0]
     assert repr(f) == repr(other) == before[1]
     assert len({f, other}) == 1
+
+
+def restated_feasibility(g, values, b):
+    """``(ok, violation)`` of the three feasibility conditions, restated in
+    the order ``is_feasible`` checks them: per node in canonical order its
+    bounds, then its NE and SE edges; then each multinode V_i(j), in (i, j)
+    order, by the member-by-member switch rule."""
+    n = g.n
+    value = dict(zip(g.nodes, values))
+    for v, x in value.items():
+        if not b.d[v.k - 1] <= x <= b.c[v.k - 1]:
+            return False, weights.Violation("bounds", v.i, v.j, v.k)
+        for head in (NodeRef(v.k, v.i - 1, v.j), NodeRef(v.k, v.i + 1, v.j + 1)):
+            if head in value and x < value[head]:
+                return False, weights.Violation("monotone", v.i, v.j, v.k)
+    for i in range(1, n + 1):
+        for j in range(1, i + 1):
+            members = tuple(NodeRef(k, i, j) for k in range(i - j + 1, n - j + 2))
+            if not allowed_switch_members(value.__getitem__, members):
+                return False, weights.Violation("switch", i, j, None)
+    return True, None
+
+
+# K(c, d) with n <= 5: d_k in -2..2 and at most three units of c - d (two at n = 5)
+small_shifted_crystals = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.integers(0, n - 1), max_size=3 if n < 5 else 2),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_shifted_crystals, st.randoms(use_true_random=False))
+def test_is_feasible_agrees_with_the_restated_conditions(params, rng):
+    """On vertices of K(c, d) and on one-value perturbations of them, which
+    are mostly infeasible, is_feasible names the same first violation as the
+    restatement, which reads G's nodes but none of its tables."""
+    n, d, units = params
+    c = tuple(dk + units.count(k) for k, dk in enumerate(d))
+    K = generate(n, c, d)
+    g, b = K.graph, K.bounds
+    for _ in range(60):
+        values = list(K.keys[rng.randrange(K.num_vertices)])
+        values[rng.randrange(len(values))] += rng.choice((-1, 1))
+        for vals in (K.keys[rng.randrange(K.num_vertices)], tuple(values)):
+            report = is_feasible(g, WeightFunction(g, b, vals), b)
+            assert (report.ok, report.violation) == restated_feasibility(g, vals, b)
