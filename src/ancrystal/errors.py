@@ -17,17 +17,16 @@ def check_integer(x, what, source: str = "the caller") -> int:
     return x
 
 
-def integer_tuple(xs, name: str, source: str = "the caller") -> tuple:
-    """``tuple(xs)``, each entry checked by ``check_integer`` as ``name[p]``;
-    an ``xs`` that is not iterable is a ParameterError too."""
+def integer_tuple(xs, name: str, source: str = "the caller", entry=check_integer) -> tuple:
+    """``tuple(xs)``, each entry checked as ``name[p]`` by ``entry``, which
+    returns what it checks (``check_integer``, or ``integer_tuple`` for a
+    tuple of integer tuples); an ``xs`` that is not iterable is a
+    ParameterError too."""
     try:
         entries = iter(xs)
     except TypeError:
         raise ParameterError(f"{source} gives {name} the non-sequence value {xs!r}") from None
-    xs = tuple(entries)
-    for p, x in enumerate(xs):
-        check_integer(x, f"{name}[{p}]", source)
-    return xs
+    return tuple(entry(x, f"{name}[{p}]", source) for p, x in enumerate(entries))
 
 
 class InfeasibleError(ModelError, ValueError):

@@ -7,7 +7,7 @@ from itertools import product
 
 from .errors import InfeasibleError, ParameterError, integer_tuple
 from .support import SupportingGraph, check_color_count
-from .weights import Bounds, WeightFunction, make_weight_function, zero_bounds
+from .weights import Bounds, WeightFunction, _feasible, zero_bounds
 
 
 @dataclass(frozen=True)
@@ -17,7 +17,7 @@ class GTPattern:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(integer_tuple(row, f"rows[{i}]") for i, row in enumerate(self.rows))
+        rows = integer_tuple(self.rows, "rows", entry=integer_tuple)
         object.__setattr__(self, "rows", rows)
         for i, row in enumerate(rows, start=1):
             if len(row) != i:
@@ -51,9 +51,7 @@ class GTPattern:
     def from_json(data) -> "GTPattern":
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ParameterError("pattern JSON must be a list of rows")
-        return GTPattern(
-            tuple(integer_tuple(row, f"rows[{i}]", "pattern JSON") for i, row in enumerate(data))
-        )
+        return GTPattern(integer_tuple(data, "rows", "pattern JSON", entry=integer_tuple))
 
 
 def sigma_bound(c) -> tuple:
@@ -103,11 +101,12 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
     """The unique feasible function mapping to the given bounded pattern.
 
     Built bottom-up, from level n: at each multinode every member starts at
-    its maximum admissible value and weight is then removed member by member,
-    front to back, until the multinode sum hits its target (a bottom V_n(j)
-    has one member, with maximum c_k and minimum 0).  The front members end
-    tight on their SE-edges and the back members on their SW-edges, which is
-    exactly the switch condition; ``is_feasible`` checks it on ``g.heads``.
+    its maximum, its SW neighbor's value (``m.sw``; c_k for the first member),
+    and weight is then removed member by member, front to back, down to each
+    one's minimum, its SE neighbor's value (``m.se``; 0 for the last), until
+    the multinode sum hits its target.  The front members end tight on their
+    SE-edges and the back members on their SW-edges, which is exactly the
+    switch condition; each record's ``switch`` checks it.
     """
     b = zero_bounds(c)  # a negative bound is a ParameterError naming c
     c, n = b.c, g.n
@@ -115,22 +114,21 @@ def from_gt(g: SupportingGraph, pattern: GTPattern, c) -> WeightFunction:
         raise ParameterError(f"pattern/bounds size mismatch with n={n}")
     if not pattern.is_bounded_by(sigma_bound(c)):
         raise InfeasibleError(f"pattern is not bounded by {sigma_bound(c)}")
-    vals = {}
+    index, vals = g.index, [None] * len(g.nodes)
     for i in range(n, 0, -1):
         for j in range(1, i + 1):
-            members = g.multinode(i, j).members
-            # the SW and SE neighbors, one level down; a plain (k, i, j) finds a NodeRef
-            maxes = [c[members[0].k - 1]] + [vals[v.k, i + 1, j] for v in members[1:]]
-            mins = [vals[v.k, i + 1, j + 1] for v in members[:-1]] + [0]
+            m = g.multinodes[i, j]
+            maxes = [c[m.members[0].k - 1]] + [vals[w] for _, w in reversed(m.sw)]
+            mins = [vals[t] for _, t in m.se] + [0]
             target = pattern.x(i, j) - sum(c[:i - j])
             surplus = sum(maxes) - target
             if surplus < 0 or surplus > sum(maxes) - sum(mins):
                 raise InfeasibleError(f"multinode V_{i}({j}) sum {target} is unreachable")
-            for v, mx, mn in zip(members, maxes, mins):
+            for v, mx, mn in zip(m.members, maxes, mins):
                 cut = min(surplus, mx - mn)
-                vals[v] = mx - cut
+                vals[index[v]] = mx - cut
                 surplus -= cut
-    return make_weight_function(g, vals, b)
+    return _feasible(g, b, tuple(vals))
 
 
 def count_bounded_patterns(n: int, bound) -> int:

@@ -206,16 +206,17 @@ class SubcrystalRecord:
         return len(self.vertex_ids)
 
 
-def _side_colors(K: CrystalGraph, side: str) -> tuple:
-    """The colors a side keeps, UPPER dropping color n and LOWER color 1, each
-    checked by ``K.check_color``: a subgraph may lack some of them."""
+def _side(K: CrystalGraph, side: str) -> tuple:
+    """``(colors, parameter)`` of a side: the colors it keeps, UPPER dropping
+    color n and LOWER color 1, each checked by ``K.check_color`` (a subgraph
+    may lack some of them), and its parameter formula."""
     if side == UPPER:
-        colors = range(1, K.n)
+        colors, parameter = range(1, K.n), upper_parameter
     elif side == LOWER:
-        colors = range(2, K.n + 1)
+        colors, parameter = range(2, K.n + 1), lower_parameter
     else:
         raise ParameterError(f"side must be '{UPPER}' or '{LOWER}', got {side!r}")
-    return tuple(map(K.check_color, colors))
+    return tuple(map(K.check_color, colors)), parameter
 
 
 def _side_columns(K: CrystalGraph, colors) -> list:
@@ -258,10 +259,9 @@ def subcrystals(K: CrystalGraph, side: str) -> List[SubcrystalRecord]:
     K(c, d) is K(c - d) shifted by d.
     """
     n = K.n
-    colors = _side_colors(K, side)
+    colors, parameter = _side(K, side)
     g = K.graph
     ends = [g.index[g.bottom(k) if side == UPPER else g.top(k)] for k in range(1, n + 1)]
-    parameter = upper_parameter if side == UPPER else lower_parameter
     c, d = K.bounds.width, K.bounds.d
     columns = _side_columns(K, colors)
     # per vertex: no incoming edge of a kept color, and constant on every G^k
@@ -307,11 +307,10 @@ def principal_location(K: CrystalGraph, a, side: str) -> tuple:
     if K.n < 2:
         raise ParameterError(f"principal_location needs n >= 2 colors, got n={K.n}")
     a = integer_tuple(a, "a")
-    colors = _side_colors(K, side)
+    colors, parameter = _side(K, side)
     v = K.vertex_by_function(principal_function(K.graph, a, K.bounds))
     shifted = _minus(a, K.bounds.d)
     formula = shifted[1:] if side == UPPER else shifted[:-1]
-    parameter = upper_parameter if side == UPPER else lower_parameter
     comp = sorted(_mark_reachable(v, _side_columns(K, colors), bytearray(K.num_vertices)))
     ref = generate(K.n - 1, parameter(K.bounds.width, shifted))
     color_map = {col: p for p, col in enumerate(colors, start=1)}

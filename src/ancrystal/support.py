@@ -38,6 +38,11 @@ class NodeRef(NamedTuple):
 class Multinode:
     """Multinode V_i(j): the nodes v_i^k(j) across base subgraphs, ordered by k.
 
+    ``se`` and ``sw`` state G's edge rule once, as (member, neighbor) position
+    pairs: members 0..last-1 with their SE neighbors v_{i+1}^k(j+1), members
+    last..1 with their SW ones v_{i+1}^k(j).  ``SupportingGraph.heads`` and
+    the switch test are derived from them.
+
     Its compiled switch test ``switch(v)``, on a canonical-order value sequence
     ``v``, returns ``(lo, end)``: the members allowed as its switch node are
     exactly ``members[lo:end]``, as a member is allowed iff every member before
@@ -48,6 +53,8 @@ class Multinode:
     i: int
     j: int
     members: tuple
+    se: tuple = field(compare=False, repr=False)
+    sw: tuple = field(compare=False, repr=False)
     switch: Callable = field(compare=False, repr=False)
 
 
@@ -60,8 +67,9 @@ class SupportingGraph:
     weight vectors used as crystal-vertex keys.  ``base_index[k - 1]`` holds the
     positions of the nodes of G^k, in canonical order.  ``heads[p]`` holds the
     positions of the NE head v_{i-1}^k(j), then the SE head v_{i+1}^k(j+1), of
-    ``nodes[p]`` that are nodes of G: G's edges, stated once.  ``is_node``, ``_term``
-    and the oracle's ``moves._extended_value`` test nodes apart, on purpose.
+    ``nodes[p]`` that are nodes of G, from the multinodes' pairs: an SE pair
+    (p, q) is the edge p -> q, an SW pair (w, u) the NE edge u -> w.  ``is_node``,
+    ``_term`` and the oracle's ``moves._extended_value`` test nodes apart, on purpose.
 
     Besides the switch test of each record ``multinodes[(i, j)]``, two kernels
     are generated as loop-free functions of a canonical-order value sequence ``v``:
@@ -170,23 +178,19 @@ def _build(n: int) -> SupportingGraph:
     for p, v in enumerate(nodes):
         base_index[v.k - 1].append(p)
     base_index = tuple(map(tuple, base_index))
-    # NE and SE heads as plain (k, i, j), which finds a NodeRef, as it is a tuple
-    ne_se = (((v.k, v.i - 1, v.j), (v.k, v.i + 1, v.j + 1)) for v in nodes)
-    heads = tuple(tuple(index[h] for h in pair if h in index) for pair in ne_se)
-    members_of = {}
-    # The switch tests of V_i(j) as (se, sw), (member, neighbor) index pairs:
-    # se compares members m = 0, 1, ..., last - 1 with their SE neighbors
-    # v_{i+1}^k(j+1), sw members m = last, ..., 1 with their SW ones v_{i+1}^k(j).
-    switch_pairs = {}
+    level_scans, switch_for, constants_of = _compile_kernels(n, index, base_index)
+    multinodes = {}
+    # G's edge rule, stated once: each V_i(j)'s se and sw pairs (see Multinode)
     for i in range(1, n + 1):
         for j in range(1, i + 1):
             members = tuple(NodeRef(k, i, j) for k in range(i - j + 1, n - j + 2))
-            members_of[i, j] = members
             se = tuple((index[v], index[v.k, i + 1, j + 1]) for v in members[:-1])
             sw = tuple((index[v], index[v.k, i + 1, j]) for v in members[:0:-1])
-            switch_pairs[i, j] = (se, sw)
-    level_scans, switches, constants_of = _compile_kernels(n, index, switch_pairs, base_index)
-    multinodes = {key: Multinode(*key, members, switches[key]) for key, members in members_of.items()}
+            switch = switch_for[len(members)](tuple(chain.from_iterable(se + sw)))
+            multinodes[i, j] = Multinode(i, j, members, se, sw, switch)
+    ne_heads = {u: w for m in multinodes.values() for w, u in m.sw}
+    se_heads = {p: q for m in multinodes.values() for p, q in m.se}
+    heads = tuple(tuple(h[p] for h in (ne_heads, se_heads) if p in h) for p in range(len(nodes)))
     return SupportingGraph(
         n=n, nodes=tuple(nodes), index=MappingProxyType(index), base_index=base_index,
         heads=heads, multinodes=MappingProxyType(multinodes), level_scans=level_scans,
@@ -233,9 +237,10 @@ def _compiled(lines: list, n: int) -> Callable:
     return function
 
 
-def _compile_kernels(n: int, index: dict, switch_pairs, base_index) -> tuple:
-    """``(level_scans, switches, constants_of)`` of a graph (see ``Multinode``
-    and ``SupportingGraph``), each kernel compiled from its own source.
+def _compile_kernels(n: int, index: dict, base_index) -> tuple:
+    """``(level_scans, switch_for, constants_of)`` of a graph (see ``Multinode``
+    and ``SupportingGraph``), each kernel compiled from its own source;
+    ``switch_for[m](positions)`` makes the switch test of an m-member multinode.
 
     A step has at most 2n - 2 pairs, and the ``or`` chains, comparison chains,
     unpackings and displays are flat, so a source grows with n but stays
@@ -255,13 +260,13 @@ def _compile_kernels(n: int, index: dict, switch_pairs, base_index) -> tuple:
         lines.append(f"    return (0, {', '.join(f'a{j}' for j in range(1, i + 2))}), h, j")
         level_scans.append(_compiled(lines, n))
     # A switch chain depends only on the member count, so there is one factory
-    # per count, and each multinode's function closes over its own
-    # ``switch_pairs`` positions (SE pairs s, t; SW pairs u, w).  Each ``or``
+    # per count 1..n, and each multinode's function closes over the positions
+    # of its own ``se`` and ``sw`` pairs (SE pairs s, t; SW pairs u, w).  Each ``or``
     # chain stops at its first failed test: lo at the last member that is not
     # SW-tight (``sw`` runs from the last member down), end one past the first
     # that is not SE-tight; every member number it yields but 0 is truthy.
     factories = {}
-    for members in {len(se) + 1 for se, _ in switch_pairs.values()}:
+    for members in range(1, n + 1):
         tests = range(members - 1)
         lo = [f"v[u{p}] != v[w{p}] and {members - 1 - p}" for p in tests]
         end = [f"v[s{m}] != v[t{m}] and {m + 1}" for m in tests]
@@ -280,11 +285,4 @@ def _compile_kernels(n: int, index: dict, switch_pairs, base_index) -> tuple:
         same = " == ".join(f"v[{p}]" for p in (first, *rest))
         lines.append(f"        v[{first}] if {same} else None," if rest else f"        v[{first}],")
     lines.append("    )")
-    return (
-        tuple(level_scans),
-        {
-            key: factories[len(se) + 1](tuple(chain.from_iterable(se + sw)))
-            for key, (se, sw) in switch_pairs.items()
-        },
-        _compiled(lines, n),
-    )
+    return tuple(level_scans), factories, _compiled(lines, n)

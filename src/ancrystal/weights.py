@@ -226,6 +226,8 @@ def switch_node(f: WeightFunction, i: int, j: int, direction: str) -> NodeRef:
 def principal_function(g: SupportingGraph, a, b: Bounds) -> WeightFunction:
     """The function taking the constant value a_k on each base subgraph G^k."""
     a = integer_tuple(a, "a")
+    if b.n != g.n:
+        raise ParameterError(f"bound tuples have length {b.n}, expected n={g.n}")
     if len(a) != g.n:
         raise ParameterError(f"principal tuple has length {len(a)}, expected {g.n}")
     if any(not b.d[k] <= a[k] <= b.c[k] for k in range(g.n)):

@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ancrystal import (
     GTPattern,
@@ -46,6 +47,9 @@ def test_sigma_bound():
     "call, message",
     [
         (lambda: sigma_bound(5), "the caller gives c the non-sequence value 5"),
+        (lambda: GTPattern(5), "the caller gives rows the non-sequence value 5"),
+        (lambda: GTPattern(((1,), 5)), "the caller gives rows[1] the non-sequence value 5"),
+        (lambda: GTPattern(((True,),)), "the caller gives rows[0][0] the non-integer value True"),
         (lambda: sigma_bound((1, True)), "the caller gives c[1] the non-integer value True"),
         (
             lambda: GTPattern(((1,),)).is_bounded_by(5),
@@ -65,8 +69,9 @@ def test_sigma_bound():
     ],
 )
 def test_a_bound_that_is_not_an_integer_tuple_is_a_parameter_error(call, message):
-    # 5 was a bare TypeError, and True or 1.5 passed as if they were 1; a bound
-    # of another length was a bare IndexError, or was read on its first n entries
+    # 5 was a bare TypeError (also as GTPattern's rows), and True or 1.5 passed
+    # as if they were 1; a bound of another length was a bare IndexError, or
+    # was read on its first n entries
     with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
         call()
 
@@ -111,6 +116,24 @@ def test_round_trip_and_exact_image(n, c, crystals):
     assert from_gt(g, p, iter(c)) == f  # the bounds may be any iterable
     # the image is exactly the set of bounded patterns
     assert len(images) == K.num_vertices == count_bounded_patterns(n, sigma_bound(c))
+
+
+# n <= 6 colors and a few fundamental weights: K(c) has at most 784 vertices
+small_crystals = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=3 if n < 5 else 2))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_crystals, st.randoms(use_true_random=False))
+def test_from_gt_inverts_to_gt_on_random_vertices(params, rng):
+    """from_gt(g, to_gt(f), c) == f on 40 vertices, drawn at random, of each
+    K(c), where the round trip above covers every vertex of a few with n <= 3."""
+    n, units = params
+    c = tuple(units.count(k) for k in range(1, n + 1))
+    K = generate(n, c)
+    for f in map(K.function, (rng.randrange(K.num_vertices) for _ in range(40))):
+        assert from_gt(K.graph, to_gt(f), c) == f
 
 
 def test_to_gt_sums_each_multinode_of_every_function_of_k4():

@@ -51,11 +51,12 @@ def test_every_caller_of_an_n_shares_one_graph(n):
     assert build_supporting_graph(n) is build_supporting_graph(n)
 
 
-@pytest.mark.parametrize("table", ["index", "multinodes", "heads"])
+@pytest.mark.parametrize("table", ["index", "multinodes", "heads", "se", "sw"])
 def test_the_shared_tables_are_read_only(table):
     g = build_supporting_graph(2)
-    mapping = getattr(g, table)
-    key = 0 if table == "heads" else next(iter(mapping))  # heads is a tuple
+    record = g.multinodes[1, 1]  # two members, so one pair of each kind
+    mapping = getattr(record, table) if table in ("se", "sw") else getattr(g, table)
+    key = 0 if isinstance(mapping, tuple) else next(iter(mapping))  # heads, se and sw are tuples
     with pytest.raises(TypeError):
         mapping[key] = mapping[key]
     with pytest.raises(TypeError):
@@ -64,10 +65,11 @@ def test_the_shared_tables_are_read_only(table):
 
 def test_a_shared_multinode_keeps_its_switch_test():
     m = next(iter(build_supporting_graph(2).multinodes.values()))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        m.switch = m.switch
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        del m.switch
+    for name in ("switch", "se", "sw"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, getattr(m, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(m, name)
 
 
 @pytest.mark.parametrize("i, j", [(4, 4), (2, 3), (0, 0), (3, 1)])
@@ -144,6 +146,20 @@ def test_the_head_table_is_the_ne_and_se_rule(n):
     )
     assert g.heads == expected
     assert list(g.edges()) == [(u, g.nodes[q]) for u, hs in zip(g.nodes, expected) for q in hs]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_multinode_pairs_are_the_se_and_sw_rule(n):
+    """m.se pairs members 0..last-1 with their SE neighbors v_{i+1}^k(j+1) and
+    m.sw members last..1 with their SW ones v_{i+1}^k(j), as positions, by
+    the coordinates stated here once more."""
+    g = build_supporting_graph(n)
+    position = {v: p for p, v in enumerate(g.nodes)}
+    for m in g.multinodes.values():
+        se = [(v, NodeRef(v.k, v.i + 1, v.j + 1)) for v in m.members[:-1]]
+        sw = [(v, NodeRef(v.k, v.i + 1, v.j)) for v in m.members[:0:-1]]
+        assert m.se == tuple((position[v], position[s]) for v, s in se)
+        assert m.sw == tuple((position[v], position[w]) for v, w in sw)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -109,6 +109,14 @@ def test_bounds_of_another_length_name_no_node():
         WeightFunction.from_json(data)
 
 
+@pytest.mark.parametrize("c", [(1,), (1, 1, 1)])
+def test_principal_function_refuses_bounds_of_another_length(c):
+    # a shorter c was a bare IndexError, and a longer one was read on its first n entries
+    g = build_supporting_graph(2)
+    with pytest.raises(ParameterError, match=rf"^bound tuples have length {len(c)}, expected n=2$"):
+        principal_function(g, (0, 0), zero_bounds(c))
+
+
 @pytest.mark.parametrize(
     "drop, value, message",
     [
