@@ -203,7 +203,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gt(args) -> int:
+    _check_out(args.out)
     if args.count:
+        if args.direction is not None or args.infile is not None:  # they would be ignored
+            raise ParameterError("gt --count takes no --direction or --in")
         if args.n is None or args.c is None:
             raise ParameterError("gt --count needs --n and --c")
         c = tuple(args.c)
@@ -213,10 +216,12 @@ def cmd_gt(args) -> int:
             )
         if (size := weyl_dimension(c)) > DEFAULT_CAP:  # before an enumeration of days
             raise CapExceededError(DEFAULT_CAP, size, "crystal")
-        print(count_bounded_patterns(args.n, sigma_bound(c)))
+        _write(args.out, (f"{count_bounded_patterns(args.n, sigma_bound(c))}\n",))
         return EXIT_OK
     if args.direction is None or args.infile is None:
         raise ParameterError("gt needs --count, or --direction with --in")
+    if args.direction == "to-pattern" and (args.n, args.c) != (None, None):  # the file gives both
+        raise ParameterError("gt --direction to-pattern takes no --n or --c")
     data = _parse_json(args.infile, _read_text(args.infile, ParameterError), ParameterError)
     if args.direction == "to-pattern":
         f = WeightFunction.from_json(data)

@@ -6,7 +6,7 @@ import hashlib
 import json
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import lt
@@ -28,7 +28,7 @@ _DOT_PALETTE = (
 )
 
 
-@dataclass(eq=False)
+@dataclass
 class CrystalGraph:
     """Colored digraph on weight functions; at most one edge per color each way.
 
@@ -39,6 +39,10 @@ class CrystalGraph:
     its incoming c-edge (-1 for none) and ``h[c][v]``/``t[c][v]`` its head and
     tail string lengths, all ``array('i')``.  ``function(v)`` builds the
     weight function on demand.
+
+    Equality follows ``graph``, ``bounds``, ``colors``, ``keys`` and ``nxt``;
+    ``prv``, ``h`` and ``t`` are derived from ``nxt``, so they are not
+    compared.  A graph is unhashable.
     """
 
     graph: SupportingGraph
@@ -46,9 +50,9 @@ class CrystalGraph:
     colors: tuple
     keys: tuple
     nxt: dict  # color -> array('i') of head ids, -1 for none
-    prv: dict  # color -> array('i') of tail ids, -1 for none
-    h: dict  # color -> array('i') of head string lengths
-    t: dict  # color -> array('i') of tail string lengths
+    prv: dict = field(compare=False)  # color -> array('i') of tail ids, -1 for none
+    h: dict = field(compare=False)  # color -> array('i') of head string lengths
+    t: dict = field(compare=False)  # color -> array('i') of tail string lengths
 
     # -- basics ----------------------------------------------------------------
 
@@ -153,17 +157,6 @@ class CrystalGraph:
         if not self.colors:
             return repeat((), self.num_vertices)
         return zip(*(columns[c] for c in self.colors))
-
-    def __eq__(self, other):
-        if not isinstance(other, CrystalGraph):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.bounds == other.bounds
-            and self.colors == other.colors
-            and self.keys == other.keys
-            and self.nxt == other.nxt
-        )
 
     # -- serialization ---------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InfeasibleError, ParameterError, check_integer, integer_tuple
@@ -64,42 +64,26 @@ class FeasibilityReport:
     violation: Optional[Violation] = None
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class WeightFunction:
     """Feasible integer weighting of the supporting graph, stored densely.
 
     ``values[p]`` is the weight of ``graph.nodes[p]`` (canonical node order), so
     the tuple doubles as a hashable vertex key for crystal generation.
 
-    A plain ``__slots__`` class rather than a frozen dataclass: one is built
-    per accepted move, and a frozen dataclass's ``__init__`` costs about three
-    times this one.  Equality and the hash follow the three fields.
+    Equality and the hash follow the three fields, which are never reassigned.
+    Slotted, not frozen: the closure's frontier holds many, one is built per
+    accepted move, and a frozen dataclass's ``__init__`` costs about 3x more.
 
     ``scan`` is ``(i, scan)`` of the last ``level_slacks(f, i)``, or None: a
-    cache that only ``level_slacks`` reads and writes, and that equality, the
-    hash and the repr ignore.
+    cache that only ``level_slacks`` reads and writes: not an ``__init__``
+    argument, and ignored by equality, the hash and the repr.
     """
 
-    __slots__ = ("graph", "bounds", "values", "scan")
-
-    def __init__(self, graph: SupportingGraph, bounds: Bounds, values: tuple):
-        self.graph = graph
-        self.bounds = bounds
-        self.values = values
-        self.scan = None
-
-    def _fields(self) -> tuple:
-        return (self.graph, self.bounds, self.values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"WeightFunction(graph={self.graph!r}, bounds={self.bounds!r}, values={self.values!r})"
+    graph: SupportingGraph
+    bounds: Bounds
+    values: tuple
+    scan: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def value(self, v: NodeRef) -> int:
         return self.values[self.graph.position(v)]
@@ -157,10 +141,13 @@ def is_feasible(g: SupportingGraph, f, b: Bounds) -> FeasibilityReport:
 
     ``f`` maps every G-node to an integer (a dict or a WeightFunction).  Bounds
     whose length is not ``g.n`` have no node to violate: a ``ParameterError``,
-    like a map that misses a node or gives one a value that is not an int.
+    like a function of another n, a map that misses a node or gives one a
+    value that is not an int.
     """
     if b.n != g.n:
         raise ParameterError(f"bound tuples have length {b.n}, expected n={g.n}")
+    if isinstance(f, WeightFunction) and f.graph.n != g.n:
+        raise ParameterError(f"the weight function has n={f.graph.n}, expected n={g.n}")
     values = f.values if isinstance(f, WeightFunction) else _node_values(g, f)
     for v, x, heads in zip(g.nodes, values, g.heads):
         if not b.d[v.k - 1] <= x <= b.c[v.k - 1]:

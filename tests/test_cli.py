@@ -471,6 +471,44 @@ def test_gt_count(capsys):
     assert run(capsys, "gt")[0] == EXIT_USAGE
 
 
+def test_gt_count_writes_to_out(capsys, tmp_path, monkeypatch):
+    out = str(tmp_path / "n.txt")
+    code, stdout, err = run(capsys, "gt", "--count", "--n", "2", "--c", "1,1", "--out", out)
+    assert (code, stdout, err) == (EXIT_OK, "", "")
+    assert (tmp_path / "n.txt").read_text() == "8\n"
+
+    def count(*args):
+        raise AssertionError("counted before --out was checked")
+
+    monkeypatch.setattr(cli, "count_bounded_patterns", count)
+    out = str(tmp_path / "missing" / "n.txt")
+    code, stdout, err = run(capsys, "gt", "--count", "--n", "2", "--c", "1,1", "--out", out)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"
+
+
+GT_COUNT = ["--count", "--n", "2", "--c", "1,1"]
+GT_TO_PATTERN = ["--direction", "to-pattern", "--in", "f.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (GT_COUNT + ["--in", "f.json"], "gt --count takes no --direction or --in"),
+    (GT_COUNT + ["--direction", "to-pattern"], "gt --count takes no --direction or --in"),
+    (GT_COUNT + ["--direction", "from-pattern", "--in", "f.json"], "gt --count takes no --direction or --in"),
+    (GT_TO_PATTERN + ["--n", "5", "--c", "9,9"], "gt --direction to-pattern takes no --n or --c"),
+    (GT_TO_PATTERN + ["--n", "2"], "gt --direction to-pattern takes no --n or --c"),
+    (GT_TO_PATTERN + ["--c", "1,2"], "gt --direction to-pattern takes no --n or --c"),
+], ids=["count-in", "count-direction", "count-from-pattern", "to-pattern-n-c", "to-pattern-n", "to-pattern-c"])
+def test_gt_refuses_options_it_would_ignore(capsys, tmp_path, monkeypatch, argv, message):
+    # refused before any work: f.json holds a valid function, and nothing is counted
+    f = principal_function(build_supporting_graph(2), (1, 1), zero_bounds((1, 2)))
+    (tmp_path / "f.json").write_text(json.dumps(f.to_json()))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "count_bounded_patterns", None)
+    code, stdout, err = run(capsys, "gt", *argv)
+    assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_gt_count_names_the_bad_bounds(capsys):
     code, stdout, err = run(capsys, "gt", "--count", "--n", "2", "--c", "1,-1")
     assert code == EXIT_USAGE and stdout == ""

@@ -245,6 +245,28 @@ def test_dual_reverses_everything(crystals):
     assert dual(D) == K
 
 
+def test_crystal_equality_follows_the_graph_bounds_colors_keys_and_nxt(crystals):
+    K = crystals(2, (1, 1))
+    D = dual(K)
+    # prv, h and t are derived from nxt, so other columns there leave K equal
+    assert dataclasses.replace(K, prv=D.prv, h=D.h, t=D.t) == K
+    other = crystals(2, (1, 2))
+    nxt = {c: array("i", col) for c, col in K.nxt.items()}
+    nxt[1][K.source] = -1
+    for change in [
+        {"nxt": nxt},
+        {"nxt": D.nxt},
+        {"keys": K.keys[::-1]},
+        {"colors": K.colors[:1]},
+        {"bounds": other.bounds},
+        {"graph": build_supporting_graph(3)},
+    ]:
+        assert dataclasses.replace(K, **change) != K
+    assert K != K.keys and K.keys != K
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(K)
+
+
 def test_a_copy_derives_its_source_and_sink_from_its_columns(crystals):
     # the copy test_structure.without_edge makes: deleting the 1-edge out of
     # the source leaves its head a second vertex without incoming edges

@@ -103,6 +103,13 @@ def test_from_gt_rejects_out_of_bound_patterns():
         from_gt(g, GTPattern(((1,), (1, 0))), (1, -1))
 
 
+def test_from_gt_refuses_a_multinode_sum_it_cannot_reach(monkeypatch):
+    # behind the bound check; reached with a check that lets [[3]] pass for c = (1,)
+    monkeypatch.setattr(GTPattern, "is_bounded_by", lambda self, bound: True)
+    with pytest.raises(InfeasibleError, match=r"^multinode V_1\(1\) sum 3 is unreachable$"):
+        from_gt(build_supporting_graph(1), GTPattern(((3,),)), (1,))
+
+
 @pytest.mark.parametrize("n,c", [(2, (1, 2)), (2, (2, 2)), (3, (1, 1, 1)), (3, (2, 1, 0))])
 def test_round_trip_and_exact_image(n, c, crystals):
     g = build_supporting_graph(n)

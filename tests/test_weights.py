@@ -109,6 +109,15 @@ def test_bounds_of_another_length_name_no_node():
         WeightFunction.from_json(data)
 
 
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2)])
+def test_is_feasible_refuses_a_function_of_another_n(n, m):
+    # n = 3 on the n = 2 graph was judged on its first values and passed;
+    # n = 2 on the n = 3 graph was a bare IndexError
+    f = principal_function(build_supporting_graph(m), (0,) * m, zero_bounds((1,) * m))
+    with pytest.raises(ParameterError, match=rf"^the weight function has n={m}, expected n={n}$"):
+        is_feasible(build_supporting_graph(n), f, zero_bounds((1,) * n))
+
+
 @pytest.mark.parametrize("c", [(1,), (1, 1, 1)])
 def test_principal_function_refuses_bounds_of_another_length(c):
     # a shorter c was a bare IndexError, and a longer one was read on its first n entries
@@ -311,6 +320,14 @@ def test_equality_hash_and_repr_ignore_the_stored_scan():
     assert f == other and hash(f) == hash(other) == before[0]
     assert repr(f) == repr(other) == before[1]
     assert len({f, other}) == 1
+
+
+def test_a_weight_function_is_slotted():
+    # the closure's frontier holds many, so none carries a __dict__
+    f = principal_function(build_supporting_graph(2), (0, 1), zero_bounds((1, 2)))
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(AttributeError):
+        f.value_cache = {}
 
 
 def restated_feasibility(g, values, b):
